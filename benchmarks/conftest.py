@@ -9,13 +9,15 @@ measurement (the paper's "total CPU time" axis).
 A fresh engine is constructed inside every measured round: bounding
 schemes carry per-run synchronisation state and must not be reused.
 
-Besides the pytest-benchmark output, every session writes a
-machine-readable ``BENCH_core.json`` next to the repo root (override the
-path with ``PROXRJ_BENCH_JSON``): one record per benchmarked run with
-wall-clock, ``sum_depths`` and ``combinations_formed``, so successive
-PRs can diff the perf trajectory instead of re-reading logs.  Tests add
-records via :func:`record_bench`; :func:`run_and_record` does it
-automatically.
+Besides the pytest-benchmark output, a pytest run with
+``PROXRJ_BENCH_JSON`` set writes a machine-readable trajectory file at
+that path (CI points it at ``BENCH_core.json``): one record per
+benchmarked run with wall-clock, ``sum_depths`` and
+``combinations_formed``, so successive PRs can diff the perf trajectory
+instead of re-reading logs.  Without the variable nothing is written —
+a plain ``pytest`` run (which collects ``benchmarks/``) leaves the
+committed ``BENCH_core.json`` alone.  Tests add records via
+:func:`record_bench`; :func:`run_and_record` does it automatically.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ N_TUPLES = 400
 _BENCH_RECORDS: list[dict] = []
 
 
-def _bench_json_path() -> Path:
-    override = os.environ.get("PROXRJ_BENCH_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent.parent / "BENCH_core.json"
-
-
 def record_bench(name: str, wall_seconds: float, **metrics) -> None:
     """Add one record to the session's ``BENCH_core.json``."""
     record = {"name": name, "wall_seconds": round(float(wall_seconds), 6)}
@@ -63,7 +58,8 @@ def record_bench(name: str, wall_seconds: float, **metrics) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if not _BENCH_RECORDS:
+    target = os.environ.get("PROXRJ_BENCH_JSON")
+    if not _BENCH_RECORDS or not target:
         return
     # Merge by record name into any existing trajectory file: records this
     # session re-measured are replaced in place, everything else is kept.
@@ -77,7 +73,7 @@ def pytest_sessionfinish(session, exitstatus):
     if quick:
         for record in _BENCH_RECORDS:
             record["quick"] = True
-    path = _bench_json_path()
+    path = Path(target)
     records: list[dict] = []
     try:
         records = json.loads(path.read_text()).get("records", [])

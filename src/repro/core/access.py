@@ -7,22 +7,24 @@ exposes exactly the statistics the bounding schemes are allowed to use:
 the distance/score of the first and last tuple retrieved so far, the
 depth, and the relation's ``sigma_max``.
 
-Streams are columnar inside.  Opening a pre-sorted stream vectorises the
-ordering: one distance computation over the relation's stacked ``(N, d)``
-vector matrix, one ``np.lexsort`` keyed by ``(rank, tid)`` (tid as the
-tie-break keeps the stream deterministic, which instance-optimality
-requires), and one fancy-index to materialise the order's columnar
-arrays.  Every stream then maintains a :class:`~repro.core.columnar.
-ColumnarPrefix` — the extracted prefix ``P_i`` as contiguous arrays in
-access order, grown amortised-O(1) per pull — which is what the batch
+Streams are columnar inside.  Every pre-sorted order is computed by one
+function, :func:`sort_order`: one distance computation over the
+relation's stacked ``(N, d)`` vector matrix, one ``np.lexsort`` keyed by
+``(rank, tid)`` (tid as the tie-break keeps the stream deterministic,
+which instance-optimality requires).  :class:`AccessOrder` wraps the
+resulting permutation: one fancy-index per column materialises the
+order's columnar arrays, while its rows stay an :class:`OrderRows` view —
+``order.tuples[i]`` is the relation's own row ``relation[perm[i]]``,
+looked up only when a stream pulls position ``i``.  Orders are columnar;
+rows are built on pull.  Every stream maintains a
+:class:`~repro.core.columnar.ColumnarPrefix` — the extracted prefix
+``P_i`` as contiguous arrays in access order — which is what the batch
 scorer, the candidate pruner and the bounding schemes slice instead of
-re-walking ``RankTuple`` lists.  Pre-sorted streams freeze the prefix
-over the full order arrays (pulling just advances a cursor); the k-d
+re-walking ``RankTuple`` lists.  :class:`OrderStream` (the base of the
+pre-sorted streams, and the service's replay of a cached order) freezes
+the prefix over the order arrays, so pulling just advances a cursor and
+``next_block`` is one slice — the engine's block-pull fast path; the k-d
 indexed path appends row by row as the traversal produces tuples.
-
-``next_block`` on the pre-sorted streams slices the materialised order
-directly — no per-tuple calls, bounds checks or exception handling —
-which is the engine's block-pull fast path.
 
 ``DistanceAccess`` can traverse a k-d tree incrementally (the realistic
 spatial-engine path) or pre-sort (simplest correct baseline); both produce
@@ -36,6 +38,7 @@ cursors into one monotone stream, bit-identical to single-shard access.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Protocol, Sequence
 
@@ -47,13 +50,18 @@ from repro.spatial.kdtree import KDTree
 
 __all__ = [
     "AccessKind",
+    "AccessOrder",
     "AccessStream",
     "DistanceAccess",
     "MergeStream",
+    "OrderRows",
+    "OrderStream",
     "ScoreAccess",
     "ShardCursor",
     "StreamInterrupted",
     "open_streams",
+    "sort_order",
+    "sorted_stream",
 ]
 
 
@@ -148,71 +156,220 @@ class _BaseStream:
         return block
 
 
-class _SortedOrderMixin:
-    """Shared fast path for streams whose full access order is
-    materialised at open time as columnar arrays.
+#: Rows per chunk when evaluating distances: bounds the transient
+#: ``(rows, d)`` difference matrix, so sorting a memory-mapped shard never
+#: makes its whole vector column resident at once.
+_SCAN_CHUNK = 4096
 
-    Requires ``self._order_tuples`` (list of RankTuple), ``self._order_ranks``
-    (the per-position distance or score array) and a frozen ``self.prefix``
-    over the order's columnar arrays; provides cursor-based ``next`` and
-    slicing ``next_block``.
+
+def sort_order(
+    kind: AccessKind,
+    vectors: np.ndarray,
+    scores: np.ndarray,
+    tids: np.ndarray,
+    query: np.ndarray | None = None,
+    *,
+    metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A shard's ``(rank, tid)`` access order: ``(perm, ranks)``.
+
+    The one place an access order is computed.  ``perm`` lists base row
+    positions in access order (int64 — the permutation the durable
+    catalog persists); ``ranks`` is the distance (kind A) or score
+    (kind B) at each access position.  One ``np.lexsort`` keyed by
+    ``(rank, tid)``: the tid tie-break keeps the order deterministic,
+    which instance-optimality requires.  Distances are evaluated in row
+    chunks; every rank is row-local, so chunking is bit-identical to a
+    single pass.  A custom ``metric`` is evaluated once per row.
+    """
+    tids = np.asarray(tids)
+    if kind is AccessKind.DISTANCE:
+        if query is None:
+            raise ValueError("distance-based access requires a query vector")
+        query = np.asarray(query, dtype=float)
+        n = len(tids)
+        if metric is not None:
+            keys = np.fromiter(
+                (metric(v, query) for v in vectors), dtype=float, count=n
+            )
+        else:
+            keys = np.empty(n, dtype=float)
+            for lo in range(0, n, _SCAN_CHUNK):
+                hi = min(lo + _SCAN_CHUNK, n)
+                diff = np.asarray(vectors[lo:hi], dtype=float) - query
+                keys[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        perm = np.lexsort((tids, keys))
+    else:
+        keys = np.asarray(scores, dtype=float)
+        # Negation is exact for floats, so (-score, tid) lexsort matches
+        # the canonical sorted(key=(-score, tid)) order bit for bit.
+        perm = np.lexsort((tids, -keys))
+    return perm.astype(np.int64, copy=False), keys[perm]
+
+
+class OrderRows(Sequence):
+    """The rows of an access order, resolved when pulled.
+
+    Position ``i`` is ``rows[perm[i]]`` — the relation's own row object,
+    looked up only when a stream pulls (or a merge stages) that
+    position.  Opening an order therefore builds no Python rows, and a
+    relation that materialises rows lazily (a durable shard) builds only
+    the rows a query actually reads.
     """
 
-    _order_tuples: list[RankTuple]
-    _order_ranks: np.ndarray
+    __slots__ = ("_rows", "_perm")
 
-    def _attach_order(
-        self,
-        relation: Relation,
-        order: np.ndarray,
+    def __init__(self, rows: Sequence[RankTuple], perm: np.ndarray) -> None:
+        self._rows = rows
+        self._perm = perm
+
+    def __len__(self) -> int:
+        return len(self._perm)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            rows = self._rows
+            return [rows[p] for p in self._perm[i].tolist()]
+        return self._rows[int(self._perm[i])]
+
+
+@dataclass(frozen=True)
+class AccessOrder:
+    """One shard's full access order (immutable, shareable).
+
+    ``ranks`` holds the distance per position under distance access and
+    the score per position under score access.  ``vectors``/``scores``/
+    ``tids`` are the order's columnar arrays, shared by every stream and
+    cursor replaying it.  ``tuples`` is an :class:`OrderRows` view: row
+    objects are looked up only for positions a stream pulls.
+    ``positions`` is the sort permutation (base positions in access
+    order) — what the durable catalog persists for zero-re-sort
+    restarts.
+    """
+
+    kind: AccessKind
+    tuples: Sequence[RankTuple]
+    ranks: np.ndarray
+    vectors: np.ndarray
+    scores: np.ndarray
+    tids: np.ndarray
+    sigma_max: float
+    positions: np.ndarray
+
+    @classmethod
+    def gather(
+        cls,
+        kind: AccessKind,
+        rows: Sequence[RankTuple],
+        vectors: np.ndarray,
+        scores: np.ndarray,
+        tids: np.ndarray,
+        sigma_max: float,
+        perm: np.ndarray,
         ranks: np.ndarray,
-    ) -> None:
-        """Materialise the access order ``order`` (position permutation)."""
-        self._order_tuples = [relation[int(i)] for i in order]
-        self._order_ranks = ranks
-        #: The sort permutation itself (base-data positions in access
-        #: order) — what the durable catalog persists so a later process
-        #: can replay this exact order with zero re-sorts.
-        self.order_positions = np.asarray(order, dtype=np.int64)
-        self._order_arrays = (
-            relation.vectors[order],
-            relation.scores[order],
-            relation.tids[order],
+    ) -> "AccessOrder":
+        """The order ``(perm, ranks)`` over base columns and rows: one
+        gather per column, rows viewed through ``perm``."""
+        return cls(
+            kind=kind,
+            tuples=OrderRows(rows, perm),
+            ranks=ranks,
+            vectors=np.asarray(vectors[perm], dtype=float),
+            scores=np.asarray(scores[perm], dtype=float),
+            tids=np.asarray(tids[perm], dtype=np.int64),
+            sigma_max=float(sigma_max),
+            positions=perm,
         )
-        self.prefix = ColumnarPrefix.from_arrays(*self._order_arrays)
 
-    def order_cursor(self) -> "ShardCursor":
-        """A detached cursor over this stream's materialised order.
+    @classmethod
+    def sort(
+        cls,
+        relation: Relation,
+        kind: AccessKind,
+        query: np.ndarray | None = None,
+        *,
+        metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    ) -> "AccessOrder":
+        """Sort ``relation`` (one shard) into its kind-``kind`` order."""
+        vectors, scores, tids = relation.vectors, relation.scores, relation.tids
+        perm, ranks = sort_order(kind, vectors, scores, tids, query, metric=metric)
+        return cls.gather(
+            kind, relation, vectors, scores, tids, relation.sigma_max, perm, ranks
+        )
 
-        Shares the order's arrays and tuple list (nothing is copied);
-        used by the sharded backend to hand per-shard orders to
-        :class:`MergeStream` without threading stream state through it.
-        """
-        return ShardCursor(self._order_tuples, self._order_ranks, *self._order_arrays)
+    def cursor(self) -> "ShardCursor":
+        """A fresh merge cursor over this order (shares every array)."""
+        return ShardCursor(self.tuples, self.ranks, self.vectors, self.scores, self.tids)
+
+
+class OrderStream(_BaseStream):
+    """Replays one :class:`AccessOrder` of ``relation`` through the
+    engine's stream API.
+
+    The columnar ``prefix`` is a frozen cursor over the order's arrays,
+    so a pull is O(1) bookkeeping plus the row lookups of the pulled
+    positions; ``next_block`` slices the order directly — the engine's
+    block-pull fast path.  Many streams may replay one shared order.
+    """
+
+    def __init__(self, order: AccessOrder, relation: Relation) -> None:
+        super().__init__(relation)
+        self.kind = order.kind
+        self.order = order
+        self.prefix = ColumnarPrefix.from_arrays(
+            order.vectors, order.scores, order.tids
+        )
 
     def next(self) -> RankTuple | None:
         """Pull the next tuple; ``None`` once the relation is exhausted."""
         pos = len(self._seen)
-        if pos >= len(self._order_tuples):
+        if pos >= len(self.order.ranks):
             return None
-        tup = self._order_tuples[pos]
+        tup = self.order.tuples[pos]
         self._seen.append(tup)
         self.prefix.advance(1)
         return tup
 
     def next_block(self, limit: int) -> list[RankTuple]:
-        """Slice the pre-computed order: one list slice, one cursor move."""
+        """Slice the order: one row-view slice, one cursor move."""
         pos = len(self._seen)
-        take = min(limit, len(self._order_tuples) - pos)
+        take = min(limit, len(self.order.ranks) - pos)
         if take <= 0:
             return []
-        block = self._order_tuples[pos : pos + take]
+        block = self.order.tuples[pos : pos + take]
         self._seen.extend(block)
         self.prefix.advance(take)
         return block
 
+    @property
+    def distances(self) -> np.ndarray:
+        """Ranks of the seen prefix, aligned with access order."""
+        return self.order.ranks[: self.depth]
 
-class DistanceAccess(_SortedOrderMixin, _BaseStream):
+    @property
+    def first_distance(self) -> float:
+        """``delta(x(R_i[1]), q)``; 0 before any access (paper convention)."""
+        return float(self.order.ranks[0]) if self.depth else 0.0
+
+    @property
+    def last_distance(self) -> float:
+        """``delta_i = delta(x(R_i[p_i]), q)``; 0 before any access."""
+        p = self.depth
+        return float(self.order.ranks[p - 1]) if p else 0.0
+
+    @property
+    def first_score(self) -> float:
+        """``sigma(R_i[1])``; ``sigma_max`` before any access."""
+        return float(self.order.ranks[0]) if self.depth else self.sigma_max
+
+    @property
+    def last_score(self) -> float:
+        """``sigma(R_i[p_i])``; ``sigma_max`` before any access."""
+        p = self.depth
+        return float(self.order.ranks[p - 1]) if p else self.sigma_max
+
+
+class DistanceAccess(OrderStream):
     """Access kind A: tuples in non-decreasing distance from ``query``.
 
     Ties are broken by tuple id, making the stream deterministic (the
@@ -242,7 +399,6 @@ class DistanceAccess(_SortedOrderMixin, _BaseStream):
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         use_index: bool = False,
     ) -> None:
-        super().__init__(relation)
         self.query = np.asarray(query, dtype=float)
         if self.query.shape != (relation.dim,):
             raise ValueError(
@@ -250,26 +406,16 @@ class DistanceAccess(_SortedOrderMixin, _BaseStream):
                 f"dimension {relation.dim}"
             )
         self._indexed = bool(use_index and metric is None)
-        if self._indexed:
-            self._distances: list[float] = []
-            tree = KDTree(relation.vectors, payloads=list(relation))
-            self._iter = self._indexed_iter(tree)
-        else:
-            if metric is not None:
-                # Custom metric: one evaluation per tuple, reused for both
-                # the sort key and the reported distances.
-                dists = np.fromiter(
-                    (metric(v, self.query) for v in relation.vectors),
-                    dtype=float,
-                    count=len(relation),
-                )
-            else:
-                diff = relation.vectors - self.query
-                dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            # One lexsort over the stacked distance column, tids as the
-            # deterministic secondary key.
-            order = np.lexsort((relation.tids, dists))
-            self._attach_order(relation, order, dists[order])
+        if not self._indexed:
+            super().__init__(
+                AccessOrder.sort(relation, self.kind, self.query, metric=metric),
+                relation,
+            )
+            return
+        _BaseStream.__init__(self, relation)
+        self._distances: list[float] = []
+        tree = KDTree(relation.vectors, payloads=list(relation))
+        self._iter = self._indexed_iter(tree)
 
     def _indexed_iter(self, tree: KDTree) -> Iterator[tuple[float, RankTuple]]:
         # The k-d stream is distance-sorted but breaks distance ties
@@ -286,7 +432,7 @@ class DistanceAccess(_SortedOrderMixin, _BaseStream):
     def next(self) -> RankTuple | None:
         """Pull the next tuple; ``None`` once the relation is exhausted."""
         if not self._indexed:
-            return _SortedOrderMixin.next(self)
+            return super().next()
         try:
             dist, tup = next(self._iter)
         except StopIteration:
@@ -298,7 +444,7 @@ class DistanceAccess(_SortedOrderMixin, _BaseStream):
 
     def next_block(self, limit: int) -> list[RankTuple]:
         if not self._indexed:
-            return _SortedOrderMixin.next_block(self, limit)
+            return super().next_block(limit)
         return _BaseStream.next_block(self, limit)
 
     @property
@@ -306,59 +452,57 @@ class DistanceAccess(_SortedOrderMixin, _BaseStream):
         """Distances of the seen prefix, aligned with access order."""
         if self._indexed:
             return np.asarray(self._distances, dtype=float)
-        return self._order_ranks[: self.depth]
+        return super().distances
 
     @property
     def first_distance(self) -> float:
         """``delta(x(R_i[1]), q)``; 0 before any access (paper convention)."""
-        if self.depth == 0:
-            return 0.0
-        return float(self._distances[0] if self._indexed else self._order_ranks[0])
+        if not self._indexed:
+            return super().first_distance
+        return float(self._distances[0]) if self.depth else 0.0
 
     @property
     def last_distance(self) -> float:
         """``delta_i = delta(x(R_i[p_i]), q)``; 0 before any access."""
-        p = self.depth
-        if p == 0:
-            return 0.0
-        return float(
-            self._distances[-1] if self._indexed else self._order_ranks[p - 1]
-        )
+        if not self._indexed:
+            return super().last_distance
+        return float(self._distances[-1]) if self.depth else 0.0
 
 
-class ScoreAccess(_SortedOrderMixin, _BaseStream):
+class ScoreAccess(OrderStream):
     """Access kind B: tuples in non-increasing score, ties by tuple id."""
 
     kind = AccessKind.SCORE
 
     def __init__(self, relation: Relation) -> None:
-        super().__init__(relation)
-        # Negation is exact for floats, so (-score, tid) lexsort matches
-        # the canonical sorted(key=(-score, tid)) order bit for bit.
-        order = np.lexsort((relation.tids, -relation.scores))
-        self._attach_order(relation, order, relation.scores[order])
+        super().__init__(AccessOrder.sort(relation, self.kind), relation)
 
-    @property
-    def first_score(self) -> float:
-        """``sigma(R_i[1])``; ``sigma_max`` before any access."""
-        return float(self._order_ranks[0]) if self.depth else self.sigma_max
 
-    @property
-    def last_score(self) -> float:
-        """``sigma(R_i[p_i])``; ``sigma_max`` before any access."""
-        p = self.depth
-        return float(self._order_ranks[p - 1]) if p else self.sigma_max
+def sorted_stream(
+    relation: Relation,
+    kind: AccessKind,
+    query: np.ndarray | None = None,
+    *,
+    metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    use_index: bool = False,
+) -> OrderStream:
+    """Open kind-``kind`` sorted access over one in-memory relation (or
+    shard): a :class:`DistanceAccess` or a :class:`ScoreAccess`."""
+    if kind is AccessKind.DISTANCE:
+        if query is None:
+            raise ValueError("distance-based access requires a query vector")
+        return DistanceAccess(relation, query, metric=metric, use_index=use_index)
+    return ScoreAccess(relation)
 
 
 class ShardCursor:
-    """A read cursor over one shard's fully materialised access order.
+    """A read cursor over one shard's access order.
 
-    Plain aligned data — the tuple list, the rank column (distance or
+    Plain aligned data — the row sequence, the rank column (distance or
     score per position) and the order's columnar arrays — plus a
     position.  :class:`MergeStream` advances cursors as it merges;
-    nothing here is stream state, so cursors can be built from live
-    streams (:meth:`_SortedOrderMixin.order_cursor`) or from cached
-    service orders alike.
+    nothing here is stream state, so cursors are built from any
+    :class:`AccessOrder` (:meth:`AccessOrder.cursor`), live or cached.
     """
 
     __slots__ = ("tuples", "ranks", "vectors", "scores", "tids", "pos")
@@ -587,7 +731,7 @@ class MergeStream:
             c = live[0]
             ranks, tids, vecs, scores = c.window(span)
             take = len(ranks)
-            self._stage_tuples = list(c.tuples[c.pos : c.pos + take])
+            self._stage_tuples = c.tuples[c.pos : c.pos + take]
             self._stage_ranks = ranks
             self._stage_vecs = vecs
             self._stage_scores = scores

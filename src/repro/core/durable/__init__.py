@@ -9,7 +9,6 @@ backend that keeps the layers above unchanged
 """
 
 from repro.core.durable.backend import (
-    DurableOrder,
     DurableRelation,
     DurableShardBackend,
     EvictedShardEndpoint,
@@ -30,7 +29,6 @@ __all__ = [
     "CATALOG_FILENAME",
     "FORMAT_MAGIC",
     "FORMAT_VERSION",
-    "DurableOrder",
     "DurableRelation",
     "DurableShardBackend",
     "EvictedShardEndpoint",

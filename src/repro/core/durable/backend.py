@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.access import AccessOrder, ShardCursor, sort_order, sorted_stream
 from repro.core.durable.catalog import CATALOG_FILENAME, ShardCatalog
 from repro.core.durable.shardfile import ShardFile, write_shard_file
 from repro.core.relation import RankTuple, Relation
@@ -49,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DurableRelation",
     "DurableShardBackend",
-    "DurableOrder",
     "EvictedShardEndpoint",
     "PagedShardCursor",
     "LazyTuples",
@@ -58,10 +58,6 @@ __all__ = [
 ]
 
 SHARD_DIRNAME = "shards"
-
-#: Rows per chunk when computing ranks over an evicted shard's memmap —
-#: bounds transient residency during the one pass a new order needs.
-_SCAN_CHUNK = 4096
 
 #: Default rows per window an evicted shard serves (and the paged
 #: cursor's read-ahead quantum).
@@ -72,10 +68,12 @@ class LazyTuples(Sequence):
     """Aligned-columns view that materialises ``RankTuple`` rows on
     demand (and caches them).
 
-    Hot durable shards and warm-loaded cached orders carry millions of
-    rows the engine will mostly never touch as Python objects; this
-    sequence keeps the object layer pay-as-you-go while satisfying every
-    list-shaped consumer (len, indexing, slicing, iteration).
+    A durable shard's row sequence: hot shards carry millions of rows
+    the engine will mostly never touch as Python objects, and every
+    access order over the shard views these rows through its
+    permutation (:class:`~repro.core.access.OrderRows`), so the object
+    layer stays pay-as-you-go while satisfying every list-shaped
+    consumer (len, indexing, slicing, iteration).
     """
 
     __slots__ = ("name", "_scores", "_vectors", "_tids", "_attrs", "_cache")
@@ -115,33 +113,6 @@ class LazyTuples(Sequence):
         if isinstance(i, slice):
             return [self._make(j) for j in range(*i.indices(len(self._cache)))]
         return self._make(int(i))
-
-
-class DurableOrder:
-    """One shard's persisted access order, gathered for replay: the
-    ordered columnar arrays, the rank column, the permutation that
-    produced them and a lazy tuple view — everything a
-    :class:`~repro.service.rankjoin.CachedOrder` needs, with zero
-    re-sorting."""
-
-    __slots__ = ("tuples", "ranks", "vectors", "scores", "tids", "positions", "sigma_max")
-
-    def __init__(self, handle: "ShardHandle", perm: np.ndarray, ranks: np.ndarray) -> None:
-        file = handle.file
-        self.positions = perm
-        self.ranks = ranks
-        self.vectors = np.asarray(file.vectors[perm], dtype=float)
-        self.scores = np.asarray(file.scores[perm], dtype=float)
-        self.tids = np.asarray(file.tids[perm], dtype=np.int64)
-        attrs = file.attrs
-        self.tuples = LazyTuples(
-            file.relation,
-            self.scores,
-            self.vectors,
-            self.tids,
-            attrs=[attrs[int(p)] for p in perm] if attrs is not None else None,
-        )
-        self.sigma_max = file.sigma_max
 
 
 class EvictedShardEndpoint:
@@ -220,9 +191,6 @@ class EvictedShardEndpoint:
         )
 
 
-from repro.core.access import ShardCursor  # noqa: E402  (after RankTuple import)
-
-
 class PagedShardCursor(ShardCursor):
     """Merge-ready cursor whose rows stream in from an
     :class:`EvictedShardEndpoint` window by window.
@@ -279,7 +247,7 @@ class ShardHandle:
     """One shard's tier state: the always-open memmap file, plus the hot
     ``Relation`` when the shard is resident."""
 
-    __slots__ = ("backend", "index", "file", "relation", "evicted")
+    __slots__ = ("backend", "index", "file", "relation", "evicted", "_rows")
 
     def __init__(self, backend: "DurableShardBackend", index: int, file: ShardFile) -> None:
         self.backend = backend
@@ -287,6 +255,29 @@ class ShardHandle:
         self.file = file
         self.relation: Relation | None = None
         self.evicted = False
+        self._rows: LazyTuples | None = None
+
+    @property
+    def rows(self) -> LazyTuples:
+        """The shard's row sequence, shared by the hot ``Relation`` and
+        every order replayed over the shard (built on first use; dropped
+        on eviction)."""
+        if self._rows is None:
+            file = self.file
+            self._rows = LazyTuples(
+                file.relation, file.scores, file.vectors, file.tids,
+                attrs=file.attrs,
+            )
+        return self._rows
+
+    def order(self, kind: "AccessKind", perm: np.ndarray, ranks: np.ndarray) -> AccessOrder:
+        """Replay the order ``(perm, ranks)`` over this shard: the ordered
+        columns gathered from the memmap, rows viewed through ``perm``."""
+        file = self.file
+        return AccessOrder.gather(
+            kind, self.rows, file.vectors, file.scores, file.tids,
+            file.sigma_max, perm, ranks,
+        )
 
 
 class DurableShardBackend:
@@ -363,10 +354,7 @@ class DurableShardBackend:
                 file.vectors,
                 file.tids,
                 file.sigma_max,
-                LazyTuples(
-                    file.relation, file.scores, file.vectors, file.tids,
-                    attrs=file.attrs,
-                ),
+                handle.rows,
             )
             if handle.evicted:
                 handle.evicted = False
@@ -397,6 +385,7 @@ class DurableShardBackend:
         if handle.relation is not None:
             handle.relation = None
             self.counters["evictions"] += 1
+        handle._rows = None
         handle.evicted = True
 
     def evict_all(self) -> None:
@@ -417,7 +406,7 @@ class DurableShardBackend:
 
     def load_order(
         self, shard_index: int, kind: "AccessKind", bucket: bytes
-    ) -> DurableOrder | None:
+    ) -> AccessOrder | None:
         """Catalog probe for one persisted order; gathers the ordered
         columnar arrays from the shard file on a hit (no sorting)."""
         hit = self.catalog.get_order(
@@ -432,7 +421,7 @@ class DurableShardBackend:
             return None
         self.counters["catalog_order_hits"] += 1
         perm, ranks = hit
-        return DurableOrder(self.handles[shard_index], perm, ranks)
+        return self.handles[shard_index].order(kind, perm, ranks)
 
     def store_order(
         self,
@@ -464,7 +453,7 @@ class DurableShardBackend:
     def load_recent_orders(self, kind: "AccessKind", *, limit: int):
         """Warm-start feed: the most recently used persisted orders of
         this relation, gathered for replay — ``(shard_index, bucket,
-        DurableOrder)`` newest first."""
+        AccessOrder)`` newest first."""
         for shard_index, bucket, perm, ranks in self.catalog.iter_recent_orders(
             relation=self.relation.name,
             generation=self.generation,
@@ -472,40 +461,22 @@ class DurableShardBackend:
             limit=limit,
         ):
             if 0 <= shard_index < len(self.handles):
-                yield shard_index, bucket, DurableOrder(
-                    self.handles[shard_index], perm, ranks
+                yield shard_index, bucket, self.handles[shard_index].order(
+                    kind, perm, ranks
                 )
 
     def _compute_order(
         self, shard_index: int, kind: "AccessKind", query: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sort one shard's order reading the memmap in bounded chunks.
+        """Sort one shard's order straight off the memmap.
 
-        Rank computations are row-local, so chunked evaluation is
-        bit-identical to the in-memory one-shot path; only the rank
-        column, the tid column and the permutation (O(n), not O(n*d))
-        become resident.
+        :func:`~repro.core.access.sort_order` reads the vectors in
+        bounded chunks, so only the rank column, the tid column and the
+        permutation (O(n), not O(n*d)) become resident.
         """
-        from repro.core.access import AccessKind
-
         file = self.handles[shard_index].file
-        n = file.n
-        tids = np.asarray(file.tids)
-        if kind is AccessKind.DISTANCE:
-            assert query is not None
-            ranks_by_row = np.empty(n, dtype=float)
-            vectors = file.vectors
-            for lo in range(0, n, _SCAN_CHUNK):
-                hi = min(lo + _SCAN_CHUNK, n)
-                diff = np.asarray(vectors[lo:hi], dtype=float) - query
-                ranks_by_row[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            perm = np.lexsort((tids, ranks_by_row))
-        else:
-            scores = np.asarray(file.scores, dtype=float)
-            ranks_by_row = scores
-            perm = np.lexsort((tids, -scores))
         self.counters["order_scans"] += 1
-        return perm, ranks_by_row[perm]
+        return sort_order(kind, file.vectors, file.scores, file.tids, query)
 
     def order_for_paged(
         self,
@@ -556,12 +527,7 @@ class DurableShardBackend:
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         use_index: bool = False,
     ):
-        from repro.core.access import (
-            AccessKind,
-            DistanceAccess,
-            MergeStream,
-            ScoreAccess,
-        )
+        from repro.core.access import AccessKind, MergeStream
 
         if kind is AccessKind.DISTANCE and query is None:
             raise ValueError("distance-based access requires a query vector")
@@ -574,12 +540,13 @@ class DurableShardBackend:
         if self.shard_count == 1 and not self.handles[0].evicted:
             # Single hot shard: the plain sorted-access fast path, exactly
             # like SingleShardBackend over in-memory columns.
-            shard = self.shard_relation(0)
-            if kind is AccessKind.DISTANCE:
-                return DistanceAccess(
-                    shard, query_arr, metric=metric, use_index=use_index
-                )
-            return ScoreAccess(shard)
+            return sorted_stream(
+                self.shard_relation(0),
+                kind,
+                query_arr,
+                metric=metric,
+                use_index=use_index,
+            )
         cursors = []
         bucket = self._stream_bucket(kind, query_arr)
         for handle in self.handles:
@@ -589,11 +556,8 @@ class DurableShardBackend:
                 )
             else:
                 shard = self.shard_relation(handle.index)
-                if kind is AccessKind.DISTANCE:
-                    inner = DistanceAccess(shard, query_arr, metric=metric)
-                else:
-                    inner = ScoreAccess(shard)
-                cursors.append(inner.order_cursor())
+                inner = sorted_stream(shard, kind, query_arr, metric=metric)
+                cursors.append(inner.order.cursor())
         return MergeStream(
             self.relation, kind, cursors, sigma_max=self.relation.sigma_max
         )

@@ -13,8 +13,7 @@ Two implementations:
 
 * :class:`SingleShardBackend` — the existing in-memory path: one
   contiguous columnar relation, streams opened directly
-  (:class:`~repro.core.access.DistanceAccess` /
-  :class:`~repro.core.access.ScoreAccess`).
+  (:func:`~repro.core.access.sorted_stream`).
 * :class:`ShardedBackend`, owned by :class:`ShardedRelation` — tuples
   hash- or range-partitioned across ``S`` shard relations, each with its
   own columnar arrays and its own per-query sorted order.  Opening a
@@ -151,15 +150,11 @@ class SingleShardBackend:
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         use_index: bool = False,
     ):
-        from repro.core.access import AccessKind, DistanceAccess, ScoreAccess
+        from repro.core.access import sorted_stream
 
-        if kind is AccessKind.DISTANCE:
-            if query is None:
-                raise ValueError("distance-based access requires a query vector")
-            return DistanceAccess(
-                self.relation, query, metric=metric, use_index=use_index
-            )
-        return ScoreAccess(self.relation)
+        return sorted_stream(
+            self.relation, kind, query, metric=metric, use_index=use_index
+        )
 
     def __repr__(self) -> str:
         return f"SingleShardBackend({self.relation.name!r})"
@@ -199,28 +194,17 @@ class ShardedBackend:
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         use_index: bool = False,
     ):
-        from repro.core.access import (
-            AccessKind,
-            DistanceAccess,
-            MergeStream,
-            ScoreAccess,
-        )
+        from repro.core.access import MergeStream, sorted_stream
 
-        if kind is AccessKind.DISTANCE:
-            if query is None:
-                raise ValueError("distance-based access requires a query vector")
-            inner = [
-                DistanceAccess(shard, query, metric=metric)
-                for shard in self._shards
-                if len(shard)
-            ]
-        else:
-            inner = [ScoreAccess(shard) for shard in self._shards if len(shard)]
+        shards = [shard for shard in self._shards if len(shard)]
         return MergeStream(
             self.relation,
             kind,
-            [s.order_cursor() for s in inner],
-            sigma_max=max(s.sigma_max for s in self._shards if len(s)),
+            [
+                sorted_stream(shard, kind, query, metric=metric).order.cursor()
+                for shard in shards
+            ],
+            sigma_max=max(s.sigma_max for s in shards),
         )
 
     def __repr__(self) -> str:

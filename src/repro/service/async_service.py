@@ -555,13 +555,16 @@ class AsyncRankJoinService(RankJoinService):
 
         Wraps the LRU-shared :class:`CachedOrder` — concurrent queries
         on the same bucket hit the same endpoint, whose meters then
-        aggregate the bucket's remote traffic.
+        aggregate the bucket's remote traffic.  An endpoint hit is a
+        shard-order cache hit (``stream_cache_hits``); a miss is counted
+        by the order lookup behind it.
         """
         order_bucket = bucket if self.kind is AccessKind.DISTANCE else b""
         key = (relation.name, shard_index, order_bucket)
         with self._lock:
             endpoint = self._endpoints.get(key)
         if endpoint is not None:
+            self.stats.record(stream_cache_hits=1)
             return endpoint
         order = self._order_for(shard, shard_index, bucket, canonical)
         endpoint = RemoteShardEndpoint(

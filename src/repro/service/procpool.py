@@ -223,6 +223,8 @@ class ProcPoolRankJoinService(RankJoinService):
         self._seq = 0
         self._tid_indexes: dict = {}
         self._closed = False
+        # Serialises worker spawns: see _spawn_worker.
+        self._spawn_lock = threading.Lock()
         self._slots = [_WorkerSlot(i) for i in range(workers)]
         for slot in self._slots:
             slot.thread = threading.Thread(
@@ -261,22 +263,27 @@ class ProcPoolRankJoinService(RankJoinService):
         crash_at = self._failpoints.pop(slot.index, None)
         if crash_at is not None:
             spec = replace(spec, crash_at_task=crash_at)
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(child_conn, parent_conn, spec),
-            name=f"procpool-worker-{slot.index}",
-            daemon=True,
-        )
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork() from a multi-threaded
-            # parent; the workers rebuild all state from the store and
-            # touch nothing forked but their pipe end.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            process.start()
-        # Parent must not hold the child end open, or a dead worker
-        # would read as a silent hang instead of pipe EOF.
-        child_conn.close()
+        # One spawn at a time, from Pipe() until the parent has closed
+        # the child end: a sibling forked in between would inherit that
+        # end, and this worker's death would then read as a silent hang
+        # instead of pipe EOF (the slot runners respawn concurrently).
+        with self._spawn_lock:
+            parent_conn, child_conn = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=worker_main,
+                args=(child_conn, parent_conn, spec),
+                name=f"procpool-worker-{slot.index}",
+                daemon=True,
+            )
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork() from a multi-threaded
+                # parent; the workers rebuild all state from the store and
+                # touch nothing forked but their pipe end.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                process.start()
+            # Parent must not hold the child end open, or a dead worker
+            # would read as a silent hang instead of pipe EOF.
+            child_conn.close()
         slot.process = process
         slot.conn = parent_conn
         slot.tasks_done = 0

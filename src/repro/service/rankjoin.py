@@ -13,8 +13,10 @@ module amortises that cost across queries:
   every answer is exact *for the query it executed*.
 * A thread-safe **LRU cache** maps ``(relation, query-bucket)`` to the
   relation's full sorted access order (the limit of the "sorted
-  prefixes" a stream reveals), stored **columnar**: the order's stacked
-  vector/score/tid/rank arrays alongside the tuple objects.  A cache hit
+  prefixes" a stream reveals), stored **columnar**: the order's
+  permutation and stacked vector/score/tid/rank arrays, with its rows a
+  view that looks up the relation's own row objects only for pulled
+  positions (:class:`~repro.core.access.AccessOrder`).  A cache hit
   turns stream opening into O(1) bookkeeping; :class:`CachedOrderStream`
   replays the shared order as a frozen
   :class:`~repro.core.columnar.ColumnarPrefix` cursor, so the engine's
@@ -48,131 +50,37 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.access import (
     AccessKind,
-    DistanceAccess,
+    AccessOrder,
     MergeStream,
-    ScoreAccess,
-    ShardCursor,
+    OrderStream,
+    sorted_stream,
 )
 from repro.core.algorithms import make_algorithm
-from repro.core.columnar import ColumnarPrefix
-from repro.core.relation import RankTuple, Relation
+from repro.core.relation import Relation
 from repro.core.scoring import Scoring
 from repro.core.template import RunResult
 
 __all__ = ["CachedOrder", "CachedOrderStream", "RankJoinService", "ServiceStats"]
 
 
-@dataclass(frozen=True)
-class CachedOrder:
-    """One relation's full access order for one query bucket (immutable).
+#: One relation shard's full access order for one query bucket: the
+#: service caches :class:`~repro.core.access.AccessOrder` values as they
+#: come out of a sort or the durable catalog.  ``tuples`` is always a
+#: view resolving rows on pull — a fresh sort views the shard relation's
+#: rows, a catalog replay the durable shard's lazily built rows — so
+#: neither materialises a row object the engine does not pull.
+CachedOrder = AccessOrder
 
-    ``ranks`` holds the distance per tuple under distance access and the
-    score per tuple under score access, aligned with ``tuples``.
-    ``vectors``/``scores``/``tids`` are the order's columnar arrays
-    (shared with every stream replaying this order — LRU hits never
-    re-materialise them).  ``tuples`` may be any aligned sequence:
-    freshly sorted orders carry a plain tuple, durable warm-loaded
-    orders a lazy row view that materialises ``RankTuple`` objects only
-    for pulled positions.  ``positions`` is the sort permutation (base
-    positions in access order) when known — what the durable catalog
-    persists for zero-re-sort restarts.
-    """
-
-    kind: AccessKind
-    tuples: Sequence[RankTuple]
-    ranks: np.ndarray
-    vectors: np.ndarray
-    scores: np.ndarray
-    tids: np.ndarray
-    sigma_max: float
-    positions: np.ndarray | None = None
-
-
-class CachedOrderStream:
-    """Replays a :class:`CachedOrder` through the engine's stream API.
-
-    Each run gets its own stream (streams are stateful cursors), but all
-    runs over the same ``(relation, query-bucket)`` share the underlying
-    sorted order — the expensive part.  The stream's columnar ``prefix``
-    is a frozen cursor over the order's shared arrays, so pulls cost O(1)
-    bookkeeping and the engine's range-based scorer slices the cached
-    arrays directly.
-    """
-
-    def __init__(self, order: CachedOrder, relation: Relation) -> None:
-        self.kind = order.kind
-        self.relation = relation
-        self._order = order
-        self._pos = 0
-        # Live append-only prefix, as the engine and bounds expect from
-        # ``seen`` (no per-access copying).
-        self._seen: list[RankTuple] = []
-        self.prefix = ColumnarPrefix.from_arrays(
-            order.vectors, order.scores, order.tids
-        )
-
-    # -- AccessStream interface -------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        return self._pos
-
-    @property
-    def seen(self) -> list[RankTuple]:
-        return self._seen
-
-    @property
-    def sigma_max(self) -> float:
-        return self._order.sigma_max
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._order.tuples)
-
-    def next(self) -> RankTuple | None:
-        if self.exhausted:
-            return None
-        tup = self._order.tuples[self._pos]
-        self._pos += 1
-        self._seen.append(tup)
-        self.prefix.advance(1)
-        return tup
-
-    def next_block(self, limit: int) -> list[RankTuple]:
-        take = min(limit, len(self._order.tuples) - self._pos)
-        if take <= 0:
-            return []
-        block = list(self._order.tuples[self._pos : self._pos + take])
-        self._pos += take
-        self._seen.extend(block)
-        self.prefix.advance(take)
-        return block
-
-    # -- distance-kind statistics -----------------------------------------
-
-    @property
-    def first_distance(self) -> float:
-        return float(self._order.ranks[0]) if self._pos else 0.0
-
-    @property
-    def last_distance(self) -> float:
-        return float(self._order.ranks[self._pos - 1]) if self._pos else 0.0
-
-    # -- score-kind statistics --------------------------------------------
-
-    @property
-    def first_score(self) -> float:
-        return float(self._order.ranks[0]) if self._pos else self.sigma_max
-
-    @property
-    def last_score(self) -> float:
-        return float(self._order.ranks[self._pos - 1]) if self._pos else self.sigma_max
+#: Replays a :class:`CachedOrder` through the engine's stream API: each
+#: run gets its own stream (streams are stateful cursors) over the
+#: shared order, whose columnar prefix is a frozen cursor over the
+#: cached arrays.
+CachedOrderStream = OrderStream
 
 
 @dataclass
@@ -433,18 +341,8 @@ class RankJoinService:
                     shard_index,
                     bucket if self.kind is AccessKind.DISTANCE else b"",
                 )
-                cached = CachedOrder(
-                    kind=self.kind,
-                    tuples=order.tuples,
-                    ranks=order.ranks,
-                    vectors=order.vectors,
-                    scores=order.scores,
-                    tids=order.tids,
-                    sigma_max=order.sigma_max,
-                    positions=order.positions,
-                )
                 with self._lock:
-                    self._orders.put(key, cached)
+                    self._orders.put(key, order)
                 loaded += 1
         if loaded:
             self.stats.record(orders_warm_loaded=loaded)
@@ -475,46 +373,21 @@ class RankJoinService:
         if backend is not None:
             # Durable relation: probe the catalog before sorting — a hit
             # replays the exact persisted permutation (zero re-sorts).
-            durable_order = backend.load_order(shard_idx, self.kind, key_bucket)
-            if durable_order is not None:
+            order = backend.load_order(shard_idx, self.kind, key_bucket)
+            if order is not None:
                 self.stats.record(catalog_order_hits=1)
-                order = CachedOrder(
-                    kind=self.kind,
-                    tuples=durable_order.tuples,
-                    ranks=durable_order.ranks,
-                    vectors=durable_order.vectors,
-                    scores=durable_order.scores,
-                    tids=durable_order.tids,
-                    sigma_max=durable_order.sigma_max,
-                    positions=durable_order.positions,
-                )
                 with self._lock:
                     self._orders.put(key, order)
                 return order
         # Sort outside the lock: concurrent misses may duplicate work but
         # never block each other; last writer wins with an equal order.
-        # The sorted streams materialise their order columnar at open
-        # time; drain in one block pull and share those arrays.
+        # The sorted stream's order is shared as-is: its columns are
+        # gathered once, its rows resolve only when pulled.  Sorting via
+        # the stream rather than AccessOrder.sort keeps the sort inside
+        # the DistanceAccess/ScoreAccess constructor span that tracers
+        # (perfbench's ``access.sort``) attribute sort time to.
         self.stats.record(order_sorts=1)
-        if self.kind is AccessKind.DISTANCE:
-            inner: DistanceAccess | ScoreAccess = DistanceAccess(shard, canonical)
-            tuples = inner.next_block(len(shard))
-            ranks = inner.distances
-        else:
-            inner = ScoreAccess(shard)
-            tuples = inner.next_block(len(shard))
-            ranks = inner.prefix.arrays()[1]
-        vectors, scores, tids = inner.prefix.arrays()
-        order = CachedOrder(
-            kind=self.kind,
-            tuples=tuple(tuples),
-            ranks=np.asarray(ranks, dtype=float),
-            vectors=vectors,
-            scores=scores,
-            tids=tids,
-            sigma_max=shard.sigma_max,
-            positions=inner.order_positions,
-        )
+        order = sorted_stream(shard, self.kind, canonical).order
         with self._lock:
             self._orders.put(key, order)
         if backend is not None:
@@ -558,9 +431,7 @@ class RankJoinService:
                         bucket,
                         canonical,
                     )
-                    cursors.append(
-                        ShardCursor(o.tuples, o.ranks, o.vectors, o.scores, o.tids)
-                    )
+                    cursors.append(o.cursor())
                     sigma = max(sigma, o.sigma_max)
             return MergeStream(
                 relation,
@@ -578,14 +449,10 @@ class RankJoinService:
             self._order_for(shard, si, bucket, canonical)
             for si, shard in enumerate(shards)
         ]
-        cursors = [
-            ShardCursor(o.tuples, o.ranks, o.vectors, o.scores, o.tids)
-            for o in orders
-        ]
         return MergeStream(
             relation,
             self.kind,
-            cursors,
+            [o.cursor() for o in orders],
             sigma_max=max(o.sigma_max for o in orders),
             executor=self._shard_pool,
         )

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.access import AccessKind, DistanceAccess, ScoreAccess
+from repro.core.access import AccessKind, sorted_stream
 from repro.core.columnar import ColumnarPrefix
 from repro.core.relation import RankTuple, Relation
 
@@ -93,12 +93,7 @@ class ServiceEndpoint:
     ) -> None:
         if page_size < 1:
             raise ValueError("page_size must be >= 1")
-        if kind is AccessKind.DISTANCE:
-            if query is None:
-                raise ValueError("distance-ordered services need a query")
-            self._inner = DistanceAccess(relation, query)
-        else:
-            self._inner = ScoreAccess(relation)
+        self._inner = sorted_stream(relation, kind, query)
         self.relation = relation
         self.kind = kind
         self.page_size = page_size
@@ -258,8 +253,10 @@ class RemoteShardEndpoint:
     Where :class:`ServiceEndpoint` models a *sequential* service (each
     call returns the next page), this models the per-shard window API
     the async serving subsystem fetches through: the shard's order is
-    fully materialised service-side (ranks, columnar arrays and tuple
-    objects, exactly one pre-agreed order per endpoint) and clients ask
+    fully materialised service-side (ranks and columnar arrays, exactly
+    one pre-agreed order per endpoint; its row sequence is kept as given,
+    so an :class:`~repro.core.access.AccessOrder`'s rows are looked up
+    only for the windows served) and clients ask
     for **offset-addressed windows** — ``fetch_window(start, limit)`` —
     which the service serves as ``ceil(rows / page_size)`` sequential
     pages, one latency charge each.
@@ -312,7 +309,7 @@ class RemoteShardEndpoint:
             if isinstance(rng, np.random.Generator)
             else np.random.default_rng(rng)
         )
-        self._tuples = list(tuples)
+        self._tuples = tuples
         self._ranks = np.asarray(ranks, dtype=float)
         self._vectors = np.asarray(vectors, dtype=float)
         self._scores = np.asarray(scores, dtype=float)
@@ -341,25 +338,17 @@ class RemoteShardEndpoint:
         rng: np.random.Generator | int | None = None,
     ) -> "RemoteShardEndpoint":
         """Sort ``relation`` once and expose the order as an endpoint."""
-        if kind is AccessKind.DISTANCE:
-            if query is None:
-                raise ValueError("distance-ordered endpoints need a query")
-            inner: DistanceAccess | ScoreAccess = DistanceAccess(relation, query)
-            tuples = inner.next_block(len(relation))
-            ranks = inner.distances
-        else:
-            inner = ScoreAccess(relation)
-            tuples = inner.next_block(len(relation))
-            ranks = inner.prefix.arrays()[1]
-        vectors, scores, tids = inner.prefix.arrays()
+        # Via the stream, like RankJoinService._order_for, so the sort is
+        # traced under the sorted-stream constructor span.
+        order = sorted_stream(relation, kind, query).order
         return cls(
             relation.name,
             shard_index,
-            tuples,
-            np.asarray(ranks, dtype=float),
-            vectors,
-            scores,
-            tids,
+            order.tuples,
+            order.ranks,
+            order.vectors,
+            order.scores,
+            order.tids,
             page_size=page_size,
             latency=latency,
             rng=rng,

@@ -408,6 +408,27 @@ class TestAsyncBitIdentity:
         assert 12 <= stats["stream_cache_misses"] <= 24
         assert stats["queries"] == 12
 
+    def test_endpoint_cache_hits_are_counted(self):
+        """A repeated bucket is served by the cached endpoints: one
+        shard-order hit per (relation, shard), no new miss."""
+        relations, q = make_problem(n_relations=2, shards=2)
+        svc = AsyncRankJoinService(
+            relations, SCORING, k=4, result_cache_size=0,
+            latency=LatencyModel(base=0.0005, jitter=0.0), page_size=16,
+        )
+        try:
+            svc.serve([q])
+            first = svc.stats.snapshot()
+            svc.serve([q])
+            second = svc.stats.snapshot()
+        finally:
+            svc.close()
+        endpoints = 2 * 2  # relations x shards
+        assert first["stream_cache_misses"] == endpoints
+        assert first["stream_cache_hits"] == 0
+        assert second["stream_cache_misses"] == endpoints
+        assert second["stream_cache_hits"] == endpoints
+
 
 class TestDeadlinesAndCancellation:
     def test_expired_query_returns_certified_partial(self):

@@ -21,6 +21,8 @@ Plus the submit_many satellite: the batch thread pool is created once,
 reused across batches and torn down by ``close()``.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,33 @@ def test_bit_identical_to_single_process(shards, kind):
     assert got == want
 
 
+#: Wall-clock bound on the crash-recovery batch (it takes well under a
+#: second when recovery works; a lost pipe EOF would hang it forever).
+CRASH_BATCH_SECONDS = 60.0
+
+
+def within(seconds, fn, *args):
+    """``fn(*args)``, failing the test instead of hanging when it does not
+    return within ``seconds`` (the call runs on a daemon thread, so a
+    wedged call cannot block interpreter exit either)."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:  # re-raised in the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"{fn.__name__} did not return within {seconds:.0f}s")
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
 def test_worker_crash_mid_batch_recovers_bit_identically():
     relations, _ = make_problem()
     queries = query_batch(2, 8)
@@ -102,7 +131,8 @@ def test_worker_crash_mid_batch_recovers_bit_identically():
     with ProcPoolRankJoinService(
         relations, SCORING, k=5, workers=2, _failpoints={0: 2}
     ) as pool:
-        got = [result_sig(r) for r in pool.submit_many(queries)]
+        results = within(CRASH_BATCH_SECONDS, pool.submit_many, queries)
+        got = [result_sig(r) for r in results]
         stats = pool.stats.snapshot()
     assert got == want
     assert stats["worker_restarts"] >= 1
