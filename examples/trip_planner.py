@@ -51,8 +51,9 @@ def run_against_services(factory):
 for name, factory in [("CBPA (HRJN*)", cbpa), ("TBPA (this paper)", tbpa)]:
     result, streams = run_against_services(factory)
 
-    calls = sum(s.endpoint.calls for s in streams)
-    latency = sum(s.endpoint.simulated_seconds for s in streams)
+    endpoints = [c.source for s in streams for c in s.cursors]
+    calls = sum(ep.pages for ep in endpoints)
+    latency = sum(ep.simulated_seconds for ep in endpoints)
     print(f"--- {name} ---")
     print(f"tuples fetched: {result.depths}  (sumDepths={result.sum_depths})")
     print(f"service calls:  {calls}  (~{latency:.2f}s simulated network time)")

@@ -18,8 +18,6 @@ from repro.core.columnar import ColumnarPrefix
 from repro.core.durable import (
     DurableRelation,
     DurableShardBackend,
-    EvictedShardEndpoint,
-    PagedShardCursor,
     ShardCatalog,
     ShardFile,
     open_relation,
@@ -30,7 +28,6 @@ from repro.core.probing import ProbeRankJoin, ProbeRunResult
 from repro.core.pulling import PotentialAdaptive, PullingStrategy, RoundRobin
 from repro.core.relation import Combination, RankTuple, Relation
 from repro.core.storage import (
-    EndpointBackend,
     ShardedBackend,
     ShardedRelation,
     SingleShardBackend,
@@ -54,7 +51,6 @@ __all__ = [
     "ScoreAccess",
     "ShardCursor",
     "StreamInterrupted",
-    "EndpointBackend",
     "ShardedBackend",
     "ShardedRelation",
     "SingleShardBackend",
@@ -76,8 +72,6 @@ __all__ = [
     "ColumnarPrefix",
     "DurableRelation",
     "DurableShardBackend",
-    "EvictedShardEndpoint",
-    "PagedShardCursor",
     "ShardCatalog",
     "ShardFile",
     "open_relation",

@@ -34,6 +34,9 @@ Streams are opened through the relation's storage backend
 (:mod:`repro.core.storage`): partitioned relations sort each shard
 independently and :class:`MergeStream` k-way-merges the per-shard
 cursors into one monotone stream, bit-identical to single-shard access.
+:class:`ShardCursor` is the one cursor under every tier: it fills an
+order's columns window by window from a source — a resident
+:class:`AccessOrder`, an evicted durable shard or a remote endpoint.
 """
 
 from __future__ import annotations
@@ -297,9 +300,20 @@ class AccessOrder:
             kind, relation, vectors, scores, tids, relation.sigma_max, perm, ranks
         )
 
-    def cursor(self) -> "ShardCursor":
-        """A fresh merge cursor over this order (shares every array)."""
-        return ShardCursor(self.tuples, self.ranks, self.vectors, self.scores, self.tids)
+    @property
+    def total(self) -> int:
+        """Rows in the order."""
+        return len(self.ranks)
+
+    def fetch_window(
+        self, start: int, limit: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``[start, start + limit)`` clamped to the end, as
+        ``(ranks, tids, vectors, scores)`` views of the order's columns."""
+        if start < 0 or limit < 0:
+            raise ValueError("start and limit must be non-negative")
+        rows = slice(start, start + limit)
+        return self.ranks[rows], self.tids[rows], self.vectors[rows], self.scores[rows]
 
 
 class OrderStream(_BaseStream):
@@ -496,47 +510,92 @@ def sorted_stream(
 
 
 class ShardCursor:
-    """A read cursor over one shard's access order.
+    """A read cursor over one shard's access order, filled window by
+    window from a *source*.
 
-    Plain aligned data — the row sequence, the rank column (distance or
-    score per position) and the order's columnar arrays — plus a
-    position.  :class:`MergeStream` advances cursors as it merges;
-    nothing here is stream state, so cursors are built from any
-    :class:`AccessOrder` (:meth:`AccessOrder.cursor`), live or cached.
+    A source has ``total`` (rows in the order), ``tuples`` (the order's
+    row view, resolved when a position is merged), ``page_size`` (the
+    fetch quantum) and ``fetch_window(start, limit)``, which returns the
+    ``(ranks, tids, vectors, scores)`` columns of rows ``[start, start +
+    limit)`` clamped to the end.  Every tier is a source: a resident
+    :class:`AccessOrder` (viewed zero-copy, so there is nothing to
+    fetch), an evicted durable shard's persisted order (its windows are
+    gathered from the memmap) and a remote shard endpoint
+    (:class:`~repro.service.simulation.RemoteShardEndpoint`).
+
+    The other sources' columns are allocated at full order size on the
+    first window and filled as windows land; ``filled`` is the
+    watermark.  :class:`MergeStream` calls :meth:`request` on every live
+    cursor of a refill before it calls :meth:`ensure` on any, then reads
+    :meth:`window` and advances ``pos``.
     """
 
-    __slots__ = ("tuples", "ranks", "vectors", "scores", "tids", "pos")
+    __slots__ = (
+        "source",
+        "total",
+        "tuples",
+        "ranks",
+        "vectors",
+        "scores",
+        "tids",
+        "pos",
+        "filled",
+    )
 
-    def __init__(
-        self,
-        tuples: Sequence[RankTuple],
-        ranks: np.ndarray,
-        vectors: np.ndarray,
-        scores: np.ndarray,
-        tids: np.ndarray,
-    ) -> None:
-        if not len(ranks) == len(tuples) == len(vectors) == len(scores) == len(tids):
-            raise ValueError("misaligned shard order columns")
-        self.tuples = tuples
-        self.ranks = ranks
-        self.vectors = vectors
-        self.scores = scores
-        self.tids = tids
+    def __init__(self, source) -> None:
+        self.source = source
+        self.total = source.total
+        self.tuples = source.tuples
         self.pos = 0
+        if isinstance(source, AccessOrder):
+            self.ranks, self.tids = source.ranks, source.tids
+            self.vectors, self.scores = source.vectors, source.scores
+            self.filled = self.total
+        else:
+            self.ranks = self.tids = self.vectors = self.scores = None
+            self.filled = 0
 
     @property
     def remaining(self) -> int:
-        return len(self.ranks) - self.pos
+        return self.total - self.pos
+
+    def request(self, n: int) -> None:
+        """Read-ahead hint for the next ``n`` rows.  A blocking source
+        reads nothing ahead: it fetches in :meth:`ensure` only."""
+
+    def ensure(self, n: int) -> None:
+        """Make the next ``min(n, remaining)`` rows local, fetching the
+        deficit as one window of whole pages."""
+        need = min(self.pos + n, self.total)
+        if self.filled < need:
+            page = self.source.page_size
+            rows = -(-(need - self.filled) // page) * page
+            self._fill(self.source.fetch_window(self.filled, rows))
+
+    def _fill(self, window) -> None:
+        """Append one fetched window at the ``filled`` watermark."""
+        ranks, tids, vectors, scores = window
+        lo = self.filled
+        hi = lo + len(ranks)
+        if hi > lo:
+            if self.ranks is None:
+                self.ranks, self.tids, self.vectors, self.scores = (
+                    np.empty((self.total,) + col.shape[1:], col.dtype)
+                    for col in window
+                )
+            self.ranks[lo:hi] = ranks
+            self.tids[lo:hi] = tids
+            self.vectors[lo:hi] = vectors
+            self.scores[lo:hi] = scores
+        self.filled = hi
 
     def window(
         self, limit: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(ranks, tids, vectors, scores)`` of the next <= ``limit``
-        unread rows (no advance).  This is the per-shard pull the service
-        fans out to its pool: for in-memory shards it is four array
-        slices, for remote shards it would be the page fetch."""
+        local rows (no advance, no fetch)."""
         lo = self.pos
-        hi = min(lo + max(limit, 0), len(self.ranks))
+        hi = min(lo + max(limit, 0), self.filled)
         return self.ranks[lo:hi], self.tids[lo:hi], self.vectors[lo:hi], self.scores[lo:hi]
 
 
@@ -561,11 +620,12 @@ class MergeStream:
     across blocks and block pulls stay within noise of the single-shard
     slicing fast path (the staging is invisible: staged rows do not count
     toward ``depth`` or the rank statistics until actually pulled).  With
-    an ``executor`` the per-shard window fetches of a refill are
+    an ``executor`` the per-shard window reads of a refill are
     dispatched as one task per shard and merged when all return (the
     service passes its shard pool here, which is what "shard-parallel
-    block pulls" means operationally — and read-ahead means fewer, larger
-    per-shard fetches, exactly what a remote shard wants).
+    block pulls" means operationally).  Every shard, whatever its tier,
+    is read through one :class:`ShardCursor`; read-ahead means fewer,
+    larger per-shard fetches, exactly what a remote shard wants.
 
     The merged prefix is a *growing* :class:`~repro.core.columnar.
     ColumnarPrefix` (like the k-d indexed path): rows are appended in
@@ -591,8 +651,9 @@ class MergeStream:
             raise ValueError("MergeStream needs at least one shard cursor")
         self.relation = relation
         self.kind = kind
-        self._cursors = list(cursors)
-        self._total = sum(len(c.ranks) for c in self._cursors)
+        #: The per-shard cursors, in shard order.
+        self.cursors = list(cursors)
+        self._total = sum(c.total for c in self.cursors)
         # Max-combination over the shards' score ceilings (each shard
         # inherits the parent's sigma_max, so this equals the parent's).
         self._sigma_max = (
@@ -650,7 +711,7 @@ class MergeStream:
 
     @property
     def shard_count(self) -> int:
-        return len(self._cursors)
+        return len(self.cursors)
 
     def next(self) -> RankTuple | None:
         block = self.next_block(1)
@@ -706,29 +767,21 @@ class MergeStream:
     def _refill(self, needed: int) -> bool:
         """Merge the next ``max(needed, READAHEAD)`` rows of the shard
         cursors into the stage; False when every cursor is drained."""
-        live = [c for c in self._cursors if c.remaining > 0]
+        live = [c for c in self.cursors if c.remaining > 0]
         if not live:
             return False
         span = max(needed, self.READAHEAD)
-        # Read-ahead hook for asynchronously fed cursors (remote shard
-        # streams): issue every shard's window request before blocking on
-        # any of them, so in-flight fetches overlap across shards.  A
-        # cursor's ``ensure`` must return only once its next
-        # ``min(span, remaining)`` rows are locally available (or raise
-        # :class:`StreamInterrupted`); in-memory cursors define neither
-        # method and skip both loops.
+        # Every live cursor learns the span before any blocks, so
+        # asynchronously fed cursors (remote shard streams) overlap their
+        # window fetches across shards.
         for c in live:
-            request = getattr(c, "request", None)
-            if request is not None:
-                request(span)
-        for c in live:
-            ensure = getattr(c, "ensure", None)
-            if ensure is not None:
-                ensure(span)
+            c.request(span)
         if len(live) == 1:
             # Every other shard is drained: the merge degenerates to the
-            # single-shard slicing fast path.
+            # single-shard slicing fast path, which needs only the rows
+            # this pull takes and stages whatever of the span is local.
             c = live[0]
+            c.ensure(needed)
             ranks, tids, vecs, scores = c.window(span)
             take = len(ranks)
             self._stage_tuples = c.tuples[c.pos : c.pos + take]
@@ -740,6 +793,10 @@ class MergeStream:
             self._stage_is_slab = False
             c.pos += take
             return True
+        # The top-``span`` of the merge can only come from each shard's
+        # next ``span`` rows, so every shard must hold them locally.
+        for c in live:
+            c.ensure(span)
         if self._executor is not None:
             try:
                 windows = list(self._executor.map(lambda c: c.window(span), live))

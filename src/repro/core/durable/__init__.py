@@ -11,9 +11,7 @@ backend that keeps the layers above unchanged
 from repro.core.durable.backend import (
     DurableRelation,
     DurableShardBackend,
-    EvictedShardEndpoint,
     LazyTuples,
-    PagedShardCursor,
     open_relation,
     persist_relation,
 )
@@ -31,9 +29,7 @@ __all__ = [
     "FORMAT_VERSION",
     "DurableRelation",
     "DurableShardBackend",
-    "EvictedShardEndpoint",
     "LazyTuples",
-    "PagedShardCursor",
     "ShardCatalog",
     "ShardFile",
     "open_relation",

@@ -17,10 +17,12 @@ one-monotone-stream-per-relation contract; this module adds the tier
   tier manager: a shard is **hot** (a lazy-tuple ``Relation`` over the
   memmap feeds the ordinary sorted-access path, bit-identical to
   in-memory) or **evicted** (no whole-column access — its persisted
-  order is served window by window from the memmap through
-  :class:`EvictedShardEndpoint`, the same offset-addressed window API
-  :class:`~repro.service.simulation.RemoteShardEndpoint` defines, so
-  the merge/engine layers run unchanged).  An optional ``memory_budget``
+  order is paged back window by window by the same
+  :class:`~repro.core.access.ShardCursor` every tier merges through:
+  each window gathers its rows' columns from the memmap through the
+  persisted permutation, and rows resolve through the shard's own
+  :class:`~repro.core.access.OrderRows` view, as for hot orders, so the
+  merge/engine layers run unchanged).  An optional ``memory_budget``
   evicts least-recently-touched shards as others are made hot.
 
 Bit-identity across tiers rests on two facts: the shard files store the
@@ -35,11 +37,19 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.access import AccessOrder, ShardCursor, sort_order, sorted_stream
+from repro.core.access import (
+    AccessOrder,
+    MergeStream,
+    OrderRows,
+    ShardCursor,
+    sort_order,
+    sorted_stream,
+)
 from repro.core.durable.catalog import CATALOG_FILENAME, ShardCatalog
 from repro.core.durable.shardfile import ShardFile, write_shard_file
 from repro.core.relation import RankTuple, Relation
@@ -50,8 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DurableRelation",
     "DurableShardBackend",
-    "EvictedShardEndpoint",
-    "PagedShardCursor",
     "LazyTuples",
     "persist_relation",
     "open_relation",
@@ -59,8 +67,8 @@ __all__ = [
 
 SHARD_DIRNAME = "shards"
 
-#: Default rows per window an evicted shard serves (and the paged
-#: cursor's read-ahead quantum).
+#: Default rows per page an evicted shard serves (the paged cursor's
+#: fetch quantum).
 _PAGE_ROWS = 256
 
 
@@ -113,134 +121,6 @@ class LazyTuples(Sequence):
         if isinstance(i, slice):
             return [self._make(j) for j in range(*i.indices(len(self._cache)))]
         return self._make(int(i))
-
-
-class EvictedShardEndpoint:
-    """Window API over an evicted shard's persisted order.
-
-    The disk-tier twin of :class:`~repro.service.simulation.
-    RemoteShardEndpoint`: the same offset-addressed
-    ``fetch_window(start, limit)`` contract and meters, but windows are
-    gathered straight from the shard file's memmap — only the rows a
-    window touches are ever read, so a shard streams back page by page
-    without the whole column becoming resident.  No latency model: disk
-    pages cost what the OS charges.
-    """
-
-    def __init__(
-        self,
-        handle: "ShardHandle",
-        perm: np.ndarray,
-        ranks: np.ndarray,
-        *,
-        page_size: int = _PAGE_ROWS,
-    ) -> None:
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
-        self._handle = handle
-        self._perm = perm
-        self._ranks = ranks
-        self.name = handle.file.relation
-        self.shard_index = handle.index
-        self.page_size = page_size
-        self.windows = 0
-        self.pages = 0
-        self.tuples_served = 0
-
-    @property
-    def total(self) -> int:
-        return len(self._ranks)
-
-    def fetch_window(
-        self, start: int, limit: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[RankTuple]]:
-        """Rows ``[start, start + limit)`` of the persisted order,
-        clamped to the end: ``(ranks, tids, vectors, scores, tuples)``."""
-        if start < 0 or limit < 0:
-            raise ValueError("start and limit must be non-negative")
-        hi = min(start + limit, self.total)
-        lo = min(start, hi)
-        rows = self._perm[lo:hi]
-        file = self._handle.file
-        vectors = np.asarray(file.vectors[rows], dtype=float)
-        scores = np.asarray(file.scores[rows], dtype=float)
-        tids = np.asarray(file.tids[rows], dtype=np.int64)
-        ranks = self._ranks[lo:hi]
-        attrs = file.attrs
-        tuples = [
-            RankTuple(
-                relation=self.name,
-                tid=int(tids[i]),
-                score=float(scores[i]),
-                vector=vectors[i],
-                attrs=dict(attrs[int(rows[i])]) if attrs is not None else {},
-            )
-            for i in range(hi - lo)
-        ]
-        self.windows += 1
-        self.pages += max(1, -(-(hi - lo) // self.page_size))
-        self.tuples_served += hi - lo
-        self._handle.backend.counters["paged_windows"] += 1
-        self._handle.backend.counters["paged_rows"] += hi - lo
-        return ranks, tids, vectors, scores, tuples
-
-    def __repr__(self) -> str:
-        return (
-            f"EvictedShardEndpoint({self.name!r}, shard={self.shard_index}, "
-            f"rows={self.total}, page_size={self.page_size})"
-        )
-
-
-class PagedShardCursor(ShardCursor):
-    """Merge-ready cursor whose rows stream in from an
-    :class:`EvictedShardEndpoint` window by window.
-
-    Subclasses :class:`~repro.core.access.ShardCursor` the same way the
-    async service's ``RemoteShardStream`` does: columns are preallocated
-    at full shard size (``np.empty`` — untouched pages stay virtual) and
-    filled as windows land; ``ensure(n)`` implements
-    :class:`~repro.core.access.MergeStream`'s read-ahead hook by
-    fetching synchronously until the next ``n`` rows past ``pos`` are
-    local, rounded up to the endpoint's page quantum so merge refills
-    translate into few, large windows.
-    """
-
-    __slots__ = ("endpoint", "total", "_filled")
-
-    def __init__(self, endpoint: EvictedShardEndpoint) -> None:
-        # Deliberately no super().__init__: columns fill as windows land,
-        # so the aligned-length invariant holds by construction.
-        total = endpoint.total
-        self.endpoint = endpoint
-        self.total = total
-        self.tuples: list[RankTuple] = []
-        self.ranks = np.empty(total, dtype=float)
-        self.vectors = np.empty((total, endpoint._handle.file.dim), dtype=float)
-        self.scores = np.empty(total, dtype=float)
-        self.tids = np.empty(total, dtype=np.int64)
-        self.pos = 0
-        self._filled = 0
-
-    @property
-    def filled(self) -> int:
-        return self._filled
-
-    def ensure(self, n: int) -> None:
-        """Fetch until the next ``min(n, remaining)`` rows are local."""
-        need = min(self.pos + n, self.total)
-        while self._filled < need:
-            span = max(need - self._filled, self.endpoint.page_size)
-            ranks, tids, vectors, scores, tuples = self.endpoint.fetch_window(
-                self._filled, span
-            )
-            hi = self._filled + len(ranks)
-            self.ranks[self._filled : hi] = ranks
-            self.tids[self._filled : hi] = tids
-            if hi > self._filled:
-                self.vectors[self._filled : hi] = vectors
-                self.scores[self._filled : hi] = scores
-            self.tuples.extend(tuples)
-            self._filled = hi
 
 
 class ShardHandle:
@@ -404,11 +284,11 @@ class DurableShardBackend:
     def _kind_name(kind: "AccessKind") -> str:
         return kind.value
 
-    def load_order(
+    def _probe(
         self, shard_index: int, kind: "AccessKind", bucket: bytes
-    ) -> AccessOrder | None:
-        """Catalog probe for one persisted order; gathers the ordered
-        columnar arrays from the shard file on a hit (no sorting)."""
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Catalog probe for one persisted order's ``(perm, ranks)``,
+        counted as a catalog hit or miss."""
         hit = self.catalog.get_order(
             relation=self.relation.name,
             generation=self.generation,
@@ -416,12 +296,18 @@ class DurableShardBackend:
             kind=self._kind_name(kind),
             bucket=bucket,
         )
-        if hit is None:
-            self.counters["catalog_order_misses"] += 1
-            return None
-        self.counters["catalog_order_hits"] += 1
-        perm, ranks = hit
-        return self.handles[shard_index].order(kind, perm, ranks)
+        self.counters[
+            "catalog_order_misses" if hit is None else "catalog_order_hits"
+        ] += 1
+        return hit
+
+    def load_order(
+        self, shard_index: int, kind: "AccessKind", bucket: bytes
+    ) -> AccessOrder | None:
+        """Catalog probe for one persisted order; gathers the ordered
+        columnar arrays from the shard file on a hit (no sorting)."""
+        hit = self._probe(shard_index, kind, bucket)
+        return None if hit is None else self.handles[shard_index].order(kind, *hit)
 
     def store_order(
         self,
@@ -465,57 +351,56 @@ class DurableShardBackend:
                     kind, perm, ranks
                 )
 
-    def _compute_order(
-        self, shard_index: int, kind: "AccessKind", query: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sort one shard's order straight off the memmap.
-
-        :func:`~repro.core.access.sort_order` reads the vectors in
-        bounded chunks, so only the rank column, the tid column and the
-        permutation (O(n), not O(n*d)) become resident.
-        """
-        file = self.handles[shard_index].file
-        self.counters["order_scans"] += 1
-        return sort_order(kind, file.vectors, file.scores, file.tids, query)
-
-    def order_for_paged(
-        self,
-        shard_index: int,
-        kind: "AccessKind",
-        bucket: bytes,
-        query: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(perm, ranks)`` for an evicted shard: catalog hit, or one
-        chunked scan that is immediately persisted for the next reader."""
-        hit = self.catalog.get_order(
-            relation=self.relation.name,
-            generation=self.generation,
-            shard_index=shard_index,
-            kind=self._kind_name(kind),
-            bucket=bucket,
-        )
-        if hit is not None:
-            self.counters["catalog_order_hits"] += 1
-            return hit
-        self.counters["catalog_order_misses"] += 1
-        perm, ranks = self._compute_order(shard_index, kind, query)
-        self.store_order(shard_index, kind, bucket, perm, ranks)
-        return perm, ranks
-
     def paged_cursor(
         self,
         shard_index: int,
         kind: "AccessKind",
         bucket: bytes,
         query: np.ndarray | None,
-    ) -> PagedShardCursor:
-        """A merge-ready cursor streaming an evicted shard's persisted
-        order from the memmap."""
-        perm, ranks = self.order_for_paged(shard_index, kind, bucket, query)
-        endpoint = EvictedShardEndpoint(
-            self.handles[shard_index], perm, ranks, page_size=self.page_rows
+    ) -> ShardCursor:
+        """A merge-ready cursor paging an evicted shard's persisted order
+        from the memmap.
+
+        The order's ``(perm, ranks)`` is a catalog hit, or one chunked
+        scan that is persisted at once for the next reader
+        (:func:`~repro.core.access.sort_order` reads the vectors in
+        bounded chunks, so only the rank, tid and permutation columns
+        become resident).  Each window gathers just its rows' columns
+        from the memmap through the permutation, in ``page_rows``
+        quanta; rows resolve through the shard's row view, as they do
+        for hot orders.
+        """
+        handle = self.handles[shard_index]
+        file = handle.file
+        hit = self._probe(shard_index, kind, bucket)
+        if hit is None:
+            self.counters["order_scans"] += 1
+            hit = sort_order(kind, file.vectors, file.scores, file.tids, query)
+            self.store_order(shard_index, kind, bucket, *hit)
+        perm, ranks = hit
+        counters = self.counters
+
+        def fetch_window(start: int, limit: int):
+            if start < 0 or limit < 0:
+                raise ValueError("start and limit must be non-negative")
+            rows = perm[start : start + limit]
+            counters["paged_windows"] += 1
+            counters["paged_rows"] += len(rows)
+            return (
+                ranks[start : start + limit],
+                np.asarray(file.tids[rows], dtype=np.int64),
+                np.asarray(file.vectors[rows], dtype=float),
+                np.asarray(file.scores[rows], dtype=float),
+            )
+
+        return ShardCursor(
+            SimpleNamespace(
+                total=len(perm),
+                tuples=OrderRows(handle.rows, perm),
+                page_size=self.page_rows,
+                fetch_window=fetch_window,
+            )
         )
-        return PagedShardCursor(endpoint)
 
     # -- stream opening -----------------------------------------------------
 
@@ -527,7 +412,7 @@ class DurableShardBackend:
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         use_index: bool = False,
     ):
-        from repro.core.access import AccessKind, MergeStream
+        from repro.core.access import AccessKind
 
         if kind is AccessKind.DISTANCE and query is None:
             raise ValueError("distance-based access requires a query vector")
@@ -547,17 +432,17 @@ class DurableShardBackend:
                 metric=metric,
                 use_index=use_index,
             )
-        cursors = []
         bucket = self._stream_bucket(kind, query_arr)
-        for handle in self.handles:
-            if handle.evicted:
-                cursors.append(
-                    self.paged_cursor(handle.index, kind, bucket, query_arr)
-                )
-            else:
-                shard = self.shard_relation(handle.index)
-                inner = sorted_stream(shard, kind, query_arr, metric=metric)
-                cursors.append(inner.order.cursor())
+        cursors = [
+            self.paged_cursor(handle.index, kind, bucket, query_arr)
+            if handle.evicted
+            else ShardCursor(
+                sorted_stream(
+                    self.shard_relation(handle.index), kind, query_arr, metric=metric
+                ).order
+            )
+            for handle in self.handles
+        ]
         return MergeStream(
             self.relation, kind, cursors, sigma_max=self.relation.sigma_max
         )

@@ -21,6 +21,13 @@ Two implementations:
   and k-way-merges the per-shard cursors through
   :class:`~repro.core.access.MergeStream`.
 
+A third, :class:`~repro.core.durable.DurableShardBackend`, lives with
+the durable tier.  Whatever tier a shard lives in — resident arrays, an
+evicted durable shard paged from its memmap, or a remote endpoint (the
+async service builds its merge streams over those directly) — the merge
+reads it through one :class:`~repro.core.access.ShardCursor`, filled
+window by window from the shard's source.
+
 Shard invariants the merge relies on (and the differential suite pins):
 
 * **Determinism** — each shard order is sorted by ``(rank, tid)`` with
@@ -57,7 +64,6 @@ __all__ = [
     "SingleShardBackend",
     "ShardedBackend",
     "ShardedRelation",
-    "EndpointBackend",
     "partition_indices",
 ]
 
@@ -194,14 +200,14 @@ class ShardedBackend:
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         use_index: bool = False,
     ):
-        from repro.core.access import MergeStream, sorted_stream
+        from repro.core.access import MergeStream, ShardCursor, sorted_stream
 
         shards = [shard for shard in self._shards if len(shard)]
         return MergeStream(
             self.relation,
             kind,
             [
-                sorted_stream(shard, kind, query, metric=metric).order.cursor()
+                ShardCursor(sorted_stream(shard, kind, query, metric=metric).order)
                 for shard in shards
             ],
             sigma_max=max(s.sigma_max for s in shards),
@@ -210,80 +216,6 @@ class ShardedBackend:
     def __repr__(self) -> str:
         sizes = [len(s) for s in self._shards]
         return f"ShardedBackend({self.relation.name!r}, shards={sizes})"
-
-
-class EndpointBackend:
-    """Storage backend whose shards are served by *remote* endpoints.
-
-    The physical per-shard orders live behind endpoints (paged fetches,
-    simulated or real network latency) rather than in local arrays; a
-    ``cursor_factory`` turns ``(kind, query)`` into one merge-ready
-    cursor per shard — e.g. the async service's
-    :class:`~repro.service.async_service.RemoteShardStream`, whose rows
-    arrive via pipelined window fetches.  ``open_stream`` k-way-merges
-    those cursors through :class:`~repro.core.access.MergeStream`
-    exactly like :class:`ShardedBackend` does for in-memory shards, so
-    the engine keeps the one-monotone-stream-per-relation contract and
-    remote execution stays bit-identical to local sharded access.
-
-    ``use_index``/``metric`` are accepted for protocol compatibility but
-    rejected: a remote endpoint serves exactly one pre-agreed order.
-    """
-
-    def __init__(
-        self,
-        relation: Relation,
-        shards: Sequence[Relation],
-        cursor_factory: Callable[["AccessKind", np.ndarray | None], Sequence],
-        *,
-        sigma_max: float | None = None,
-    ) -> None:
-        if not shards:
-            raise ValueError("need at least one shard")
-        self.relation = relation
-        self._shards = tuple(shards)
-        self._cursor_factory = cursor_factory
-        self._sigma_max = (
-            float(sigma_max) if sigma_max is not None else relation.sigma_max
-        )
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
-    def shards(self) -> tuple[Relation, ...]:
-        return self._shards
-
-    def open_stream(
-        self,
-        kind: "AccessKind",
-        query: np.ndarray | None = None,
-        *,
-        metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        use_index: bool = False,
-    ):
-        from repro.core.access import AccessKind, MergeStream
-
-        if metric is not None or use_index:
-            raise ValueError(
-                "endpoint-backed storage serves pre-agreed orders only "
-                "(no custom metric, no index traversal)"
-            )
-        if kind is AccessKind.DISTANCE and query is None:
-            raise ValueError("distance-based access requires a query vector")
-        cursors = list(self._cursor_factory(kind, query))
-        if not cursors:
-            raise ValueError("cursor_factory produced no shard cursors")
-        return MergeStream(
-            self.relation, kind, cursors, sigma_max=self._sigma_max
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"EndpointBackend({self.relation.name!r}, "
-            f"shards={self.shard_count})"
-        )
 
 
 class ShardedRelation(Relation):

@@ -176,7 +176,11 @@ def run_cell(
                     combinations_formed=result.combinations_formed,
                     completed=result.completed,
                     remote_seconds=float(
-                        sum(s.endpoint.simulated_seconds for s in opened)
+                        sum(
+                            c.source.simulated_seconds
+                            for s in opened
+                            for c in s.cursors
+                        )
                     ),
                     solver_seconds=result.solver_seconds,
                 )

@@ -38,8 +38,6 @@ from repro.service.rankjoin import (
 from repro.service.simulation import (
     LatencyModel,
     RemoteShardEndpoint,
-    ServiceEndpoint,
-    ServiceStream,
     make_service_streams,
 )
 
@@ -56,7 +54,5 @@ __all__ = [
     "ServiceStats",
     "LatencyModel",
     "RemoteShardEndpoint",
-    "ServiceEndpoint",
-    "ServiceStream",
     "make_service_streams",
 ]

@@ -7,18 +7,19 @@ relations living behind remote, paged, latency-bearing services — where
 the dominant cost is I/O round-trips, not compute.  Three layers:
 
 * :class:`~repro.service.simulation.RemoteShardEndpoint` (one per
-  relation shard per query bucket) holds a shard's sorted access order
-  behind an offset-addressed, paginated window API with a per-shard
+  relation shard per query bucket) wraps a shard's LRU-cached access
+  order in an offset-addressed, paginated window API with a per-shard
   latency model.
-* :class:`RemoteShardStream` is the client-side cursor over one
-  endpoint: a merge-ready :class:`~repro.core.access.ShardCursor` whose
-  rows arrive through **pipelined prefetch** — a per-shard feeder task
-  on the event loop keeps window fetches in flight ahead of the engine,
-  so while the engine scores block ``B``, the per-shard fetches for
-  block ``B+1`` are already sleeping out their simulated latency.
-  :class:`~repro.core.access.MergeStream`'s read-ahead hook issues every
-  shard's window request before blocking on any of them, so one refill
-  overlaps its fetches *across* shards too.
+* :class:`RemoteShardStream` is the event-loop prefetch adaptor: the
+  one :class:`~repro.core.access.ShardCursor` subclass, filled from an
+  endpoint through **pipelined prefetch** — a per-shard feeder task on
+  the event loop keeps window fetches in flight ahead of the engine, so
+  while the engine scores block ``B``, the per-shard fetches for block
+  ``B+1`` are already sleeping out their simulated latency.  Each query
+  merges its cursors in a :class:`~repro.core.access.MergeStream` built
+  directly, as :class:`~repro.service.rankjoin.RankJoinService` does;
+  the merge issues every live shard's window request before blocking on
+  any of them, so one refill overlaps its fetches *across* shards too.
 * :class:`AsyncRankJoinService` is the front-end: an awaitable
   ``submit(query, k, deadline=...)``, a **bounded admission queue** with
   a reject-or-wait backpressure policy, per-query deadlines and
@@ -48,11 +49,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.access import AccessKind, ShardCursor, StreamInterrupted
+from repro.core.access import AccessKind, MergeStream, ShardCursor, StreamInterrupted
 from repro.core.algorithms import make_algorithm
-from repro.core.relation import RankTuple, Relation
+from repro.core.relation import Relation
 from repro.core.scoring import Scoring
-from repro.core.storage import EndpointBackend
 from repro.core.template import RunResult
 from repro.service.rankjoin import RankJoinService, ServiceStats, _LRU
 from repro.service.simulation import LatencyModel, RemoteShardEndpoint
@@ -154,14 +154,14 @@ class _QueryContext:
 
 
 class RemoteShardStream(ShardCursor):
-    """A merge-ready cursor whose rows arrive from a remote endpoint.
+    """The event-loop prefetch adaptor over a remote shard endpoint.
 
-    Subclasses :class:`~repro.core.access.ShardCursor` so
-    :class:`~repro.core.access.MergeStream` treats it exactly like an
-    in-memory shard order: the rank/vector/score/tid columns are
-    preallocated at full shard size and filled window by window as
-    fetches land, and ``window()``/``pos`` behave identically.  Two
-    extra methods implement the merge's read-ahead hook:
+    A :class:`~repro.core.access.ShardCursor` whose source is a
+    :class:`~repro.service.simulation.RemoteShardEndpoint`: it inherits
+    the column allocation and fill, ``window()`` and ``pos``, and moves
+    the fetches onto the service's event loop through the two calls
+    :class:`~repro.core.access.MergeStream` makes on every live cursor
+    of a refill:
 
     ``request(n)``
         Non-blocking: raise the fetch target to cover the next ``n``
@@ -178,17 +178,14 @@ class RemoteShardStream(ShardCursor):
         deadline expires or it is cancelled while waiting — the engine
         converts that into a certified partial result.
 
-    ``pipelined=False`` degrades to the serial comparator: ``request``
-    is a no-op and ``ensure`` performs exactly the fetch it needs,
-    blocking the engine for the full latency of every window with no
-    overlap across shards or with compute — the baseline the
-    pipelined-speedup benchmark measures against.
+    ``pipelined=False`` is the serial comparator: no feeder, and
+    ``request(n)`` itself awaits exactly the window the next ``n`` rows
+    need, blocking the engine for its full latency with no overlap
+    across shards or with compute — the baseline the pipelined-speedup
+    benchmark measures against.
     """
 
     __slots__ = (
-        "endpoint",
-        "total",
-        "_filled",
         "_target",
         "_cond",
         "_wake",
@@ -210,20 +207,7 @@ class RemoteShardStream(ShardCursor):
         pipelined: bool = True,
         prefetch_rows: int | None = None,
     ) -> None:
-        total = endpoint.total
-        dim = endpoint._vectors.shape[1] if endpoint._vectors.ndim == 2 else 0
-        # Deliberately no super().__init__: the columns are preallocated
-        # at full size and filled as windows land, so the aligned-length
-        # invariant holds by construction while ``tuples`` grows.
-        self.tuples: list[RankTuple] = []
-        self.ranks = np.empty(total, dtype=float)
-        self.vectors = np.empty((total, dim), dtype=float)
-        self.scores = np.empty(total, dtype=float)
-        self.tids = np.empty(total, dtype=endpoint._tids.dtype)
-        self.pos = 0
-        self.endpoint = endpoint
-        self.total = total
-        self._filled = 0
+        super().__init__(endpoint)
         self._target = 0
         self._cond = threading.Condition()
         self._wake = asyncio.Event()
@@ -235,12 +219,19 @@ class RemoteShardStream(ShardCursor):
         self._feeder: concurrent.futures.Future | None = None
         self._closed = False
 
+    def _interrupted(self) -> bool:
+        return self._closed or (self._expired is not None and self._expired())
+
     # -- read-ahead hook (called from the engine thread) --------------------
 
     def request(self, n: int) -> None:
         """Raise the fetch target to ``pos + n`` rows plus prefetch and
-        wake the feeder; returns immediately."""
-        if not self._pipelined or self._closed:
+        wake the feeder; returns immediately.  Serial mode fetches the
+        rows here instead, one blocking window."""
+        if not self._pipelined:
+            self._ensure_serial(min(self.pos + n, self.total))
+            return
+        if self._closed:
             return
         prefetch = self._prefetch_rows if self._prefetch_rows is not None else n
         target = min(self.pos + n + prefetch, self.total)
@@ -258,49 +249,47 @@ class RemoteShardStream(ShardCursor):
     def ensure(self, n: int) -> None:
         """Block until the next ``min(n, remaining)`` rows are local."""
         need = min(self.pos + n, self.total)
-        if self._filled >= need:
+        if self.filled >= need:
             return
         if not self._pipelined:
             self._ensure_serial(need)
             return
         self.request(n)
         with self._cond:
-            while self._filled < need:
+            while self.filled < need:
                 if self._error is not None:
                     # A genuine remote failure is an error, not a clean
                     # early stop: let it propagate out of the engine.
                     raise self._error
-                if self._closed or (self._expired is not None and self._expired()):
+                if self._interrupted():
                     raise StreamInterrupted(
-                        f"deadline expired waiting on {self.endpoint!r}"
+                        f"deadline expired waiting on {self.source!r}"
                     )
                 self._cond.wait(timeout=0.02)
 
     def _ensure_serial(self, need: int) -> None:
         """Non-overlapped comparator: fetch exactly what is needed, one
         blocking window at a time."""
-        while self._filled < need:
-            if self._closed or (self._expired is not None and self._expired()):
+        while self.filled < need:
+            if self._interrupted():
                 raise StreamInterrupted(
-                    f"deadline expired waiting on {self.endpoint!r}"
+                    f"deadline expired waiting on {self.source!r}"
                 )
-            start = self._filled
             future = asyncio.run_coroutine_threadsafe(
-                self.endpoint.afetch_window(start, need - start), self._loop
+                self.source.afetch_window(self.filled, need - self.filled),
+                self._loop,
             )
             while True:
                 try:
                     window = future.result(timeout=0.05)
                     break
                 except concurrent.futures.TimeoutError:
-                    if self._closed or (
-                        self._expired is not None and self._expired()
-                    ):
+                    if self._interrupted():
                         future.cancel()
                         raise StreamInterrupted(
-                            f"deadline expired waiting on {self.endpoint!r}"
+                            f"deadline expired waiting on {self.source!r}"
                         ) from None
-            self._ingest(start, window)
+            self._ingest(window)
 
     # -- feeder (runs on the event loop) ------------------------------------
 
@@ -309,15 +298,15 @@ class RemoteShardStream(ShardCursor):
             while True:
                 with self._cond:
                     target = min(self._target, self.total)
-                    filled = self._filled
+                    filled = self.filled
                 if filled >= target:
                     if filled >= self.total:
                         return
                     await self._wake.wait()
                     self._wake.clear()
                     continue
-                window = await self.endpoint.afetch_window(filled, target - filled)
-                self._ingest(filled, window)
+                window = await self.source.afetch_window(filled, target - filled)
+                self._ingest(window)
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # surface remote failures to ensure()
@@ -325,23 +314,10 @@ class RemoteShardStream(ShardCursor):
                 self._error = exc
                 self._cond.notify_all()
 
-    def _ingest(self, start: int, window) -> None:
-        ranks, tids, vectors, scores, tuples = window
-        hi = start + len(ranks)
-        self.ranks[start:hi] = ranks
-        self.tids[start:hi] = tids
-        if hi > start:
-            self.vectors[start:hi] = vectors
-            self.scores[start:hi] = scores
-        self.tuples.extend(tuples)
+    def _ingest(self, window) -> None:
         with self._cond:
-            self._filled = hi
+            self._fill(window)
             self._cond.notify_all()
-
-    @property
-    def filled(self) -> int:
-        """Rows fetched so far (engine-side availability watermark)."""
-        return self._filled
 
     def close(self) -> None:
         """Cancel the feeder and unblock any waiting ``ensure``."""
@@ -553,7 +529,7 @@ class AsyncRankJoinService(RankJoinService):
     ) -> RemoteShardEndpoint:
         """One shard's remote endpoint for one query bucket (cached).
 
-        Wraps the LRU-shared :class:`CachedOrder` — concurrent queries
+        Wraps the LRU-shared cached order — concurrent queries
         on the same bucket hit the same endpoint, whose meters then
         aggregate the bucket's remote traffic.  An endpoint hit is a
         shard-order cache hit (``stream_cache_hits``); a miss is counted
@@ -566,15 +542,10 @@ class AsyncRankJoinService(RankJoinService):
         if endpoint is not None:
             self.stats.record(stream_cache_hits=1)
             return endpoint
-        order = self._order_for(shard, shard_index, bucket, canonical)
         endpoint = RemoteShardEndpoint(
             relation.name,
             shard_index,
-            order.tuples,
-            order.ranks,
-            order.vectors,
-            order.scores,
-            order.tids,
+            self._order_for(shard, shard_index, bucket, canonical),
             page_size=self.page_size,
             latency=self._latency_for(shard_index),
             # One deterministic generator per endpoint, derived from the
@@ -611,50 +582,49 @@ class AsyncRankJoinService(RankJoinService):
             }
 
     def _remote_factory(self, bucket: bytes, canonical: np.ndarray, ctx: _QueryContext):
-        """Stream factory: per relation, an endpoint-backed storage
-        boundary whose cursors prefetch through the query's context."""
-
-        def open_cursors(relation, rel_index, shards, kind, query):
-            cursors = []
-            for shard_index, shard in enumerate(shards):
-                endpoint = self._endpoint_for(
-                    rel_index, relation, shard_index, shard, bucket, canonical
-                )
-                cursor = RemoteShardStream(
-                    endpoint,
-                    loop=ctx.loop,
-                    expired=ctx.should_stop,
-                    pipelined=self.pipelined,
-                    prefetch_rows=self.prefetch_rows,
-                )
-                ctx.add_cursor(cursor)
-                cursors.append(cursor)
-            return cursors
+        """Stream factory: per relation, a merge over one remote cursor
+        per shard, prefetching through the query's context."""
 
         def factory() -> list:
             streams = []
             for rel_index, relation in enumerate(self.relations):
                 shards = relation.storage.shards
-                backend = EndpointBackend(
-                    relation,
-                    shards,
-                    lambda kind, query, r=relation, i=rel_index, s=shards: (
-                        open_cursors(r, i, s, kind, query)
-                    ),
-                    sigma_max=max(s.sigma_max for s in shards),
+                cursors = []
+                for shard_index, shard in enumerate(shards):
+                    cursor = RemoteShardStream(
+                        self._endpoint_for(
+                            rel_index, relation, shard_index, shard, bucket, canonical
+                        ),
+                        loop=ctx.loop,
+                        expired=ctx.should_stop,
+                        pipelined=self.pipelined,
+                        prefetch_rows=self.prefetch_rows,
+                    )
+                    ctx.add_cursor(cursor)
+                    cursors.append(cursor)
+                streams.append(
+                    MergeStream(
+                        relation,
+                        self.kind,
+                        cursors,
+                        sigma_max=max(s.sigma_max for s in shards),
+                    )
                 )
-                streams.append(backend.open_stream(self.kind, canonical))
             return streams
 
         return factory
 
-    def _run_remote(
+    def _run(
         self, canonical: np.ndarray, bucket: bytes, k: int, ctx: _QueryContext
     ) -> RunResult:
-        """Engine-thread body: one query end to end over remote streams."""
+        """Engine-thread body: one query end to end — over remote
+        streams, or handed to the process pool under
+        ``executor="process"`` (blocking, GIL released in the pipe read,
+        until its worker answers)."""
         if ctx.should_stop():
             # Expired (or cancelled) while queued: don't pay for stream
-            # setup — an empty certified partial is the honest answer.
+            # setup or a process round-trip — an empty certified partial
+            # is the honest answer.
             from repro.core.bounds.base import INFINITY
 
             return RunResult(
@@ -667,6 +637,8 @@ class AsyncRankJoinService(RankJoinService):
                 combinations_formed=0,
                 completed=False,
             )
+        if self._procpool is not None:
+            return self._procpool.submit(canonical, k)
         engine = make_algorithm(
             self.algorithm,
             self.relations,
@@ -681,30 +653,6 @@ class AsyncRankJoinService(RankJoinService):
             should_stop=ctx.should_stop,
         )
         return engine.run()
-
-    def _run_process(
-        self, canonical: np.ndarray, bucket: bytes, k: int, ctx: _QueryContext
-    ) -> RunResult:
-        """Engine-thread body under ``executor="process"``: hand the
-        query to the process pool and block (GIL released in the pipe
-        read) until its worker answers.  The expiry check happens at
-        dispatch time — a query that spent its deadline in the admission
-        queue returns the empty certified partial without ever crossing
-        a process boundary."""
-        if ctx.should_stop():
-            from repro.core.bounds.base import INFINITY
-
-            return RunResult(
-                combinations=[],
-                depths=[0] * len(self.relations),
-                bound=INFINITY,
-                total_seconds=0.0,
-                bound_seconds=0.0,
-                dominance_seconds=0.0,
-                combinations_formed=0,
-                completed=False,
-            )
-        return self._procpool.submit(canonical, k)
 
     @property
     def proc_stats(self):
@@ -768,13 +716,8 @@ class AsyncRankJoinService(RankJoinService):
             async with self._run_sem:
                 with self._lock:
                     self._active.add(ctx)
-                runner = (
-                    self._run_process
-                    if self._procpool is not None
-                    else self._run_remote
-                )
                 future = loop.run_in_executor(
-                    self._engine_pool, runner, canonical, bucket, k, ctx
+                    self._engine_pool, self._run, canonical, bucket, k, ctx
                 )
                 try:
                     result = await future

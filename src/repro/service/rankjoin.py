@@ -58,6 +58,7 @@ from repro.core.access import (
     AccessOrder,
     MergeStream,
     OrderStream,
+    ShardCursor,
     sorted_stream,
 )
 from repro.core.algorithms import make_algorithm
@@ -405,57 +406,33 @@ class RankJoinService:
         self, relation: Relation, bucket: bytes, canonical: np.ndarray
     ):
         """One engine-facing stream for ``relation``, replaying cached
-        per-shard orders: a :class:`CachedOrderStream` for single-shard
-        relations, a shard-parallel
-        :class:`~repro.core.access.MergeStream` otherwise.  Durable
-        relations with evicted shards keep those shards on disk: their
-        persisted orders stream back window by window through paged
-        cursors while hot shards replay cached orders — same merge, same
-        bit-identical stream."""
+        per-shard orders: a :class:`CachedOrderStream` for a single hot
+        shard, a shard-parallel :class:`~repro.core.access.MergeStream`
+        of one :class:`~repro.core.access.ShardCursor` per shard
+        otherwise.  A durable relation's evicted shards stay on disk:
+        their cursors page the persisted order back window by window,
+        in the same merge as the hot shards' cached orders."""
         backend = self._durable.get(relation.name)
-        if backend is not None and backend.evicted_count:
-            key_bucket = bucket if self.kind is AccessKind.DISTANCE else b""
-            cursors = []
-            sigma = relation.sigma_max
-            for handle in backend.handles:
-                if handle.evicted:
-                    cursors.append(
-                        backend.paged_cursor(
-                            handle.index, self.kind, key_bucket, canonical
-                        )
-                    )
-                else:
-                    o = self._order_for(
-                        backend.shard_relation(handle.index),
-                        handle.index,
-                        bucket,
-                        canonical,
-                    )
-                    cursors.append(o.cursor())
-                    sigma = max(sigma, o.sigma_max)
-            return MergeStream(
-                relation,
-                self.kind,
-                cursors,
-                sigma_max=sigma,
-                executor=self._shard_pool,
-            )
-        shards = relation.storage.shards
-        if len(shards) == 1:
-            return CachedOrderStream(
-                self._order_for(shards[0], 0, bucket, canonical), relation
-            )
-        orders = [
-            self._order_for(shard, si, bucket, canonical)
-            for si, shard in enumerate(shards)
-        ]
-        return MergeStream(
-            relation,
-            self.kind,
-            [o.cursor() for o in orders],
-            sigma_max=max(o.sigma_max for o in orders),
-            executor=self._shard_pool,
-        )
+        if backend is None:
+            shards = relation.storage.shards
+            count = len(shards)
+        else:
+            # Shard by shard, so evicted shards are never made hot here.
+            count = backend.shard_count
+        cursors = []
+        for si in range(count):
+            if backend is not None and backend.handles[si].evicted:
+                key_bucket = bucket if self.kind is AccessKind.DISTANCE else b""
+                cursors.append(
+                    backend.paged_cursor(si, self.kind, key_bucket, canonical)
+                )
+                continue
+            shard = shards[si] if backend is None else backend.shard_relation(si)
+            order = self._order_for(shard, si, bucket, canonical)
+            if count == 1:
+                return CachedOrderStream(order, relation)
+            cursors.append(ShardCursor(order))
+        return MergeStream(relation, self.kind, cursors, executor=self._shard_pool)
 
     def _stream_factory(self, bucket: bytes, canonical: np.ndarray):
         def factory() -> list:

@@ -31,7 +31,7 @@ from repro.core import (
     ShardedRelation,
     StreamInterrupted,
 )
-from repro.core.storage import EndpointBackend
+from repro.core.access import AccessOrder
 from repro.service import (
     AsyncRankJoinService,
     LatencyModel,
@@ -71,14 +71,15 @@ def make_problem(n_relations=2, size=150, seed=3, shards=1):
 
 
 def empty_endpoint(page_size=4):
+    empty = np.empty(0, dtype=np.int64)
+    order = AccessOrder.gather(
+        AccessKind.SCORE, [], np.empty((0, 2)), np.empty(0), empty, 1.0,
+        empty, np.empty(0),
+    )
     return RemoteShardEndpoint(
         "E",
         0,
-        [],
-        np.empty(0),
-        np.empty((0, 2)),
-        np.empty(0),
-        np.empty(0, dtype=np.int64),
+        order,
         page_size=page_size,
         latency=LatencyModel(base=0.001, jitter=0.0),
     )
@@ -91,11 +92,11 @@ class TestRemoteShardEndpoint:
         ep = RemoteShardEndpoint.from_relation(
             rel, kind=AccessKind.DISTANCE, query=q, page_size=7
         )
-        ranks, tids, vectors, scores, tuples = ep.fetch_window(0, 30)
+        ranks, tids, vectors, scores = ep.fetch_window(0, 30)
         assert list(ranks) == sorted(ranks)
         d = np.linalg.norm(vectors - q, axis=1)
         assert np.allclose(d, ranks)
-        assert [t.tid for t in tuples] == list(tids)
+        assert [t.tid for t in ep.tuples[0:30]] == list(tids)
         assert ep.total == 30
 
     def test_pages_charged_per_window(self):
@@ -115,16 +116,16 @@ class TestRemoteShardEndpoint:
         ep = RemoteShardEndpoint.from_relation(
             rel, kind=AccessKind.SCORE, page_size=4
         )
-        ranks, tids, vectors, scores, tuples = ep.fetch_window(8, 100)
-        assert len(ranks) == len(tuples) == 2  # clamped to the end
+        ranks, tids, vectors, scores = ep.fetch_window(8, 100)
+        assert len(ranks) == len(tids) == len(vectors) == 2  # clamped to the end
         assert ep.pages == 1  # 2 rows -> one (short) page
         scores_all = ep.fetch_window(0, 10)[3]
         assert list(scores_all) == sorted(scores_all, reverse=True)
 
     def test_empty_shard_probe_still_pays_latency(self):
         ep = empty_endpoint()
-        ranks, tids, vectors, scores, tuples = ep.fetch_window(0, 10)
-        assert len(ranks) == 0 and tuples == []
+        ranks, tids, vectors, scores = ep.fetch_window(0, 10)
+        assert len(ranks) == 0 and len(ep.tuples) == 0
         assert vectors.shape == (0, 2)
         # The exhaustion-discovering call is a real round-trip.
         assert ep.pages == 1
@@ -230,7 +231,7 @@ class TestRemoteShardStream:
         async def main():
             loop = asyncio.get_running_loop()
             cursor = RemoteShardStream(ep, loop=loop)
-            ref = ep._slice(0, 40)
+            ref = ep.order.fetch_window(0, 40)
 
             def engine_side():
                 cursor.request(10)
@@ -287,8 +288,8 @@ class TestRemoteShardStream:
 
         asyncio.run(main())
 
-    def test_endpoint_backend_merges_remote_cursors(self):
-        """EndpointBackend + RemoteShardStream reproduce the single
+    def test_merge_stream_merges_remote_cursors(self):
+        """A MergeStream over RemoteShardStreams reproduces the single
         sorted access bit for bit, including with an empty shard."""
         rel = make_relation(size=30, seed=13)
         sharded = ShardedRelation.from_relation(rel, shards=3)
@@ -302,21 +303,12 @@ class TestRemoteShardStream:
                 )
                 for i, shard in enumerate(sharded.storage.shards)
             ]
-            cursors: list[RemoteShardStream] = []
-
-            def factory(kind, query):
-                cursors.extend(
-                    RemoteShardStream(ep, loop=loop) for ep in endpoints
-                )
-                # An empty remote shard participates harmlessly.
-                cursors.append(RemoteShardStream(empty_endpoint(), loop=loop))
-                return cursors
-
-            backend = EndpointBackend(sharded, sharded.storage.shards, factory)
+            cursors = [RemoteShardStream(ep, loop=loop) for ep in endpoints]
+            # An empty remote shard participates harmlessly.
+            cursors.append(RemoteShardStream(empty_endpoint(), loop=loop))
 
             def engine_side():
-                stream = backend.open_stream(AccessKind.SCORE)
-                assert isinstance(stream, MergeStream)
+                stream = MergeStream(sharded, AccessKind.SCORE, cursors)
                 merged = []
                 while True:
                     block = stream.next_block(7)
