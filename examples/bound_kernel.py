@@ -6,26 +6,25 @@ feasibility LP per dominance candidate.  The paper already warns that
 those solver loops dominate TBPA's engine time.  The bound-kernel
 refactor stops solving them one at a time: each refresh gathers every
 subset's QPs into a single masked batch call, and each dominance pass
-pivots all surviving feasibility LPs as one lockstep simplex wave.  On
-top of that, the *incremental* front end remembers across passes: cached
-witnesses answer candidates without an LP, byte-identical duplicate LPs
-collapse to one representative per value-equality class, unchanged
-verdict keys are reused outright, and surviving solves warm start from
-their previous simplex basis.
+pivots all surviving feasibility LPs as one lockstep simplex wave.  The
+kernel also remembers across passes: cached witnesses answer candidates
+without an LP, byte-identical duplicate LPs collapse to one
+representative per value-equality class, and unchanged verdict keys are
+reused outright.
 
 This example runs the same dominance-heavy n=3 workload — quantised to a
 coarse grid so streams stall on ties and exact-duplicate dominance LPs
-occur, the regime the reuse machinery targets — through all three
-execution strategies and prints the bound-time split
+occur, the regime the reuse machinery targets — through the scalar
+reference and the batched kernel and prints the bound-time split
 (engine / bound / dominance / solver), demonstrating that
 
 * the answers are *identical* — same ranked top-K, depths and bound bit
   for bit (the kernels are row-stable replicas of the scalar solvers,
-  and the incremental accelerations are verdict-preserving);
+  and the reuse layers are verdict-preserving);
 * the engine time drops by several x, almost all of it solver time won
   back from the dominance LP loop;
-* the incremental front end answers most dominance candidates without
-  solving their LP at all (witness hits + dedup + key reuse).
+* the kernel answers most dominance candidates without solving their LP
+  at all (witness hits + dedup + key reuse).
 
 Run:  python examples/bound_kernel.py
 """
@@ -54,19 +53,15 @@ for rel in relations:
 relations = tied
 scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
 
-STRATEGIES = (
-    ("scalar loops", dict(batch_kernel=False)),
-    ("batched kernel", dict(batch_kernel=True, incremental=False)),
-    ("incremental", dict(batch_kernel=True, incremental=True)),
-)
+STRATEGIES = (("scalar loops", False), ("batched kernel", True))
 results = {}
-for label, knobs in STRATEGIES:
+for label, batch_kernel in STRATEGIES:
     engine = make_algorithm(
         "TBPA", relations, scoring, query, 10,
         kind=AccessKind.DISTANCE,
         pull_block=8,
         dominance_period=2,       # dominance-heavy: LP pass every 2 accesses
-        **knobs,
+        batch_kernel=batch_kernel,
     )
     results[label] = engine.run()
 
@@ -84,25 +79,20 @@ for label, _ in STRATEGIES:
 
 scalar = results["scalar loops"]
 batched = results["batched kernel"]
-incremental = results["incremental"]
-for other in (batched, incremental):
-    assert other.depths == scalar.depths and other.bound == scalar.bound
-    assert [(c.key, c.score) for c in other.combinations] == [
-        (c.key, c.score) for c in scalar.combinations
-    ]
+assert batched.depths == scalar.depths and batched.bound == scalar.bound
+assert [(c.key, c.score) for c in batched.combinations] == [
+    (c.key, c.score) for c in scalar.combinations
+]
 print(f"\nidentical top-{len(batched.combinations)}, depths and bound "
-      f"across all three strategies; "
-      f"batched {scalar.total_seconds / batched.total_seconds:.1f}x, "
-      f"incremental {scalar.total_seconds / incremental.total_seconds:.1f}x "
+      f"across both strategies; "
+      f"batched {scalar.total_seconds / batched.total_seconds:.1f}x "
       f"vs scalar")
-c = incremental.counters
-print("incremental reuse:",
+c = batched.counters
+print("cross-pass reuse:",
       f"{c['dominance_witness_hits']:.0f} cached-witness hits,",
       f"{c['dominance_lp_deduped']:.0f} duplicate LPs collapsed,",
       f"{c['dominance_lp_reused']:.0f} verdict keys reused,",
-      f"{c['dominance_subset_skips']:.0f} subset passes skipped,",
-      f"{c['lp_warm_pivots']:.0f} warm vs {c['lp_cold_pivots']:.0f} cold "
-      f"pivots")
+      f"{c['dominance_subset_skips']:.0f} subset passes skipped")
 print("potentials memo:",
       f"{batched.counters['potential_evals']:.0f} evaluations for "
       f"{batched.counters['potential_consults']:.0f} strategy consultations")

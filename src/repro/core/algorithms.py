@@ -9,6 +9,9 @@ Bounding scheme x pulling strategy:
   never deeper than TBRR on any relation, Thm. 3.5 / Cor. 3.6)
 
 Each helper builds a ready-to-run :class:`~repro.core.template.ProxRJ`.
+The tight-bound helpers take ``dominance_period`` and ``batch_kernel``:
+the batched bound kernel is the one fast path, ``batch_kernel=False`` the
+scalar reference it is pinned against.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ def _build(
     adaptive: bool,
     dominance_period: int | None,
     batch_kernel: bool,
-    incremental: bool,
     bound_period: int,
     pull_block: int,
     use_index: bool,
@@ -49,11 +51,7 @@ def _build(
     should_stop,
 ) -> ProxRJ:
     bound = (
-        TightBound(
-            dominance_period=dominance_period,
-            batch_kernel=batch_kernel,
-            incremental=incremental,
-        )
+        TightBound(dominance_period=dominance_period, batch_kernel=batch_kernel)
         if tight
         else CornerBound()
     )
@@ -95,7 +93,7 @@ def cbrr(
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=False,
-        dominance_period=None, batch_kernel=True, incremental=True,
+        dominance_period=None, batch_kernel=True,
         bound_period=bound_period, pull_block=pull_block,
         use_index=use_index, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
@@ -122,7 +120,7 @@ def cbpa(
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=True,
-        dominance_period=None, batch_kernel=True, incremental=True,
+        dominance_period=None, batch_kernel=True,
         bound_period=bound_period, pull_block=pull_block,
         use_index=use_index, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
@@ -139,7 +137,6 @@ def tbrr(
     kind: AccessKind = AccessKind.DISTANCE,
     dominance_period: int | None = None,
     batch_kernel: bool = True,
-    incremental: bool = True,
     bound_period: int = 1,
     pull_block: int = 1,
     use_index: bool = False,
@@ -151,15 +148,14 @@ def tbrr(
     """Tight bound + round-robin (instance-optimal).
 
     ``batch_kernel=False`` pins the scalar per-subset/per-candidate bound
-    path — the reference the batched bound kernel is differenced against;
-    ``incremental=False`` keeps the batched kernel memoryless across
-    refreshes (results are bit-identical in all three modes).
+    path — the reference the batched bound kernel is differenced against
+    (results are bit-identical either way).
     """
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=False,
         dominance_period=dominance_period, batch_kernel=batch_kernel,
-        incremental=incremental, bound_period=bound_period,
+        bound_period=bound_period,
         pull_block=pull_block, use_index=use_index, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
@@ -175,7 +171,6 @@ def tbpa(
     kind: AccessKind = AccessKind.DISTANCE,
     dominance_period: int | None = None,
     batch_kernel: bool = True,
-    incremental: bool = True,
     bound_period: int = 1,
     pull_block: int = 1,
     use_index: bool = False,
@@ -187,15 +182,14 @@ def tbpa(
     """Tight bound + potential-adaptive (the paper's best algorithm).
 
     ``batch_kernel=False`` pins the scalar per-subset/per-candidate bound
-    path — the reference the batched bound kernel is differenced against;
-    ``incremental=False`` keeps the batched kernel memoryless across
-    refreshes (results are bit-identical in all three modes).
+    path — the reference the batched bound kernel is differenced against
+    (results are bit-identical either way).
     """
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=True,
         dominance_period=dominance_period, batch_kernel=batch_kernel,
-        incremental=incremental, bound_period=bound_period,
+        bound_period=bound_period,
         pull_block=pull_block, use_index=use_index, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,

@@ -109,16 +109,12 @@ class BoundCounters:
     potential_evals: int = 0
     #: Incremental-dominance reuse: candidates answered by a cached
     #: witness still satisfying every constraint, by an unchanged capped
-    #: competitor set (LP skipped), or by within-pass byte-dedup; subsets
-    #: whose whole pass was provably redundant; and the warm/cold pivot
-    #: split of the LPs that did run (warm = started from a cached
-    #: optimal basis).
+    #: competitor set (LP skipped), or by within-pass byte-dedup; and
+    #: subsets whose whole pass was provably redundant.
     dominance_witness_hits: int = 0
     dominance_lp_reused: int = 0
     dominance_lp_deduped: int = 0
     dominance_subset_skips: int = 0
-    lp_warm_pivots: int = 0
-    lp_cold_pivots: int = 0
     bound_seconds: float = 0.0
     dominance_seconds: float = 0.0
     #: Wall-clock inside the LP/QP solver kernels proper — the share of
@@ -140,8 +136,6 @@ class BoundCounters:
             "dominance_lp_reused": self.dominance_lp_reused,
             "dominance_lp_deduped": self.dominance_lp_deduped,
             "dominance_subset_skips": self.dominance_subset_skips,
-            "lp_warm_pivots": self.lp_warm_pivots,
-            "lp_cold_pivots": self.lp_cold_pivots,
             "bound_seconds": self.bound_seconds,
             "dominance_seconds": self.dominance_seconds,
             "solver_seconds": self.solver_seconds,

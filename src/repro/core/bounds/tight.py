@@ -30,13 +30,13 @@ access), with the engineering refinements called out in DESIGN.md:
   call.  The kernels' row-stable arithmetic makes completed runs
   bit-identical to the scalar path (``batch_kernel=False``, the
   per-subset/per-candidate reference kept for the differential suite).
-* **Incremental dominance** (default, ``incremental=True``): the batched
-  dominance pass carries caches *across* refreshes — per-entry LP keys,
-  feasible points and optimal simplex bases, per-subset pass
-  fingerprints, per-entry QP active sets — so unchanged work is skipped,
-  duplicated work solved once, and the rest warm-started; every
-  mechanism is verdict-preserving (see ``_dominance_pass_batched``), so
-  runs stay bit-identical to both reference paths.
+* The batched kernel carries caches *across* refreshes — per-entry LP
+  keys and feasible points, per-subset pass fingerprints, per-entry QP
+  active sets — so unchanged dominance work is skipped, duplicated LPs
+  are solved once, and each masked QP tries its last active set first;
+  every mechanism is verdict-preserving (see
+  ``_dominance_pass_batched``), so runs stay bit-identical to the scalar
+  reference.
 * The scheme synchronises against the streams' seen prefixes, so the
   engine may invoke it only every ``bound_period`` pulls (the paper's
   practical-systems trade-off) and the incremental cross-product still
@@ -130,7 +130,6 @@ class _SubsetState:
         "canon_ids",
         "lp_keys",
         "lp_point",
-        "lp_basis",
         "qp_active",
         "pass_count",
         "pass_newly",
@@ -153,24 +152,22 @@ class _SubsetState:
         self.b = np.empty((cap, d))
         self.c = np.empty(cap)
         self.witness = np.full((cap, d), np.nan)
-        # Incremental-dominance caches (see TightBound's docstring): the
-        # value-equality class of each entry's immutable ``(b, c)`` row
-        # (assigned at append; two entries share an id iff their rows are
-        # byte-identical), the LP-problem identity key each entry's last
-        # verdict was computed for (a padded canon-id row — own class
-        # first, then the ordered capped competitor classes, -1 padding;
-        # all -2 = no cached verdict), the feasible point and optimal
-        # simplex basis of that solve, the last resolving QP active-set
-        # mask (-1 = none), and the field fingerprint of the last
-        # dominance pass (entry count + new flags) that licenses a full
-        # subset skip.
+        # Cross-refresh caches of the batched kernel (see TightBound's
+        # docstring): the value-equality class of each entry's immutable
+        # ``(b, c)`` row (assigned at append; two entries share an id iff
+        # their rows are byte-identical), the LP-problem identity key each
+        # entry's last verdict was computed for (a padded canon-id row —
+        # own class first, then the ordered capped competitor classes, -1
+        # padding; all -2 = no cached verdict), the feasible point of that
+        # solve, the last resolving QP active-set mask (-1 = none), and
+        # the field fingerprint of the last dominance pass (entry count +
+        # new flags) that licenses a full subset skip.
         self.canon = np.full(cap, -1, dtype=np.int64)
         self.canon_ids: dict[bytes, int] = {}
         self.lp_keys = np.full(
             (cap, _MAX_LP_CONSTRAINTS + 1), -2, dtype=np.int64
         )
         self.lp_point = np.full((cap, d), np.nan)
-        self.lp_basis: list[np.ndarray | None] = [None] * cap
         self.qp_active = np.full(cap, -1, dtype=np.int64)
         self.pass_count = -1
         self.pass_newly = 0
@@ -202,7 +199,6 @@ class _SubsetState:
             )
             fresh[:p] = old[:p]
             setattr(self, name, fresh)
-        self.lp_basis.extend([None] * (cap - len(self.lp_basis)))
 
     def append(self, scores: np.ndarray, vecs: np.ndarray) -> int:
         """Append an entry batch; returns the first new row index."""
@@ -217,7 +213,6 @@ class _SubsetState:
         # Rows may be reused after clear(): stale caches must not leak
         # into new entries.
         self.lp_keys[lo : lo + e] = -2
-        self.lp_basis[lo : lo + e] = [None] * e
         self.qp_active[lo : lo + e] = -1
         self.count = lo + e
         return lo
@@ -252,9 +247,12 @@ class TightBound(BoundingScheme):
     ----------
     dominance_period:
         Run the dominance LP pass every this many accesses under distance
-        access (Figures 3(m)/(n) sweep this).  ``None`` disables dominance
-        (the paper's "period = infinity").  Ignored under score access,
-        where Algorithm 3's best-entry rule plays the same role for free.
+        access (Figures 3(m)/(n) sweep this): a refresh runs a pass when
+        the access count crosses a multiple of the period since the last
+        refresh, so block pulls and ``bound_period`` keep the cadence.
+        ``None`` disables dominance (the paper's "period = infinity").
+        Ignored under score access, where Algorithm 3's best-entry rule
+        plays the same role for free.
     batch_kernel:
         ``True`` (default) routes each refresh through the batched bound
         kernel: one gathered :func:`~repro.optim.solve_bound_qp_masked`
@@ -263,21 +261,6 @@ class TightBound(BoundingScheme):
         dominance pass.  ``False`` keeps the per-subset / per-candidate
         scalar path — the reference the differential suite pins the
         kernel against (completed runs are bit-identical either way).
-    incremental:
-        ``True`` (default) makes the *batched* dominance pass incremental
-        across refreshes: subsets whose candidate field is provably
-        unchanged skip their pass outright, candidates whose capped
-        competitor tuple is unchanged reuse last pass's (non-empty)
-        verdict without re-solving, byte-identical LP systems within a
-        pass are solved once, and the LPs that do run are warm-started
-        from cached optimal bases and assembled through workspace-owned
-        gather plans; the masked QP kernel additionally tries each
-        entry's last resolving active set first.  Every mechanism is
-        verdict-preserving, so completed runs stay bit-identical to the
-        memoryless batched pass and the scalar reference.  ``False``
-        keeps the memoryless batched pass (the PR 5 baseline, used by
-        the benchmark's speedup denominator).  Ignored when
-        ``batch_kernel`` is off.
     """
 
     def __init__(
@@ -285,14 +268,12 @@ class TightBound(BoundingScheme):
         dominance_period: int | None = None,
         *,
         batch_kernel: bool = True,
-        incremental: bool = True,
     ) -> None:
         super().__init__()
         if dominance_period is not None and dominance_period < 1:
             raise ValueError("dominance_period must be >= 1 (or None)")
         self.dominance_period = dominance_period
         self.batch_kernel = batch_kernel
-        self.incremental = incremental
         self._subsets: list[_SubsetState] | None = None
         self._synced: list[int] = []
         self._accesses = 0
@@ -343,7 +324,6 @@ class TightBound(BoundingScheme):
         self.counters.updates += 1
         subsets = self._init_subsets(state)
         new_counts = [s.depth - p for s, p in zip(state.streams, self._synced)]
-        self._accesses += sum(new_counts)
         if state.kind is AccessKind.DISTANCE:
             t = self._update_distance(state, subsets, new_counts)
         else:
@@ -447,6 +427,8 @@ class TightBound(BoundingScheme):
         self._mark_dead_subsets(state, subsets)
         track_dominance = self.dominance_period is not None
         gathered = self.batch_kernel
+        accesses_before = self._accesses
+        self._accesses += sum(new_counts)
 
         # Gather phase (batch kernel) / solve phase (scalar reference).
         # ``pending`` collects every subset's stale completion problems
@@ -485,7 +467,7 @@ class TightBound(BoundingScheme):
                     )
                     sub.b[lo : lo + e_new] = bs
                     sub.c[lo : lo + e_new] = cs
-                    if gathered and self.incremental:
+                    if gathered:
                         # Canonical value-equality ids for the new rows:
                         # duplicate pulls (tie-heavy streams) produce
                         # byte-identical (b, c) rows, which share an id
@@ -536,8 +518,12 @@ class TightBound(BoundingScheme):
                 if not sub.dead:
                     sub.recompute_max()
 
-        if track_dominance and self.dominance_period is not None:
-            if self._accesses % self.dominance_period == 0:
+        # A refresh advances the access count by whole blocks (or by
+        # ``bound_period`` pulls) and may skip over a multiple of the
+        # period, so the pass runs whenever the count crosses one.
+        if track_dominance:
+            period = self.dominance_period
+            if accesses_before // period < self._accesses // period:
                 if gathered:
                     self._dominance_pass_batched(scoring, n, state, subsets)
                 else:
@@ -596,16 +582,14 @@ class TightBound(BoundingScheme):
         fixed_mask, fixed_vals, lower_mask, lower_vals = ws.qp_slabs(total, n)
         score_term = ws.array("qp_score_term", (total,))
         residual_sq = ws.array("qp_residual_sq", (total,))
-        incremental = self.incremental
-        hints = ws.array("qp_hints", (total,), np.int64) if incremental else None
+        hints = ws.array("qp_hints", (total,), np.int64)
 
         chunks: list[_QPChunk] = []
         offset = 0
         for sub, rows in pending:
             e = len(rows)
             span = slice(offset, offset + e)
-            if hints is not None:
-                hints[span] = sub.qp_active[rows]
+            hints[span] = sub.qp_active[rows]
             proj, res_sq, s_term = completion_geometry(
                 scoring,
                 query,
@@ -628,22 +612,16 @@ class TightBound(BoundingScheme):
 
         h = spread_matrix(n, scoring.w_q, scoring.w_mu)
         started = time.perf_counter()
-        if incremental:
-            qp_vals, thetas, active = solve_bound_qp_masked(
-                h, fixed_mask, fixed_vals, lower_mask, lower_vals,
-                hints=hints, return_active=True,
-            )
-        else:
-            qp_vals, thetas = solve_bound_qp_masked(
-                h, fixed_mask, fixed_vals, lower_mask, lower_vals
-            )
+        qp_vals, thetas, active = solve_bound_qp_masked(
+            h, fixed_mask, fixed_vals, lower_mask, lower_vals,
+            hints=hints, return_active=True,
+        )
         self.counters.solver_seconds += time.perf_counter() - started
         values = score_term - qp_vals - (scoring.w_q + scoring.w_mu) * residual_sq
         for chunk in chunks:
             chunk.sub.t[chunk.rows] = values[chunk.span]
             chunk.sub.theta[chunk.rows] = thetas[chunk.span]
-            if incremental:
-                chunk.sub.qp_active[chunk.rows] = active[chunk.span]
+            chunk.sub.qp_active[chunk.rows] = active[chunk.span]
 
     def _dominance_pass(
         self, scoring: QuadraticFormScoring, n: int, subsets: list[_SubsetState]
@@ -701,10 +679,11 @@ class TightBound(BoundingScheme):
         """Batched dominance pass: shared witness pre-pass per subset,
         then every subset's surviving feasibility LPs solved through one
         lockstep kernel call (the kernel groups and stacks the ``G/h``
-        blocks by constraint count).
+        blocks by constraint count into the workspace's
+        :meth:`~repro.core.bounds.workspace.BoundWorkspace.lp_plan` slabs).
 
-        With ``incremental`` (the default), four verdict-preserving
-        reuse layers run in front of and inside the kernel call:
+        Three verdict-preserving reuse layers run in front of the kernel
+        call:
 
         * **subset skip** — a subset whose last pass saw the same entry
           count *and* flagged nothing new has a bit-identical candidate
@@ -726,28 +705,19 @@ class TightBound(BoundingScheme):
           streams produce exact twins), so one row-unique call per
           subset picks the systems to assemble and solve, and the
           verdict is fanned out to every owner.
-        * **warm starts + plans** — the LPs that remain are warm-started
-          from cached optimal bases (stale bases fall back to the
-          bit-identical cold start) and assembled through the
-          workspace's :meth:`~repro.core.bounds.workspace.BoundWorkspace.lp_plan`
-          slabs.
         """
         start = time.perf_counter()
-        incremental = self.incremental
-        ws = self._workspace(state) if incremental else None
         scatter: list[tuple[_SubsetState, int, np.ndarray]] = []
         gs: list[np.ndarray] = []
         hs: list[np.ndarray] = []
-        owners: list[tuple[_SubsetState, int]] = []
         fanouts: list[tuple] = []
-        warm_bases: list[np.ndarray | None] = []
         for sub in subsets:
             if sub.dead or not sub.members:
                 continue
             cnt = sub.count
             if cnt - int(sub.dominated[:cnt].sum()) < 2:
                 continue
-            if incremental and sub.pass_count == cnt and sub.pass_newly == 0:
+            if sub.pass_count == cnt and sub.pass_newly == 0:
                 self.counters.dominance_subset_skips += 1
                 continue
             m = len(sub.members)
@@ -756,20 +726,12 @@ class TightBound(BoundingScheme):
             prep = prepare_dominance_pass(
                 sub.b[:cnt], sub.c[:cnt], before,
                 quad_coeff=quad, witnesses=sub.witness[:cnt],
-                canon=sub.canon[:cnt] if incremental else None,
+                canon=sub.canon[:cnt],
             )
             self.counters.dominance_witness_hits += prep.witness_hits
             scatter.append((sub, cnt, prep.out))
             alpha = prep.alpha
             if alpha.size == 0:
-                continue
-            if not incremental:
-                for k in range(alpha.size):
-                    g, h = prep.assemble(k)
-                    gs.append(g)
-                    hs.append(h)
-                    owners.append((sub, int(alpha[k])))
-                    warm_bases.append(None)
                 continue
             # Class-collapsed front end: ``prep.alpha``/``prep.comp``
             # hold one representative problem per value-equality class;
@@ -809,41 +771,23 @@ class TightBound(BoundingScheme):
                 g, h = prep.assemble(int(u))
                 gs.append(g)
                 hs.append(h)
-                warm_bases.append(sub.lp_basis[int(alpha[u])])
             self.counters.dominance_lp_deduped += int(rest.size - sel.size)
             fanouts.append(
                 (sub, own[rest], slot_of[own_cls[rest]], keys[rest], width)
             )
 
         if gs:
-            # One ragged lockstep call for every subset's surviving LPs;
-            # the kernel groups by constraint count and stacks the
-            # blocks itself (into the workspace's plans when incremental).
-            stats: dict[str, int] = {}
+            # One ragged lockstep call for every subset's surviving LPs.
             started = time.perf_counter()
-            if incremental:
-                points, empty, bases_out = polyhedron_feasible_point_batch(
-                    gs, hs, bases=warm_bases, return_bases=True,
-                    stats=stats, workspace=ws,
-                )
-            else:
-                points, empty = polyhedron_feasible_point_batch(gs, hs)
-                bases_out = None
+            points, empty = polyhedron_feasible_point_batch(
+                gs, hs, workspace=self._workspace(state)
+            )
             self.counters.solver_seconds += time.perf_counter() - started
             self.counters.lp_solves += len(gs)
-            self.counters.lp_warm_pivots += stats.get("lp_warm_pivots", 0)
-            self.counters.lp_cold_pivots += stats.get("lp_cold_pivots", 0)
             out_of = {id(sub): out for sub, _, out in scatter}
-            # Memoryless scatter: one owner per problem, in gs order.
-            for slot, (sub, a) in enumerate(owners):
-                if empty[slot]:
-                    out_of[id(sub)][a] = True
-                else:
-                    sub.witness[a] = points[slot]
-            # Incremental scatter: fan each solved system's verdict out
-            # to every owner and refresh the per-entry caches, all with
-            # array indexing (``slots`` maps owners to their unique
-            # solved problem).
+            # Fan each solved system's verdict out to every owner and
+            # refresh the per-entry caches, all with array indexing
+            # (``slots`` maps owners to their unique solved problem).
             for sub, own, slots, key_rows, width in fanouts:
                 out = out_of[id(sub)]
                 emptied = empty[slots]
@@ -861,17 +805,14 @@ class TightBound(BoundingScheme):
                     )
                     rows[:, : width + 1] = key_rows[ok]
                     sub.lp_keys[a_ok] = rows
-                    for a, s in zip(a_ok, slots[ok]):
-                        sub.lp_basis[int(a)] = bases_out[int(s)]
 
         for sub, cnt, out in scatter:
             newly = out & ~sub.dominated[:cnt]
             n_newly = int(newly.sum())
             self.counters.entries_dominated += n_newly
             sub.dominated[:cnt] = out
-            if incremental:
-                sub.pass_count = cnt
-                sub.pass_newly = n_newly
+            sub.pass_count = cnt
+            sub.pass_newly = n_newly
         self.counters.dominance_seconds += time.perf_counter() - start
 
     # -- score access (Algorithm 3) -------------------------------------------

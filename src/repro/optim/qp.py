@@ -347,9 +347,8 @@ def _solve_pattern(
 
     ``hint_masks`` (optional, per entry; ``-1`` = no hint) reorders the
     candidate enumeration to try the most common hinted active sets
-    first — the cross-pass carry of the incremental dominance front end,
-    where most entries re-resolve to last refresh's active set on the
-    first try.  The KKT acceptance test is unchanged, and the strictly
+    first — the tight bound passes each entry's last resolving active
+    set, and most entries re-resolve to it on the first try.  The KKT acceptance test is unchanged, and the strictly
     convex QP has a unique optimum, so the answer does not depend on the
     enumeration order.
 

@@ -33,27 +33,19 @@ is elementwise across the batch axis, each problem's pivot sequence — and
 hence its centre and radius — is bit-identical to a scalar
 :func:`chebyshev_center` call on the same data.
 
-Incremental extensions (the cross-pass dominance work):
+Two refinements serve the engine's dominance passes:
 
 * Zero- and single-constraint problems are answered analytically — a
   single half-space always admits the capped ball — without building a
   tableau, in the scalar and batched paths alike.
-* :func:`chebyshev_center_batch` / :func:`polyhedron_feasible_point_batch`
-  accept ``bases=`` (per-problem starting bases cached from an earlier
-  solve of a similar problem).  A basis that is the wrong size, out of
-  range, singular or primal-infeasible for the *current* rows is
-  rejected and that problem takes the cold start **bit-identically**; a
-  valid basis is replayed (``B^{-1}[A|b]`` + reduced objective row) and
-  the lockstep simplex resumes from it, typically in a handful of
-  pivots.  Warm-started solves may differ from cold ones in the last
-  bits of the *centre* — like the scipy scalar path, only the emptiness
-  verdict (a robust sign test on the radius) is contract-bound.
 * ``workspace=`` routes the per-group stacking and the 3-D tableau
   through :class:`ChebyGatherPlan` slabs (grow-only, owned by the
   caller's :class:`~repro.core.bounds.workspace.BoundWorkspace`), so
   steady-state dominance passes allocate no fresh gather buffers.
-* ``stats=`` accumulates ``lp_warm_pivots`` / ``lp_cold_pivots`` /
-  ``lp_warm_starts`` so callers can prove the reuse rate.
+
+Every batched problem starts from the family's feasible vertex (the
+construction :func:`chebyshev_center` uses); no basis is carried from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -366,19 +358,15 @@ def _pivot_batch(
 
 def _run_simplex_batch(
     tab: np.ndarray, basis: np.ndarray, num_vars: int, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep :func:`_run_simplex` over stacked tableaus.
-
-    Returns ``(status, pivots)``: the per-problem status vector
-    (``_OPT`` / ``_UNB``) and per-problem pivot counts (the raw material
-    of the ``lp_warm_pivots`` / ``lp_cold_pivots`` reuse counters)."""
+) -> np.ndarray:
+    """Lockstep :func:`_run_simplex` over stacked tableaus; returns the
+    per-problem status vector (``_OPT`` / ``_UNB``)."""
     num_problems = tab.shape[0]
     status = np.full(num_problems, _RUNNING, dtype=np.int8)
-    pivots = np.zeros(num_problems, dtype=np.int64)
     for _ in range(max_iter):
         run = np.flatnonzero(status == _RUNNING)
         if run.size == 0:
-            return status, pivots
+            return status
         cost = tab[run, -1, :num_vars]
         neg = cost < -_TOL
         improving = neg.any(axis=1)
@@ -405,11 +393,10 @@ def _run_simplex_batch(
         eligible = ratios <= best[:, None] + _TOL
         cand = np.where(eligible, basis[run], _HUGE_BASIS)
         leaving = cand.argmin(axis=1)
-        pivots[run] += 1
         _pivot_batch(tab, basis, run, leaving, entering)
     if (status == _RUNNING).any():
         raise RuntimeError(f"simplex failed to converge in {max_iter} iterations")
-    return status, pivots
+    return status
 
 
 class ChebyGatherPlan:
@@ -456,69 +443,6 @@ class ChebyGatherPlan:
         )
 
 
-def _warm_replay(
-    tab: np.ndarray,
-    basis: np.ndarray,
-    bases: np.ndarray,
-    rows: int,
-    num_vars: int,
-) -> np.ndarray:
-    """Restart problems from cached bases where possible.
-
-    ``bases`` is ``(B, rows)`` int64 with negative entries marking "no
-    cached basis".  For each candidate the basis representation
-    ``B^{-1} [A | b]`` is rebuilt against the *current* tableau rows and
-    the reduced objective row is recomputed; a basis that is out of
-    range, singular, or primal-infeasible (negative basic rhs) is
-    rejected — the staleness rule — and that problem keeps the all-slack
-    tableau untouched, so its subsequent cold start is bit-identical to
-    never having had a basis.  Returns the mask of warm-started problems.
-
-    The replay uses BLAS (``np.linalg.solve``), so a warm-started
-    problem's optimum may differ from its cold solve in the last bits;
-    callers rely only on the robust emptiness verdict (same standing as
-    the scipy scalar path).
-    """
-    num_problems = tab.shape[0]
-    warm = np.zeros(num_problems, dtype=bool)
-    cand = np.flatnonzero(
-        (bases >= 0).all(axis=1) & (bases < num_vars).all(axis=1)
-    )
-    if cand.size == 0:
-        return warm
-    body = tab[cand][:, :rows, :]  # (W, rows, cols) copies
-    bmat = np.take_along_axis(body, bases[cand][:, None, :], axis=2)
-    try:
-        rep = np.linalg.solve(bmat, body)
-        ok = np.isfinite(rep).all(axis=(1, 2))
-    except np.linalg.LinAlgError:
-        rep = np.empty_like(body)
-        ok = np.zeros(cand.size, dtype=bool)
-        for k in range(cand.size):
-            try:
-                rep[k] = np.linalg.solve(bmat[k], body[k])
-                ok[k] = True
-            except np.linalg.LinAlgError:
-                pass
-    ok &= (rep[:, :, -1] >= -_TOL).all(axis=1)
-    good = cand[np.flatnonzero(ok)]
-    if good.size == 0:
-        return warm
-    rep = rep[ok]
-    # Reduced objective row: price out the basic columns, then zero them
-    # exactly (their reduced cost is 0 by definition; leaving roundoff
-    # there could re-admit a basic column as entering).
-    z = tab[good, -1, :]
-    coeff = np.take_along_axis(z, bases[good], axis=1)
-    z = z - np.einsum("wr,wrc->wc", coeff, rep)
-    np.put_along_axis(z, bases[good], 0.0, axis=1)
-    tab[good, :rows, :] = rep
-    tab[good, -1, :] = z
-    basis[good] = bases[good]
-    warm[good] = True
-    return warm
-
-
 def _cheby_solve_batch(
     g: np.ndarray,
     h: np.ndarray,
@@ -526,24 +450,19 @@ def _cheby_solve_batch(
     r_cap: float,
     max_iter: int = 10_000,
     *,
-    bases: np.ndarray | None = None,
     plan: ChebyGatherPlan | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep warm-started Chebyshev simplex on ``B`` stacked problems
     of a common constraint count.  ``g`` is ``(B, m, d)``, ``h`` and
     ``norms`` are ``(B, m)`` with every norm positive (zero rows removed
-    by the caller).  Returns ``(centers, radii, basis, pivots, warm)``
-    with NaN / ``-inf`` centre/radius for problems the scalar path would
-    answer ``(None, -inf)``; ``basis`` is the ``(B, rows)`` optimal basis
-    (cacheable for a later ``bases=`` warm start), ``pivots`` the
-    per-problem pivot counts and ``warm`` the basis-replay mask.
+    by the caller).  Returns ``(centers, radii)`` with NaN / ``-inf``
+    centre/radius for problems the scalar path would answer
+    ``(None, -inf)``.
 
-    For cold problems (no ``bases`` row, or a stale one), construction,
-    warm-start pivot and simplex iterations mirror
+    Construction, warm-start pivot and simplex iterations mirror
     :func:`chebyshev_center` operation for operation across the batch
     axis (elementwise pivots, per-problem selection), so every problem is
-    bit-identical to its scalar solve.  Warm problems resume from the
-    replayed basis instead (see :func:`_warm_replay`).
+    bit-identical to its scalar solve.
     """
     num_problems, m, d = g.shape
     scale = np.abs(np.concatenate([g, norms[:, :, None]], axis=2)).max(axis=2)
@@ -573,24 +492,18 @@ def _cheby_solve_batch(
         np.arange(r_col + 2, r_col + 2 + rows, dtype=np.int64),
         (num_problems, 1),
     )
-    warm = (
-        _warm_replay(tab, basis, bases, rows, num_vars)
-        if bases is not None
-        else np.zeros(num_problems, dtype=bool)
+    denom = np.concatenate([n_r, np.ones((num_problems, 1))], axis=1)
+    ratios = tab[:, :rows, -1] / denom
+    i_star = ratios.argmin(axis=1)
+    start_col = np.where(
+        np.take_along_axis(ratios, i_star[:, None], axis=1)[:, 0] >= 0.0,
+        r_col,
+        r_col + 1,
     )
-    cold = np.flatnonzero(~warm)
-    if cold.size:
-        denom = np.concatenate([n_r[cold], np.ones((cold.size, 1))], axis=1)
-        ratios = tab[cold, :rows, -1] / denom
-        i_star = ratios.argmin(axis=1)
-        start_col = np.where(
-            np.take_along_axis(ratios, i_star[:, None], axis=1)[:, 0] >= 0.0,
-            r_col,
-            r_col + 1,
-        )
-        _pivot_batch(tab, basis, cold, i_star, start_col.astype(np.int64))
-    statuses, pivots = _run_simplex_batch(tab, basis, num_vars, max_iter)
-    pivots[cold] += 1  # the cold construction pivot
+    _pivot_batch(
+        tab, basis, np.arange(num_problems), i_star, start_col.astype(np.int64)
+    )
+    statuses = _run_simplex_batch(tab, basis, num_vars, max_iter)
 
     x = np.zeros((num_problems, num_vars))
     rows_all = np.arange(num_problems)
@@ -601,19 +514,10 @@ def _cheby_solve_batch(
     failed = statuses != _OPT
     centers[failed] = np.nan
     radii[failed] = -np.inf
-    return centers, radii, basis, pivots, warm
+    return centers, radii
 
 
-def chebyshev_center_batch(
-    gs,
-    hs,
-    *,
-    r_cap: float = _R_CAP,
-    bases=None,
-    return_bases: bool = False,
-    stats: dict | None = None,
-    workspace=None,
-):
+def chebyshev_center_batch(gs, hs, *, r_cap: float = _R_CAP, workspace=None):
     """Lockstep :func:`chebyshev_center` over ``B`` polyhedra.
 
     Parameters
@@ -624,18 +528,6 @@ def chebyshev_center_batch(
         shape a dominance pass produces: constraint counts differ across
         subsets).  Problems are grouped by effective constraint count and
         each group is pivoted in lockstep.
-    bases:
-        Optional length-``B`` sequence of cached per-problem starting
-        bases (``None`` entries = no cache).  A basis whose length does
-        not match the problem's current post-strip row count, or that
-        fails the replay validity checks, is ignored — the problem cold
-        starts bit-identically (see :func:`_warm_replay`).
-    return_bases:
-        Also return the per-problem optimal bases (``None`` for problems
-        answered without a tableau), for caching into a later ``bases=``.
-    stats:
-        Optional dict accumulating ``lp_warm_starts`` /
-        ``lp_warm_pivots`` / ``lp_cold_pivots``.
     workspace:
         Optional arena owning :class:`ChebyGatherPlan` slabs (duck-typed:
         needs ``lp_plan(m, d)``; the engine passes its
@@ -645,16 +537,14 @@ def chebyshev_center_batch(
 
     Returns
     -------
-    (centers, radii) or (centers, radii, bases_out):
+    (centers, radii):
         ``(B, d)`` and ``(B,)``.  A problem the scalar path would answer
         with ``(None, -inf)`` (zero-row infeasibility or numerical
         failure) gets a NaN centre row and ``-inf`` radius.
 
-    Without ``bases``, every problem's answer is bit-identical to a
-    scalar :func:`chebyshev_center` call on the same ``(g, h)`` — the
-    batch is purely an execution strategy (see the module docstring).
-    Warm-started problems keep the identical emptiness *verdict* but may
-    differ in the centre's last bits.
+    Every problem's answer is bit-identical to a scalar
+    :func:`chebyshev_center` call on the same ``(g, h)`` — the batch is
+    purely an execution strategy (see the module docstring).
     """
     problems = [
         (np.atleast_2d(np.asarray(g, dtype=float)), np.asarray(h, dtype=float))
@@ -662,13 +552,10 @@ def chebyshev_center_batch(
     ]
     num_problems = len(problems)
     if num_problems == 0:
-        if return_bases:
-            return np.zeros((0, 0)), np.zeros(0), []
         return np.zeros((0, 0)), np.zeros(0)
     d = problems[0][0].shape[1]
     centers = np.full((num_problems, d), np.nan)
     radii = np.full(num_problems, -np.inf)
-    bases_out: list[np.ndarray | None] = [None] * num_problems
 
     groups: dict[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
     for i, (g, h) in enumerate(problems):
@@ -705,35 +592,9 @@ def chebyshev_center_batch(
             g_stack[k] = g
             h_stack[k] = h
             n_stack[k] = norms
-        b_stack = None
-        if bases is not None:
-            group_rows = m + 1
-            b_stack = np.full((count, group_rows), -1, dtype=np.int64)
-            for k, (i, _, _, _) in enumerate(items):
-                cached = bases[i]
-                if cached is not None and len(cached) == group_rows:
-                    b_stack[k] = cached
-        group_centers, group_radii, group_basis, group_pivots, group_warm = (
-            _cheby_solve_batch(
-                g_stack, h_stack, n_stack, r_cap, bases=b_stack, plan=plan
-            )
+        centers[idx], radii[idx] = _cheby_solve_batch(
+            g_stack, h_stack, n_stack, r_cap, plan=plan
         )
-        centers[idx] = group_centers
-        radii[idx] = group_radii
-        if return_bases:
-            for k, i in enumerate(idx):
-                bases_out[i] = group_basis[k].copy()
-        if stats is not None:
-            warm_n = int(group_warm.sum())
-            stats["lp_warm_starts"] = stats.get("lp_warm_starts", 0) + warm_n
-            stats["lp_warm_pivots"] = stats.get("lp_warm_pivots", 0) + int(
-                group_pivots[group_warm].sum()
-            )
-            stats["lp_cold_pivots"] = stats.get("lp_cold_pivots", 0) + int(
-                group_pivots[~group_warm].sum()
-            )
-    if return_bases:
-        return centers, radii, bases_out
     return centers, radii
 
 
@@ -779,7 +640,7 @@ def polyhedron_feasible_point(
             return None
         g, h, norms = g[~zero_rows], h[~zero_rows], norms[~zero_rows]
         if len(h) == 0:
-            return np.zeros(g.shape[1] if g.size else 1)
+            return np.zeros(g.shape[1])
     if len(h) == 1:
         # A single half-space is always non-empty: analytic centre, no LP.
         return _single_row_center(g, h, norms, _R_CAP)
@@ -802,30 +663,19 @@ def polyhedron_feasible_point(
     return center
 
 
-def polyhedron_feasible_point_batch(
-    gs,
-    hs,
-    *,
-    tol: float = 1e-7,
-    bases=None,
-    return_bases: bool = False,
-    stats: dict | None = None,
-    workspace=None,
-):
+def polyhedron_feasible_point_batch(gs, hs, *, tol: float = 1e-7, workspace=None):
     """Batched :func:`polyhedron_feasible_point` over ``B`` polyhedra.
 
     Accepts stacked ``(B, m, d)`` / ``(B, m)`` arrays or ragged
-    per-problem sequences, plus the warm-start / plan keywords of
-    :func:`chebyshev_center_batch` (``bases`` / ``return_bases`` /
-    ``stats`` / ``workspace``), which are passed straight through.
+    per-problem sequences, plus the ``workspace`` plan arena of
+    :func:`chebyshev_center_batch`, which is passed straight through.
 
     Returns
     -------
-    (points, empty) or (points, empty, bases_out):
+    (points, empty):
         ``points`` is ``(B, d)`` — the Chebyshev-centre witness per
         non-empty polyhedron, NaN rows where empty; ``empty`` is the
-        ``(B,)`` boolean emptiness verdict; ``bases_out`` (with
-        ``return_bases``) holds the cacheable per-problem optimal bases.
+        ``(B,)`` boolean emptiness verdict.
 
     Always the dense lockstep kernel: per problem, the point and verdict
     are bit-identical to the scalar dense path (:func:`chebyshev_center`
@@ -833,24 +683,12 @@ def polyhedron_feasible_point_batch(
     route through scipy's HiGHS instead, which returns a different (but
     equally valid) witness; the emptiness *verdicts* agree — both are
     robust sign tests on the same LP optimum — which is the invariant the
-    dominance pass relies on.  Warm-started problems (``bases``) keep the
-    same verdict standing: identical emptiness answer, possibly different
-    witness bits.
+    dominance pass relies on.
     """
-    result = chebyshev_center_batch(
-        gs,
-        hs,
-        bases=bases,
-        return_bases=return_bases,
-        stats=stats,
-        workspace=workspace,
-    )
-    centers, radii = result[0], result[1]
+    centers, radii = chebyshev_center_batch(gs, hs, workspace=workspace)
     empty = (radii < -tol) | np.isnan(centers).any(axis=1)
     points = centers.copy()
     points[empty] = np.nan
-    if return_bases:
-        return points, empty, result[2]
     return points, empty
 
 

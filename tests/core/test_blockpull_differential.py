@@ -67,6 +67,31 @@ def tie_heavy_workload(seed):
     return relations, np.zeros(2), k
 
 
+K_TIE_DEFECT = (
+    "TBPA stops at bound -0.18152524806461365 while the unseen combination "
+    "(27, 34, 37) scores -0.1815252480646136, so its tied keys differ from "
+    "the oracle; a 1e-12 relative margin on the bound costs +15% sum_depths "
+    "on tie-heavy query lists, so the fix is left for its own change"
+)
+
+
+def kth_tie_problem():
+    """Three 40-tuple relations with vectors snapped to a 4-point grid
+    per axis and scores on a 4-rung ladder, plus one query point."""
+    rng = np.random.default_rng(17)
+    side = (40 / 50.0) ** 0.5
+    grid = np.linspace(-side / 2, side / 2, 4)
+    ladder = np.linspace(0.1, 1.0, 4)
+    relations = []
+    for i in range(3):
+        vectors = rng.uniform(-side / 2, side / 2, size=(40, 2))
+        vectors = grid[np.abs(vectors[..., None] - grid).argmin(axis=-1)]
+        scores = rng.choice(ladder, size=40)
+        relations.append(Relation(f"R{i + 1}", scores, vectors, sigma_max=1.0))
+    half = 0.85 * side / 2
+    return relations, rng.uniform(-half, half, size=(1, 2))[0]
+
+
 class TestBlockPullDifferential:
     @pytest.mark.parametrize("seed", range(30))
     def test_randomized_workloads(self, seed):
@@ -113,6 +138,23 @@ class TestBlockPullDifferential:
         ).run()
         assert reference.completed
         assert ranked_ids(reference.combinations) == oracle
+
+    @pytest.mark.xfail(strict=False, reason=K_TIE_DEFECT)
+    @pytest.mark.parametrize("block", [4, 8])
+    def test_tbpa_kth_score_tie_certified(self, block):
+        """Known defect: with these blocks TBPA's final bound reads 2 ulps
+        below the score of an unseen combination that ties the K-th
+        score, so ``kth > t`` holds too early and a different tied key is
+        kept (blocks 1 and 2, CBPA and TBRR match the oracle)."""
+        relations, query = kth_tie_problem()
+        scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
+        oracle = ranked_ids(brute_force_topk(relations, scoring, query, 10))
+        result = make_algorithm(
+            "TBPA", relations, scoring, query, 10,
+            kind=AccessKind.DISTANCE, pull_block=block,
+        ).run()
+        assert result.completed
+        assert ranked_ids(result.combinations) == oracle
 
     @pytest.mark.parametrize("seed", [3, 11, 27, 42])
     def test_indexed_stream_matches_oracle(self, seed):

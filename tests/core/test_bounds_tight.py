@@ -14,6 +14,7 @@ from repro.core import (
     Relation,
     TightBound,
     TopKBuffer,
+    tbpa,
 )
 from repro.core.access import open_streams
 from repro.core.bounds.base import EngineState
@@ -198,6 +199,63 @@ class TestDominanceIntegration:
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
             TightBound(dominance_period=0)
+
+    @pytest.mark.parametrize("batch_kernel", [True, False])
+    @pytest.mark.parametrize(
+        "size,k,pull_block,bound_period,period",
+        [
+            (300, 10, 8, 1, 5),
+            (300, 10, 8, 1, 12),
+            (300, 10, 3, 1, 4),
+            (300, 10, 1, 3, 2),
+            (300, 10, 1, 2, 3),
+            # Both streams run dry, so the last blocks are short.
+            (11, 100, 4, 1, 4),
+        ],
+    )
+    def test_period_counts_accesses_across_refreshes(
+        self, batch_kernel, size, k, pull_block, bound_period, period
+    ):
+        """A refresh runs one dominance pass iff the access count crossed
+        a multiple of the period since the previous refresh, so block
+        pulls, short blocks and ``bound_period`` keep the cadence instead
+        of firing only every lcm(period, step) accesses."""
+        relations, query = random_relations(7, n=2, size=size)
+        engine = tbpa(
+            relations, EuclideanLogScoring(1.0, 1.0, 1.0), query, k,
+            kind=AccessKind.DISTANCE, pull_block=pull_block,
+            bound_period=bound_period, dominance_period=period,
+            batch_kernel=batch_kernel,
+        )
+        bound = engine.bound
+        passes = []
+
+        def counted(method):
+            def run(*args):
+                passes.append(1)
+                return method(*args)
+
+            return run
+
+        bound._dominance_pass_batched = counted(bound._dominance_pass_batched)
+        bound._dominance_pass = counted(bound._dominance_pass)
+        refreshes = []  # (accesses after the refresh, passes it ran)
+        update = bound.update
+
+        def traced(state, i, tau):
+            before = len(passes)
+            t = update(state, i, tau)
+            refreshes.append((state.sum_depths(), len(passes) - before))
+            return t
+
+        bound.update = traced
+        assert engine.run().completed
+        expected, prev = [], 0
+        for now, _ in refreshes:
+            expected.append(int(prev // period < now // period))
+            prev = now
+        assert [ran for _, ran in refreshes] == expected
+        assert sum(expected) >= 3
 
 
 class TestGuards:

@@ -1,4 +1,4 @@
-"""Soundness regression for the incremental dominance front end (PR 8).
+"""Soundness regression for the batched kernel's cross-pass dominance reuse.
 
 Properties pinned, layer by layer:
 
@@ -10,22 +10,16 @@ Properties pinned, layer by layer:
   self/twin swap contributes an all-zero vacuous row either way) unless
   a cross-class probe-value tie permutes rows between twins, and fanning
   one verdict out to the whole class flags exactly the candidates the
-  memoryless pass flags in both regimes.
-* **Warm starts are verdict-preserving and stale-safe** — a cached LP
-  basis that is out of range, singular, or the wrong length is rejected
-  and the problem cold starts *bit-identically* to never having had a
-  basis; a valid basis may move a centre's last bits but never flips an
-  emptiness verdict.
+  plain one-LP-per-candidate pass flags in both regimes.
 * **Trivial constraint counts skip the tableau soundly** — zero- and
   single-constraint problems are answered analytically by the batch,
   bit-identical to the scalar :func:`chebyshev_center`.
 * **QP hints are pure acceleration** — garbage or recycled active-set
   hints reorder the enumeration only; values and optima stay bitwise
   equal to the hint-free solve.
-* **Engine-level identity** — on tie-heavy workloads the incremental
-  strategy returns the same ranked answer, depths and bound as the
-  memoryless batched kernel and the scalar reference, while its reuse
-  counters actually fire.
+* **Engine-level identity** — on tie-heavy workloads the batched kernel
+  returns the same ranked answer, depths and bound as the scalar
+  reference, while its reuse counters actually fire.
 """
 
 import numpy as np
@@ -69,7 +63,7 @@ def duplicated_family(rng, count, d, dup_frac=0.4, tie_free=False):
 @pytest.mark.parametrize("seed", range(8))
 def test_class_collapse_assembly_byte_identical(seed):
     """Every owner's class-representative (G, h) is byte-equal to the
-    plain assembly the memoryless path would have built for that owner —
+    plain per-candidate assembly would have built for that owner —
     guaranteed whenever strength-order ties stay within classes (twins
     adjacent in the stable order; cross-class ties only permute rows,
     covered by the verdict-level test below)."""
@@ -100,7 +94,7 @@ def test_class_collapse_assembly_byte_identical(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_class_collapse_verdicts_match_memoryless(seed):
     """Solving one LP per class and fanning the verdict out flags exactly
-    the candidates the memoryless one-LP-per-candidate pass flags — on
+    the candidates the plain one-LP-per-candidate pass flags — on
     the adversarial family whose cross-class value ties permute rows
     between twins (the regime where byte-identity no longer holds)."""
     rng = np.random.default_rng(50 + seed)
@@ -154,66 +148,6 @@ def test_cached_witness_invalidated_by_new_competitor(runner):
     )
     assert out2[0], "stale witness shielded a now-dominated candidate"
     assert not out2[2]
-
-
-def random_polyhedra(rng, n_problems, d=2):
-    """Mixed feasible/infeasible systems with 2..6 rows each."""
-    gs, hs = [], []
-    for _ in range(n_problems):
-        m = int(rng.integers(2, 7))
-        g = rng.normal(size=(m, d))
-        if rng.random() < 0.4:  # force emptiness: x1 <= -1 and -x1 <= -1
-            g[0] = 0.0
-            g[0, 0] = 1.0
-            g[1] = 0.0
-            g[1, 0] = -1.0
-            h = rng.normal(size=m)
-            h[0] = -1.0
-            h[1] = -1.0
-        else:
-            h = rng.normal(size=m) + 1.0
-        gs.append(g)
-        hs.append(h)
-    return gs, hs
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_stale_bases_cold_start_bitwise(seed):
-    """Garbage bases — wrong length, out of range, or singular — are all
-    rejected; centres and radii match the no-bases cold path bit for bit."""
-    rng = np.random.default_rng(200 + seed)
-    gs, hs = random_polyhedra(rng, 20)
-    cold_c, cold_r = chebyshev_center_batch(gs, hs)
-    garbage = []
-    for k, g in enumerate(gs):
-        rows = g.shape[0] + 1
-        if k % 4 == 0:
-            garbage.append(None)
-        elif k % 4 == 1:
-            garbage.append(np.zeros(rows - 1, dtype=np.int64))  # wrong length
-        elif k % 4 == 2:
-            garbage.append(np.full(rows, 10**6, dtype=np.int64))  # out of range
-        else:
-            garbage.append(np.zeros(rows, dtype=np.int64))  # singular (dup col)
-    warm_c, warm_r = chebyshev_center_batch(gs, hs, bases=garbage)
-    assert np.array_equal(cold_c, warm_c, equal_nan=True)
-    assert np.array_equal(cold_r, warm_r)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_valid_warm_bases_preserve_verdicts(seed):
-    """Re-solving with the previously optimal bases warm starts (stats
-    prove it) and keeps every emptiness verdict identical."""
-    rng = np.random.default_rng(300 + seed)
-    gs, hs = random_polyhedra(rng, 24)
-    cold_c, cold_r, bases = chebyshev_center_batch(gs, hs, return_bases=True)
-    stats: dict = {}
-    warm_c, warm_r = chebyshev_center_batch(gs, hs, bases=bases, stats=stats)
-    assert stats.get("lp_warm_starts", 0) > 0
-    assert np.array_equal(cold_r < 0.0, warm_r < 0.0)
-    # Non-empty problems keep a finite centre either way.
-    ok = cold_r >= 0.0
-    assert np.isfinite(warm_c[ok]).all()
 
 
 def test_trivial_constraint_counts_match_scalar():
@@ -285,12 +219,12 @@ def tie_heavy_problem(n_relations=3, n_tuples=90, dims=2, levels=4, seed=0):
     return relations, np.zeros(dims)
 
 
-def _run(relations, query, *, algo, batch_kernel, incremental):
+def _run(relations, query, *, algo, batch_kernel):
     scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
     return make_algorithm(
         algo, relations, scoring, query, 5,
         kind=AccessKind.DISTANCE, pull_block=4, dominance_period=2,
-        batch_kernel=batch_kernel, incremental=incremental,
+        batch_kernel=batch_kernel,
     ).run()
 
 
@@ -306,35 +240,25 @@ def _same_answer(a, b):
 @pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_engine_three_way_identity(algo, seed):
-    """Incremental == memoryless batched == scalar, on the tie-heavy
-    workload, for both pulling strategies."""
+    """Batched kernel == scalar reference, on the tie-heavy workload, for
+    both pulling strategies."""
     relations, query = tie_heavy_problem(seed=seed)
-    inc = _run(relations, query, algo=algo, batch_kernel=True, incremental=True)
-    bat = _run(
-        relations, query, algo=algo, batch_kernel=True, incremental=False
-    )
-    sca = _run(
-        relations, query, algo=algo, batch_kernel=False, incremental=True
-    )
-    assert inc.completed and bat.completed and sca.completed
-    assert _same_answer(inc, bat)
-    assert _same_answer(inc, sca)
+    kernel = _run(relations, query, algo=algo, batch_kernel=True)
+    scalar = _run(relations, query, algo=algo, batch_kernel=False)
+    assert kernel.completed and scalar.completed
+    assert _same_answer(kernel, scalar)
 
 
 def test_engine_reuse_counters_fire():
-    """The incremental machinery does real work on the tie-heavy
+    """The kernel's reuse machinery does real work on the tie-heavy
     workload: duplicates collapse, cached witnesses answer candidates,
-    and the solved-LP count drops below the memoryless kernel's."""
+    and the solved-LP count drops below the scalar path's."""
     relations, query = tie_heavy_problem(n_tuples=120, seed=2)
-    inc = _run(
-        relations, query, algo="TBPA", batch_kernel=True, incremental=True
-    )
-    bat = _run(
-        relations, query, algo="TBPA", batch_kernel=True, incremental=False
-    )
-    assert inc.counters["dominance_lp_deduped"] > 0
-    assert inc.counters["dominance_witness_hits"] > 0
-    assert inc.counters["lp_solves"] < bat.counters["lp_solves"]
-    # The memoryless kernel never touches the reuse counters.
-    assert bat.counters["dominance_lp_reused"] == 0
-    assert bat.counters["dominance_lp_deduped"] == 0
+    kernel = _run(relations, query, algo="TBPA", batch_kernel=True)
+    scalar = _run(relations, query, algo="TBPA", batch_kernel=False)
+    assert kernel.counters["dominance_lp_deduped"] > 0
+    assert kernel.counters["dominance_witness_hits"] > 0
+    assert kernel.counters["lp_solves"] < scalar.counters["lp_solves"]
+    # The scalar reference solves one LP per candidate: no reuse.
+    assert scalar.counters["dominance_lp_reused"] == 0
+    assert scalar.counters["dominance_lp_deduped"] == 0

@@ -1,0 +1,107 @@
+"""Seeded bound-kernel differential sweep.
+
+The tight bound has one batched kernel (``batch_kernel=True``: gathered
+masked QPs, lockstep dominance LPs, cross-pass reuse) and one scalar
+reference (``batch_kernel=False``: one QP per subset, one LP per
+dominance candidate).  This sweep draws random configurations with
+stdlib ``random`` — relation count, dimension, k, block size, bound
+period, access kind, algorithm (TBPA/TBRR), dominance period and uniform
+or tie-heavy data — and runs each one on both.  A completed kernel run
+must equal the scalar run with ``==`` on the ranked ``(key, score)``
+list, the depths and the bound.  A failure names the config's seed;
+``pytest tests/core/test_kernel_differential.py -k seed<N>`` reruns it
+alone.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.core import AccessKind, EuclideanLogScoring, Relation, make_algorithm
+
+CONFIGS = 120
+SEED_BASE = 30_000
+SCORING = EuclideanLogScoring(1.0, 1.0, 1.0)
+
+
+def draw_config(seed):
+    rnd = random.Random(seed)
+    n = rnd.choice((2, 3))
+    return {
+        "seed": seed,
+        "n": n,
+        "d": rnd.choice((1, 2, 3)),
+        # The scalar reference solves one LP per dominance candidate, so
+        # n=3 relations stay small enough for the sweep's time budget.
+        "size": rnd.randint(8, 60 if n == 2 else 36),
+        "k": rnd.randint(1, 6),
+        "pull_block": rnd.choice((1, 2, 4, 8)),
+        "bound_period": rnd.choice((1, 2, 3)),
+        "kind": rnd.choice((AccessKind.DISTANCE, AccessKind.SCORE)),
+        "algorithm": rnd.choice(("TBPA", "TBRR")),
+        "dominance_period": rnd.choice((None, 1, 2, 3, 5, 8)),
+        "ties": rnd.random() < 0.5,
+    }
+
+
+def make_problem(cfg):
+    rnd = random.Random(cfg["seed"] + 1)
+    n, d, size = cfg["n"], cfg["d"], cfg["size"]
+    relations = []
+    for i in range(n):
+        if cfg["ties"]:
+            scores = [rnd.choice((0.25, 0.5, 1.0)) for _ in range(size)]
+            vectors = [
+                [rnd.choice((-1.0, 0.0, 1.0)) for _ in range(d)]
+                for _ in range(size)
+            ]
+        else:
+            scores = [rnd.uniform(0.05, 1.0) for _ in range(size)]
+            vectors = [
+                [rnd.uniform(-2.0, 2.0) for _ in range(d)] for _ in range(size)
+            ]
+        relations.append(
+            Relation(f"R{i}", np.array(scores), np.array(vectors), sigma_max=1.0)
+        )
+    if cfg["ties"]:
+        query = np.zeros(d)
+    else:
+        query = np.array([rnd.uniform(-1.0, 1.0) for _ in range(d)])
+    return relations, query
+
+
+def ranked(result):
+    return (
+        [(c.key, c.score) for c in result.combinations],
+        list(result.depths),
+        result.bound,
+    )
+
+
+def run(cfg, relations, query, batch_kernel):
+    return make_algorithm(
+        cfg["algorithm"], relations, SCORING, query, cfg["k"],
+        kind=cfg["kind"], pull_block=cfg["pull_block"],
+        bound_period=cfg["bound_period"],
+        dominance_period=cfg["dominance_period"], batch_kernel=batch_kernel,
+    ).run()
+
+
+@pytest.mark.parametrize(
+    "seed", [SEED_BASE + i for i in range(CONFIGS)], ids=lambda s: f"seed{s}"
+)
+def test_kernel_matches_scalar(seed):
+    cfg = draw_config(seed)
+    repro = (
+        f"repro: pytest tests/core/test_kernel_differential.py -k seed{seed} "
+        f"({', '.join(f'{k}={v}' for k, v in cfg.items() if k != 'seed')})"
+    )
+    # Shown with the failure even when a run raises instead of diverging.
+    print(repro)
+    relations, query = make_problem(cfg)
+    scalar = run(cfg, relations, query, batch_kernel=False)
+    kernel = run(cfg, relations, query, batch_kernel=True)
+    assert scalar.completed, repro
+    assert kernel.completed, repro
+    assert ranked(kernel) == ranked(scalar), repro

@@ -226,6 +226,19 @@ class TestBatchLPKernel:
         assert not empty[0] and (points[0] == 0.0).all()
         assert empty[1]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_all_zero_rows_point_has_d_coordinates(self, d):
+        # Once the zero rows are stripped no row is left; the scalar
+        # point must still live in R^d, like the centre and the batch's.
+        g = np.zeros((2, d))
+        h = np.array([0.5, 0.0])
+        point = polyhedron_feasible_point(g, h)
+        center, radius = chebyshev_center(g, h)
+        points, empty = polyhedron_feasible_point_batch([g], [h])
+        assert point.shape == (d,) and (point == 0.0).all()
+        assert point.tobytes() == center.tobytes()
+        assert not empty[0] and point.tobytes() == points[0].tobytes()
+
     def test_thin_region_kept(self):
         # A single point (x <= 0, x >= 0) is not robustly empty; the
         # batched test must keep it, like the scalar one.
