@@ -115,6 +115,10 @@ class BoundCounters:
     dominance_lp_reused: int = 0
     dominance_lp_deduped: int = 0
     dominance_subset_skips: int = 0
+    #: Bound-QP rows the masked kernel handed to its active-set
+    #: enumeration instead of the closed form (degenerate rows, or a
+    #: Hessian without the closed form, e.g. ``w_q = 0``).
+    qp_enumerated: int = 0
     bound_seconds: float = 0.0
     dominance_seconds: float = 0.0
     #: Wall-clock inside the LP/QP solver kernels proper — the share of
@@ -136,6 +140,7 @@ class BoundCounters:
             "dominance_lp_reused": self.dominance_lp_reused,
             "dominance_lp_deduped": self.dominance_lp_deduped,
             "dominance_subset_skips": self.dominance_subset_skips,
+            "qp_enumerated": self.qp_enumerated,
             "bound_seconds": self.bound_seconds,
             "dominance_seconds": self.dominance_seconds,
             "solver_seconds": self.solver_seconds,

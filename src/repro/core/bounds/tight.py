@@ -24,19 +24,24 @@ access), with the engineering refinements called out in DESIGN.md:
   a refresh *gathers* every stale subset's completion problems into the
   run's :class:`~repro.core.bounds.workspace.BoundWorkspace` slabs and
   makes a single :func:`~repro.optim.solve_bound_qp_masked` call (mixed
-  fixed/lower patterns, vectorised active-set enumeration), and a
-  dominance pass stacks every subset's surviving feasibility LPs into a
-  single lockstep :func:`~repro.optim.polyhedron_feasible_point_batch`
-  call.  The kernels' row-stable arithmetic makes completed runs
-  bit-identical to the scalar path (``batch_kernel=False``, the
-  per-subset/per-candidate reference kept for the differential suite).
+  fixed/lower patterns, closed-form water-level rows; the
+  ``qp_enumerated`` counter reports the rows it hands to its active-set
+  enumeration), and a dominance pass stacks every subset's surviving
+  feasibility LPs into a single lockstep
+  :func:`~repro.optim.polyhedron_feasible_point_batch` call.  The
+  kernels' row-stable arithmetic makes completed runs bit-identical to
+  the scalar path (``batch_kernel=False``, the per-subset/per-candidate
+  reference kept for the differential suite).
+* Each entry's completion geometry (its QP's fixed values, residual and
+  score term) depends only on its own tuples, the query and the
+  streams' constant ``sigma_max``: the batched kernel computes it once
+  at append and every later solve of the entry gathers it from the
+  subset's columns.
 * The batched kernel carries caches *across* refreshes — per-entry LP
-  keys and feasible points, per-subset pass fingerprints, per-entry QP
-  active sets — so unchanged dominance work is skipped, duplicated LPs
-  are solved once, and each masked QP tries its last active set first;
-  every mechanism is verdict-preserving (see
-  ``_dominance_pass_batched``), so runs stay bit-identical to the scalar
-  reference.
+  keys and feasible points, per-subset pass fingerprints — so unchanged
+  dominance work is skipped and duplicated LPs are solved once; every
+  mechanism is verdict-preserving (see ``_dominance_pass_batched``), so
+  runs stay bit-identical to the scalar reference.
 * The scheme synchronises against the streams' seen prefixes, so the
   engine may invoke it only every ``bound_period`` pulls (the paper's
   practical-systems trade-off) and the incremental cross-product still
@@ -130,7 +135,9 @@ class _SubsetState:
         "canon_ids",
         "lp_keys",
         "lp_point",
-        "qp_active",
+        "proj",
+        "residual_sq",
+        "score_term",
         "pass_count",
         "pass_newly",
     )
@@ -159,16 +166,19 @@ class _SubsetState:
         # entry's last verdict was computed for (a padded canon-id row —
         # own class first, then the ordered capped competitor classes, -1
         # padding; all -2 = no cached verdict), the feasible point of that
-        # solve, the last resolving QP active-set mask (-1 = none), and
-        # the field fingerprint of the last dominance pass (entry count +
-        # new flags) that licenses a full subset skip.
+        # solve, the entry's completion geometry (its QP's fixed values,
+        # residual and score term, fixed at append), and the field
+        # fingerprint of the last dominance pass (entry count + new
+        # flags) that licenses a full subset skip.
         self.canon = np.full(cap, -1, dtype=np.int64)
         self.canon_ids: dict[bytes, int] = {}
         self.lp_keys = np.full(
             (cap, _MAX_LP_CONSTRAINTS + 1), -2, dtype=np.int64
         )
         self.lp_point = np.full((cap, d), np.nan)
-        self.qp_active = np.full(cap, -1, dtype=np.int64)
+        self.proj = np.empty((cap, m))
+        self.residual_sq = np.empty(cap)
+        self.score_term = np.empty(cap)
         self.pass_count = -1
         self.pass_newly = 0
 
@@ -189,7 +199,9 @@ class _SubsetState:
             ("canon", -1),
             ("lp_keys", -2),
             ("lp_point", np.nan),
-            ("qp_active", -1),
+            ("proj", None),
+            ("residual_sq", None),
+            ("score_term", None),
         ):
             old = getattr(self, name)
             fresh = (
@@ -200,8 +212,16 @@ class _SubsetState:
             fresh[:p] = old[:p]
             setattr(self, name, fresh)
 
-    def append(self, scores: np.ndarray, vecs: np.ndarray) -> int:
-        """Append an entry batch; returns the first new row index."""
+    def append(
+        self,
+        scores: np.ndarray,
+        vecs: np.ndarray,
+        geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> int:
+        """Append an entry batch; returns the first new row index.
+
+        ``geometry`` is the batch's :func:`completion_geometry` (the
+        batched kernel caches it; the scalar path passes none)."""
         e = len(scores)
         lo = self.count
         if lo + e > len(self.t):
@@ -213,7 +233,11 @@ class _SubsetState:
         # Rows may be reused after clear(): stale caches must not leak
         # into new entries.
         self.lp_keys[lo : lo + e] = -2
-        self.qp_active[lo : lo + e] = -1
+        if geometry is not None:
+            proj, residual_sq, score_term = geometry
+            self.proj[lo : lo + e] = proj
+            self.residual_sq[lo : lo + e] = residual_sq
+            self.score_term[lo : lo + e] = score_term
         self.count = lo + e
         return lo
 
@@ -314,7 +338,14 @@ class TightBound(BoundingScheme):
             # Seed M = {} with its single "empty tuple" partial combination
             # (Appendix B.1): it bounds combinations unseen in every slot.
             # Its -inf theta row forces a solve on first use.
-            self._subsets[0].append(np.zeros((1, 0)), np.zeros((1, 0, d)))
+            seed_scores, seed_vecs = np.zeros((1, 0)), np.zeros((1, 0, d))
+            geometry = None
+            if self.batch_kernel and state.kind is AccessKind.DISTANCE:
+                geometry = completion_geometry(
+                    state.scoring, state.query, seed_scores, seed_vecs,
+                    {j: s.sigma_max for j, s in enumerate(state.streams)},
+                )
+            self._subsets[0].append(seed_scores, seed_vecs, geometry)
             self._synced = [0] * n
         return self._subsets
 
@@ -449,7 +480,16 @@ class TightBound(BoundingScheme):
             new_scores, new_vecs = self._new_member_batch(state, sub, new_counts)
             e_new = len(new_scores)
             if e_new:
-                lo = sub.append(new_scores, new_vecs)
+                # The kernel computes each entry's geometry once, here;
+                # every later solve of the entry gathers it.
+                geometry = (
+                    completion_geometry(
+                        scoring, state.query, new_scores, new_vecs, unseen_sigma
+                    )
+                    if gathered
+                    else None
+                )
+                lo = sub.append(new_scores, new_vecs, geometry)
                 rows = np.arange(lo, lo + e_new)
                 if gathered:
                     pending.append((sub, rows))
@@ -513,7 +553,7 @@ class TightBound(BoundingScheme):
                 sub.recompute_max()
 
         if gathered:
-            self._flush_qp_gather(state, pending, deltas, sigma_max)
+            self._flush_qp_gather(state, pending, deltas)
             for sub in subsets:
                 if not sub.dead:
                     sub.recompute_max()
@@ -566,62 +606,51 @@ class TightBound(BoundingScheme):
         state: EngineState,
         pending: list[tuple[_SubsetState, np.ndarray]],
         deltas: list[float],
-        sigma_max: list[float],
     ) -> None:
         """Solve every gathered completion problem of one refresh with a
         single masked batch-QP kernel call and scatter the results back
-        into the subsets' columnar arrays."""
+        into the subsets' columnar arrays.  The QP inputs are gathered
+        from each entry's cached geometry columns."""
         if not pending:
             return
         scoring = state.scoring
         assert isinstance(scoring, QuadraticFormScoring)
         n = state.n
-        query = state.query
         total = sum(len(rows) for _, rows in pending)
         ws = self._workspace(state)
         fixed_mask, fixed_vals, lower_mask, lower_vals = ws.qp_slabs(total, n)
         score_term = ws.array("qp_score_term", (total,))
         residual_sq = ws.array("qp_residual_sq", (total,))
-        hints = ws.array("qp_hints", (total,), np.int64)
 
         chunks: list[_QPChunk] = []
         offset = 0
         for sub, rows in pending:
             e = len(rows)
             span = slice(offset, offset + e)
-            hints[span] = sub.qp_active[rows]
-            proj, res_sq, s_term = completion_geometry(
-                scoring,
-                query,
-                sub.scores[rows],
-                sub.vecs[rows],
-                {j: sigma_max[j] for j in sub.others},
-            )
             members = list(sub.members)
             others = list(sub.others)
             if members:
                 fixed_mask[span, members] = True
-                fixed_vals[span, members] = proj
+                fixed_vals[span, members] = sub.proj[rows]
             if others:
                 lower_mask[span, others] = True
                 lower_vals[span, others] = [deltas[j] for j in others]
-            score_term[span] = s_term
-            residual_sq[span] = res_sq
+            score_term[span] = sub.score_term[rows]
+            residual_sq[span] = sub.residual_sq[rows]
             chunks.append(_QPChunk(sub, rows, span))
             offset += e
 
         h = spread_matrix(n, scoring.w_q, scoring.w_mu)
         started = time.perf_counter()
-        qp_vals, thetas, active = solve_bound_qp_masked(
-            h, fixed_mask, fixed_vals, lower_mask, lower_vals,
-            hints=hints, return_active=True,
+        qp_vals, thetas, enumerated = solve_bound_qp_masked(
+            h, fixed_mask, fixed_vals, lower_mask, lower_vals
         )
         self.counters.solver_seconds += time.perf_counter() - started
+        self.counters.qp_enumerated += int(enumerated.sum())
         values = score_term - qp_vals - (scoring.w_q + scoring.w_mu) * residual_sq
         for chunk in chunks:
             chunk.sub.t[chunk.rows] = values[chunk.span]
             chunk.sub.theta[chunk.rows] = thetas[chunk.span]
-            chunk.sub.qp_active[chunk.rows] = active[chunk.span]
 
     def _dominance_pass(
         self, scoring: QuadraticFormScoring, n: int, subsets: list[_SubsetState]

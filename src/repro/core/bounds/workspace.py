@@ -8,8 +8,8 @@ slab the batched bound stack fills on each refresh:
 * the stacked QP coefficient blocks — fixed/lower pattern masks and
   value arrays, per-entry score terms and residuals — that
   :class:`~repro.core.bounds.tight.TightBound` gathers across *all*
-  stale subsets before its single
-  :func:`~repro.optim.solve_bound_qp_masked` call;
+  stale subsets (from each entry's cached completion geometry) before
+  its single :func:`~repro.optim.solve_bound_qp_masked` call;
 * the LP gather plans (:meth:`BoundWorkspace.lp_plan`): one
   :class:`~repro.optim.simplex.ChebyGatherPlan` per constraint-count /
   dimensionality shape, built on first use and reused every dominance

@@ -20,8 +20,11 @@ Entry points:
   pattern (one subset ``M``) in a single vectorised call.
 * :func:`solve_bound_qp_masked` — the batched bound kernel: entries of
   *arbitrary mixed* fixed/lower patterns (every subset ``M`` of a bound
-  refresh) stacked into one call, resolved by a vectorised active-set
-  enumeration with per-entry termination masks.
+  refresh) stacked into one call.  For the spread Hessian of eq. (31)
+  each row is solved in closed form — one water level for the inactive
+  coordinates — all patterns in one pass; rows near a degenerate active
+  set, and every row of any other Hessian, go through the vectorised
+  per-pattern active-set enumeration.
 * :func:`solve_qp` — a generic small convex QP with linear inequality
   constraints ``A theta <= b``, used by tests to cross-check and by the
   cosine extension.
@@ -35,8 +38,14 @@ solvers both route their linear algebra through the same *row-stable*
 helpers (:func:`_gauss_solve`, :func:`_accum_cols`, :func:`_row_matvec`,
 :func:`_quad_values`): only elementwise numpy operations touch the batch
 axes, making each entry's arithmetic independent of its batch-mates.
-(The one exception is a singular free block, ``w_q = 0`` patterns, where
-both fall back to least squares and only the optimal *value* is pinned.)
+The closed-form rows use the same helpers on the same operands as the
+enumeration, so they are bit-identical to it.  (The exceptions: a
+singular free block, ``w_q = 0`` patterns, where both fall back to least
+squares and only the optimal *value* is pinned; and a bound within the
+KKT tolerance of the optimum's water level, where several active sets
+pass the KKT test and the enumeration and :func:`solve_bound_qp` may
+settle on different ones — the masked kernel reproduces the
+enumeration there, the solver the engine's scalar path runs.)
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ __all__ = [
 
 _TOL = 1e-9
 _PIVOT_TOL = 1e-12
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -327,8 +337,7 @@ def _solve_pattern(
     lower_idx: list[int],
     lower_vals: np.ndarray,
     uncon_idx: list[int],
-    hint_masks: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve every entry of one fixed/lower *pattern* group.
 
     All entries pin the coordinates ``fixed_idx`` (values per entry, rows
@@ -343,19 +352,10 @@ def _solve_pattern(
     mask.  ``f`` equals the number of unseen relations, so ``2^f <= 16``
     for any join this library targets.  All arithmetic is row-stable
     (module docstring), so each entry reproduces the scalar
-    :func:`solve_bound_qp` bit for bit.
+    :func:`solve_bound_qp` bit for bit (but see the module docstring's
+    caveat for bounds within the KKT tolerance of the optimum).
 
-    ``hint_masks`` (optional, per entry; ``-1`` = no hint) reorders the
-    candidate enumeration to try the most common hinted active sets
-    first — the tight bound passes each entry's last resolving active
-    set, and most entries re-resolve to it on the first try.  The KKT acceptance test is unchanged, and the strictly
-    convex QP has a unique optimum, so the answer does not depend on the
-    enumeration order.
-
-    Returns ``(values, thetas, resolved_masks)`` — the third array holds
-    each entry's resolving active-set bitmask over the *sorted*
-    ``lower_idx`` (entries never resolved keep the safe fully-clamped
-    default, whose mask is all-active).
+    Returns ``(values, thetas)``.
     """
     n = h.shape[0]
     fixed_idx = sorted(fixed_idx)
@@ -368,7 +368,7 @@ def _solve_pattern(
     if fixed_idx:
         thetas[:, fixed_idx] = fixed_vals
     if not free:
-        return _quad_values(h, thetas), thetas, np.zeros(num_entries, np.int64)
+        return _quad_values(h, thetas), thetas
 
     q = h[np.ix_(free, free)]
     if fixed_idx:
@@ -383,16 +383,7 @@ def _solve_pattern(
     if bounded:
         best_z[:, bounded] = lower_vals
     resolved = np.zeros(num_entries, dtype=bool)
-    resolved_masks = np.full(num_entries, (1 << f) - 1, dtype=np.int64)
-    order = range(1 << f)
-    if hint_masks is not None and f:
-        valid = hint_masks[(hint_masks >= 0) & (hint_masks < (1 << f))]
-        if valid.size:
-            uniq, counts = np.unique(valid, return_counts=True)
-            preferred = [int(m) for m in uniq[np.argsort(-counts, kind="stable")]]
-            hinted = set(preferred)
-            order = preferred + [m for m in range(1 << f) if m not in hinted]
-    for mask in order:
+    for mask in range(1 << f):
         act_cols = [k for k in range(f) if mask >> k & 1]
         active = [bounded[k] for k in act_cols]
         solve_pos = [p for p in range(len(free)) if p not in set(active)]
@@ -421,12 +412,11 @@ def _solve_pattern(
             ok &= (grad[:, active] >= -_TOL).all(axis=1)
         if ok.any():
             best_z[ok] = z[ok]
-            resolved_masks[ok] = mask
             resolved |= ok
         if resolved.all():
             break
     thetas[:, free] = best_z
-    return _quad_values(h, thetas), thetas, resolved_masks
+    return _quad_values(h, thetas), thetas
 
 
 def solve_bound_qp_batch(
@@ -466,7 +456,7 @@ def solve_bound_qp_batch(
         raise ValueError("fixed_idx and lower_idx must partition range(n)")
     if fixed_vals.shape[1] != len(fixed_idx):
         raise ValueError("fixed_vals width must match fixed_idx")
-    values, thetas, _ = _solve_pattern(
+    return _solve_pattern(
         h,
         list(fixed_idx),
         fixed_vals,
@@ -474,7 +464,148 @@ def solve_bound_qp_batch(
         np.broadcast_to(lower_vals, (num_entries, f)),
         [],
     )
-    return values, thetas
+
+
+def _spread_form(h: np.ndarray) -> tuple[float, float] | None:
+    """``(lambda_max, lambda_min)`` when ``h`` has the spread form of
+    eq. (31) — one diagonal value ``d``, one off-diagonal value ``o <= 0``
+    (bitwise), ``n >= 2`` — and is positive definite beyond the rounding
+    of ``lambda_min``; else ``None``.
+
+    ``h = (d - o) I + o 11'`` has eigenvalues ``d - o`` on the vectors
+    orthogonal to ``1`` and ``d + (n - 1) o`` on ``1``; with ``o <= 0``
+    the first is the largest.  For :func:`spread_matrix` they are
+    ``w_q + w_mu`` and ``w_q`` (so ``w_q = 0`` has no closed form).
+    """
+    n = h.shape[0]
+    if n < 2:
+        return None
+    d, o = float(h[0, 0]), float(h[0, 1])
+    spread = np.full((n, n), o)
+    spread.flat[:: n + 1] = d
+    if spread.tobytes() != np.ascontiguousarray(h).tobytes():
+        return None
+    lam_max, lam_min = d - o, d + (n - 1) * o
+    if not (o <= 0.0 and lam_min > 64.0 * n * _EPS_MACH * lam_max):
+        return None
+    return lam_max, lam_min
+
+
+def _solve_water_level(
+    h: np.ndarray,
+    lam_max: float,
+    lam_min: float,
+    fixed_mask: np.ndarray,
+    fixed_vals: np.ndarray,
+    lower_mask: np.ndarray,
+    lower_vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form rows of :func:`solve_bound_qp_masked` for a spread ``h``.
+
+    With ``h = a I - b 11'`` (``a = lambda_max``, ``b = -h[0, 1] >= 0``)
+    the gradient of ``theta' h theta`` at coordinate ``j`` is
+    ``2 (a theta_j - b S)``, ``S = sum(theta)``.  So at the optimum every
+    inactive free coordinate sits at one water level ``c = b S / a``,
+    every active one at its own bound ``l_j > c``, and
+
+        c = b (sum(e) + sum_A l) / (a - b k),   A = {j : l_j > c},
+
+    ``k`` the number of inactive free coordinates.  The fixed point over
+    ``A`` starts from every bound active, whose level is at most the
+    optimal one (``max(l_j, c) >= l_j``); each round sets ``A`` to the
+    bounds above the last level, which never lowers the level, so ``A``
+    only shrinks and settles within ``n + 1`` rounds (one, when every
+    bound stays active, as it mostly does in the tight bound).  All rows
+    of every pattern go through the same vectorised rounds.
+
+    ``theta`` and the value are then computed with the enumeration's own
+    row-stable helpers on exactly the operands :func:`_solve_pattern`
+    builds for that active set (the ``k x k`` block of a spread ``h``
+    depends only on ``k``), so an accepted row is bit-identical to the
+    enumeration — and to :func:`solve_bound_qp` — whenever ``A`` is the
+    only active set passing the KKT test.
+
+    A row is accepted (``ok``) only if it passes :func:`_solve_pattern`'s
+    KKT test and no lower bound lies within ``guard`` of ``c``:
+
+        guard = (lambda_max / lambda_min)
+                * (2 _TOL max(1, 1 / (2 lambda_max)) + 64 n eps scale).
+
+    Why that suffices: another active set ``A'`` passes the KKT test only
+    if its own level ``c'`` has every ``l_j`` (``j in A'``) above
+    ``c' - _TOL / (2a)`` and every other bound below ``c' + _TOL``.  Such
+    a ``c'`` is a root of the optimality equation up to
+    ``b n max(_TOL, _TOL / (2a))``, whose slope is at least
+    ``lambda_min``, so ``c'`` is that close to ``c`` divided by
+    ``lambda_min``, and ``A' != A`` needs a bound within
+    ``(lambda_max / lambda_min) max(_TOL, _TOL / (2a))`` of ``c``.  The
+    factor 2 and the ``64 n eps scale`` term (``scale`` the row's largest
+    magnitude) absorb rounding.  Rows that fail go to the enumeration.
+
+    Returns ``(values, thetas, ok)``; rows with ``ok`` false are
+    undefined.
+    """
+    num_entries, n = fixed_mask.shape
+    off = float(h[0, 1])
+    a, b = lam_max, -off
+    fv = np.where(fixed_mask, fixed_vals, 0.0)
+    lo = np.where(lower_mask, lower_vals, 0.0)
+    free = ~fixed_mask
+    n_free = free.sum(axis=1)
+    fixed_sum = fv.sum(axis=1)
+
+    act = lower_mask
+    for _ in range(n + 1):
+        k = n_free - act.sum(axis=1)
+        level = b * (fixed_sum + np.where(act, lo, 0.0).sum(axis=1)) / (a - b * k)
+        nxt = lower_mask & (lo > level[:, None])
+        moved = (nxt != act).any(axis=1)
+        act = nxt
+        if not moved.any():
+            break
+    scale = np.maximum(np.abs(fv).max(axis=1), np.abs(lo).max(axis=1))
+    scale = np.maximum(scale, np.abs(level))
+    guard = (lam_max / lam_min) * (
+        2.0 * _TOL * max(1.0, 0.5 / lam_max) + 64.0 * n * _EPS_MACH * scale
+    )
+    clear = (np.abs(lo - level[:, None]) > guard[:, None]) | ~lower_mask
+    ok = ~moved & np.isfinite(level) & clear.all(axis=1)
+
+    # The enumeration's right-hand side for this active set: every
+    # coupling entry of a spread ``h`` is ``off``, so each inactive
+    # coordinate sees ``-r - acc`` with both sums accumulated in
+    # coordinate order exactly as ``_accum_cols`` does (the ``0 * off``
+    # terms of other coordinates add a signed zero, which is exact).
+    r = np.zeros(num_entries)
+    acc = np.zeros(num_entries)
+    for j in range(n):
+        r = r + fv[:, j] * off
+        acc = acc + np.where(act[:, j], lo[:, j], 0.0) * off
+    rhs = -r - acc
+
+    inact = free & ~act
+    n_inact = inact.sum(axis=1)
+    z = np.where(act, lo, 0.0)
+    groups = np.bincount(n_inact[ok], minlength=n + 1)
+    for k in range(1, n + 1):
+        if not groups[k]:
+            continue
+        rows = np.flatnonzero(ok & (n_inact == k))
+        sol = _gauss_solve(h[:k, :k], np.repeat(rhs[rows, None], k, axis=1))
+        if sol is None:
+            ok[rows] = False
+            continue
+        block = z[rows]
+        block[inact[rows]] = sol.ravel()
+        z[rows] = block
+    thetas = np.where(fixed_mask, fv, z)
+
+    # _solve_pattern's KKT test, on the same floats.
+    grad = 2.0 * (_row_matvec(h, np.where(free, thetas, 0.0)) + r[:, None])
+    primal = ~(lower_mask & ~act) | (thetas >= lo - _TOL)
+    dual = ~act | (grad >= -_TOL)
+    ok &= primal.all(axis=1) & dual.all(axis=1)
+    return _quad_values(h, thetas), thetas, ok
 
 
 def solve_bound_qp_masked(
@@ -483,10 +614,7 @@ def solve_bound_qp_masked(
     fixed_vals: np.ndarray,
     lower_mask: np.ndarray,
     lower_vals: np.ndarray,
-    *,
-    hints: np.ndarray | None = None,
-    return_active: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The batched bound kernel: stacked bound QPs of *mixed* patterns.
 
     One call solves ``B`` instances of the :func:`solve_bound_qp` problem
@@ -507,29 +635,26 @@ def solve_bound_qp_masked(
         ``(B, n)`` boolean pattern and per-entry lower bounds, read only
         where ``lower_mask`` is set.  Coordinates in neither mask are
         unconstrained.
-    hints:
-        Optional ``(B,)`` int64 active-set hints: bit ``j`` set means
-        coordinate ``j``'s lower bound was active when this entry was
-        last solved; ``-1`` = no hint.  Hints only reorder each group's
-        candidate enumeration (most common hinted sets first) — the
-        unique KKT-certified optimum is unchanged.
-    return_active:
-        Also return the per-entry resolving active sets in the same
-        coordinate-bitmask encoding, for caching into a later ``hints``.
 
     Returns
     -------
-    (values, thetas) or (values, thetas, active):
-        ``values[b] = theta_b' H theta_b`` and the optima ``(B, n)``.
+    (values, thetas, enumerated):
+        ``values[b] = theta_b' H theta_b``, the optima ``(B, n)``, and a
+        ``(B,)`` boolean mask of the rows solved by the active-set
+        enumeration instead of the closed form.
 
     Notes
     -----
-    Entries are grouped by their ``(fixed, lower)`` bit pattern and each
-    group runs the vectorised active-set enumeration of
-    :func:`_solve_pattern`; the row-stable arithmetic contract (module
-    docstring) makes every entry bit-identical to its scalar
-    :func:`solve_bound_qp` counterpart regardless of how entries are
-    grouped or ordered.
+    When ``h`` has the spread form (:func:`spread_matrix` always does)
+    and is positive definite, every row is first solved in closed form by
+    :func:`_solve_water_level`, all patterns in one pass.  Rows it does
+    not accept — a lower bound within its degeneracy guard of the water
+    level, a failed KKT test — and every row of any other ``h`` (``n =
+    1``, singular ``w_q = 0``, non-spread) are grouped by their
+    ``(fixed, lower)`` bit pattern and run the vectorised active-set
+    enumeration of :func:`_solve_pattern`.  Both paths use the row-stable
+    helpers (module docstring), so every entry is bit-identical to the
+    enumeration regardless of how entries are grouped or ordered.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
@@ -549,45 +674,34 @@ def solve_bound_qp_masked(
     if (fixed_mask & lower_mask).any():
         raise ValueError("fixed and lower masks must be disjoint")
 
-    values = np.empty(num_entries)
-    thetas = np.empty((num_entries, n))
-    active_out = np.zeros(num_entries, dtype=np.int64) if return_active else None
-    weights = 1 << np.arange(n, dtype=np.int64)
-    keys = (fixed_mask @ weights) << n | (lower_mask @ weights)
-    for key in np.unique(keys):
-        rows = np.flatnonzero(keys == key)
-        fidx = np.flatnonzero(fixed_mask[rows[0]])
-        lidx = np.flatnonzero(lower_mask[rows[0]])
-        uidx = np.flatnonzero(~fixed_mask[rows[0]] & ~lower_mask[rows[0]])
-        hint_masks = None
-        if hints is not None and len(lidx):
-            # Coordinate bitmasks -> this group's local masks over the
-            # sorted lower positions (bit k of the local mask is
-            # coordinate lidx[k]); -1 stays "no hint".
-            hrows = np.asarray(hints, dtype=np.int64)[rows]
-            local = np.zeros(len(rows), dtype=np.int64)
-            for k, j in enumerate(lidx):
-                local |= ((hrows >> int(j)) & 1) << k
-            hint_masks = np.where(hrows >= 0, local, -1)
-        vals, th, act = _solve_pattern(
-            h,
-            [int(i) for i in fidx],
-            fixed_vals[np.ix_(rows, fidx)],
-            [int(i) for i in lidx],
-            lower_vals[np.ix_(rows, lidx)],
-            [int(i) for i in uidx],
-            hint_masks=hint_masks,
+    spread = _spread_form(h) if num_entries else None
+    if spread is not None:
+        values, thetas, ok = _solve_water_level(
+            h, *spread, fixed_mask, fixed_vals, lower_mask, lower_vals
         )
-        values[rows] = vals
-        thetas[rows] = th
-        if return_active:
-            rel = np.zeros(len(rows), dtype=np.int64)
-            for k, j in enumerate(lidx):
-                rel |= ((act >> k) & 1) << int(j)
-            active_out[rows] = rel
-    if return_active:
-        return values, thetas, active_out
-    return values, thetas
+        enumerated = ~ok
+    else:
+        values = np.empty(num_entries)
+        thetas = np.empty((num_entries, n))
+        enumerated = np.ones(num_entries, dtype=bool)
+    rest = np.flatnonzero(enumerated)
+    if rest.size:
+        weights = 1 << np.arange(n, dtype=np.int64)
+        keys = (fixed_mask[rest] @ weights) << n | (lower_mask[rest] @ weights)
+        for key in np.unique(keys):
+            rows = rest[keys == key]
+            fidx = np.flatnonzero(fixed_mask[rows[0]])
+            lidx = np.flatnonzero(lower_mask[rows[0]])
+            uidx = np.flatnonzero(~fixed_mask[rows[0]] & ~lower_mask[rows[0]])
+            values[rows], thetas[rows] = _solve_pattern(
+                h,
+                [int(i) for i in fidx],
+                fixed_vals[np.ix_(rows, fidx)],
+                [int(i) for i in lidx],
+                lower_vals[np.ix_(rows, lidx)],
+                [int(i) for i in uidx],
+            )
+    return values, thetas, enumerated
 
 
 def solve_qp(

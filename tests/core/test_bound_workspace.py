@@ -6,6 +6,8 @@ workspace's slab reuse, and the potentials memo.
   *identical* ranked top-K, depths and bound as ``batch_kernel=False``
   (the pre-refactor per-subset / per-candidate path) — bit for bit,
   dominance on and off, per-tuple and block-pull.
+* The kernel computes each entry's completion geometry once, at append,
+  and gathers it from the subset's columns on every later solve.
 * ``PotentialAdaptive`` consults the bound once per block; the memo must
   collapse repeat consultations of an unchanged bound version into cache
   hits (``potential_evals`` vs ``potential_consults``) without touching
@@ -113,6 +115,28 @@ class TestSolverSecondsSplit:
         assert result.solver_seconds <= (
             result.bound_seconds + result.dominance_seconds
         ) * 1.5 + 1e-3
+
+
+class TestGeometryCache:
+    def test_geometry_computed_once_per_entry(self, monkeypatch):
+        # The kernel computes an entry's completion geometry at append
+        # (the M = {} seed row included) and gathers it from the cache on
+        # every later solve, so revalidations add no geometry rows.
+        import repro.core.bounds.tight as tight
+
+        rows = []
+        real = tight.completion_geometry
+
+        def spy(scoring, query, scores, vectors, unseen_sigma):
+            rows.append(len(scores))
+            return real(scoring, query, scores, vectors, unseen_sigma)
+
+        monkeypatch.setattr(tight, "completion_geometry", spy)
+        relations, query = problem(1)
+        result = run(relations=relations, query=query, algo="TBPA",
+                     batch_kernel=True, dominance_period=4, pull_block=4)
+        assert result.counters["entries_revalidated"] > 1
+        assert sum(rows) == result.counters["entries_created"] + 1
 
 
 class TestPotentialsMemo:

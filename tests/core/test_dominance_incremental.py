@@ -14,12 +14,12 @@ Properties pinned, layer by layer:
 * **Trivial constraint counts skip the tableau soundly** — zero- and
   single-constraint problems are answered analytically by the batch,
   bit-identical to the scalar :func:`chebyshev_center`.
-* **QP hints are pure acceleration** — garbage or recycled active-set
-  hints reorder the enumeration only; values and optima stay bitwise
-  equal to the hint-free solve.
 * **Engine-level identity** — on tie-heavy workloads the batched kernel
   returns the same ranked answer, depths and bound as the scalar
   reference, while its reuse counters actually fire.
+* **No silent QP fallback** — ``qp_enumerated`` counts the bound-QP rows
+  the closed form handed to the enumeration: none on the tie-heavy
+  workload, every row when ``w_q = 0`` leaves no closed form.
 """
 
 import numpy as np
@@ -28,7 +28,6 @@ import pytest
 from repro.core import AccessKind, EuclideanLogScoring, make_algorithm
 from repro.core.bounds.dominance import prepare_dominance_pass
 from repro.core.relation import Relation
-from repro.optim.qp import solve_bound_qp_masked
 from repro.optim.simplex import (
     chebyshev_center,
     chebyshev_center_batch,
@@ -178,32 +177,6 @@ def test_trivial_constraint_counts_match_scalar():
             assert b_radii[i] == radius
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_qp_hints_bit_identical(seed):
-    """Hints — absent, garbage, or recycled from ``return_active`` —
-    never change a masked bound-QP value or optimum by a single bit."""
-    rng = np.random.default_rng(400 + seed)
-    n = 3
-    B = 40
-    a = rng.normal(size=(n, n))
-    h = a.T @ a + np.eye(n) * 0.5
-    fixed_mask = rng.random((B, n)) < 0.4
-    lower_mask = (rng.random((B, n)) < 0.5) & ~fixed_mask
-    fixed_vals = rng.normal(size=(B, n))
-    lower_vals = rng.normal(size=(B, n))
-
-    v0, t0, act = solve_bound_qp_masked(
-        h, fixed_mask, fixed_vals, lower_mask, lower_vals, return_active=True
-    )
-    garbage = rng.integers(-1, 2**n, size=B).astype(np.int64)
-    for hints in (garbage, act, np.full(B, -1, dtype=np.int64)):
-        v, t = solve_bound_qp_masked(
-            h, fixed_mask, fixed_vals, lower_mask, lower_vals, hints=hints
-        )
-        assert v.tobytes() == v0.tobytes()
-        assert t.tobytes() == t0.tobytes()
-
-
 def tie_heavy_problem(n_relations=3, n_tuples=90, dims=2, levels=4, seed=0):
     """Miniature of the benchmark's tie-heavy workload: quantised
     vectors/scores so streams stall and exact duplicates occur."""
@@ -219,8 +192,8 @@ def tie_heavy_problem(n_relations=3, n_tuples=90, dims=2, levels=4, seed=0):
     return relations, np.zeros(dims)
 
 
-def _run(relations, query, *, algo, batch_kernel):
-    scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
+def _run(relations, query, *, algo, batch_kernel, w_q=1.0):
+    scoring = EuclideanLogScoring(1.0, w_q, 1.0)
     return make_algorithm(
         algo, relations, scoring, query, 5,
         kind=AccessKind.DISTANCE, pull_block=4, dominance_period=2,
@@ -262,3 +235,19 @@ def test_engine_reuse_counters_fire():
     # The scalar reference solves one LP per candidate: no reuse.
     assert scalar.counters["dominance_lp_reused"] == 0
     assert scalar.counters["dominance_lp_deduped"] == 0
+
+
+def test_qp_enumerated_counts_fallback_rows():
+    """The tie-heavy run with dominance solves every bound QP in closed
+    form; with ``w_q = 0`` (singular Hessian) every row is enumerated,
+    and both kernels still agree."""
+    relations, query = tie_heavy_problem(seed=1)
+    kernel = _run(relations, query, algo="TBPA", batch_kernel=True)
+    assert kernel.counters["qp_solves"] > 0
+    assert kernel.counters["qp_enumerated"] == 0
+
+    singular = _run(relations, query, algo="TBPA", batch_kernel=True, w_q=0.0)
+    scalar = _run(relations, query, algo="TBPA", batch_kernel=False, w_q=0.0)
+    assert singular.counters["qp_enumerated"] == singular.counters["qp_solves"] > 0
+    assert scalar.counters["qp_enumerated"] == 0  # the scalar path never counts
+    assert _same_answer(singular, scalar)

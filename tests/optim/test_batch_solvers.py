@@ -7,6 +7,14 @@ bit-identical, entry for entry, to a loop over its scalar counterpart —
 feasibility LPs.  Degenerate, infeasible and tie cases included; the
 singular-Hessian family (``w_q = 0``) pins optimal *values* only, per the
 documented contract (both sides fall back to least squares there).
+
+The masked QP kernel solves spread-Hessian rows in closed form and hands
+the rest to its active-set enumeration.  Rows whose lower bound sits
+within the KKT tolerance of the water level have more than one
+KKT-passing active set; there the enumeration (the per-pattern reference
+the engine's scalar path runs) and the primal active-set
+:func:`solve_bound_qp` may pick different ones, so the degenerate family
+pins every row to the enumeration and every closed-form row to both.
 """
 
 import numpy as np
@@ -25,6 +33,7 @@ from repro.optim import (
     solve_bound_qp_masked,
     spread_matrix,
 )
+from repro.optim.qp import _solve_pattern
 
 
 def random_patterns(rng, n, num_entries):
@@ -53,6 +62,54 @@ def scalar_qp_loop(h, fm, fv, lm, lv):
     return np.array(vals), np.array(xs)
 
 
+def enumeration_loop(h, fm, fv, lm, lv):
+    """Each row alone through the per-pattern active-set enumeration."""
+    xs, vals = [], []
+    for b in range(len(fm)):
+        fidx = [int(i) for i in np.flatnonzero(fm[b])]
+        lidx = [int(i) for i in np.flatnonzero(lm[b])]
+        uidx = [int(i) for i in np.flatnonzero(~fm[b] & ~lm[b])]
+        v, x = _solve_pattern(
+            h, fidx, fv[b : b + 1, fidx], lidx, lv[b : b + 1, lidx], uidx
+        )
+        xs.append(x[0])
+        vals.append(v[0])
+    return np.array(vals), np.array(xs)
+
+
+LEVEL_OFFSETS = [0.0] + [
+    sign * mag for mag in (1e-12, 1e-10, 1e-9, 2e-9, 1e-8) for sign in (1, -1)
+]
+
+
+def level_rows(rng, h, count, with_free):
+    """Rows with one lower bound at the water level ``c`` plus an offset
+    from ``LEVEL_OFFSETS`` (cycled).  ``c`` is read off the scalar optimum
+    of the same row with that coordinate unconstrained: an inactive
+    coordinate sits at the level, which a bound at or below it leaves in
+    place."""
+    n = h.shape[0]
+    fm = np.zeros((count, n), dtype=bool)
+    lm = np.zeros((count, n), dtype=bool)
+    fv = np.zeros((count, n))
+    lv = np.zeros((count, n))
+    for b in range(count):
+        kinds = rng.integers(0, 3 if with_free else 2, size=n)
+        kinds[rng.integers(0, n)] = 1  # at least one lower bound
+        fm[b] = kinds == 0
+        lm[b] = kinds == 1
+        fv[b, fm[b]] = rng.normal(size=int(fm[b].sum()))
+        lv[b, lm[b]] = rng.normal(size=int(lm[b].sum()))
+        j = int(rng.choice(np.flatnonzero(lm[b])))
+        fixed = {int(i): float(fv[b, i]) for i in np.flatnonzero(fm[b])}
+        lower = {
+            int(i): float(lv[b, i]) for i in np.flatnonzero(lm[b]) if i != j
+        }
+        level = solve_bound_qp(h, fixed=fixed, lower=lower).x[j]
+        lv[b, j] = level + LEVEL_OFFSETS[b % len(LEVEL_OFFSETS)]
+    return fm, fv, lm, lv
+
+
 class TestMaskedQPKernel:
     @pytest.mark.parametrize("seed", range(8))
     def test_bit_identical_to_scalar_loop(self, seed):
@@ -60,7 +117,7 @@ class TestMaskedQPKernel:
         n = int(rng.integers(2, 6))
         h = spread_matrix(n, float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)))
         fm, fv, lm, lv = random_patterns(rng, n, int(rng.integers(1, 40)))
-        vals, thetas = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        vals, thetas, _ = solve_bound_qp_masked(h, fm, fv, lm, lv)
         ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
         # Bitwise: == on floats, no tolerance.
         assert (vals == ref_vals).all()
@@ -75,13 +132,92 @@ class TestMaskedQPKernel:
         lm = np.array([[False, True, True]] * 4)
         lv = np.zeros((4, 3))
         lv[2:, 1:] = 1.0  # clamped away from the unconstrained optimum
-        vals, thetas = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        vals, thetas, _ = solve_bound_qp_masked(h, fm, fv, lm, lv)
         ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
         assert (vals == ref_vals).all()
         assert (thetas == ref_xs).all()
         # Duplicates resolve identically.
         assert (thetas[0] == thetas[1]).all()
         assert (thetas[2] == thetas[3]).all()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("with_free", [False, True])
+    def test_bounds_at_the_water_level(self, n, with_free):
+        # Rows with a bound at c and c +- {1e-12 .. 1e-8}, mixed into one
+        # batch with ordinary rows.  Every row equals the enumeration bit
+        # for bit (the closed form never takes a row whose active set is
+        # ambiguous), every closed-form row equals the scalar solver too,
+        # and the ordinary rows take the closed form.
+        rng = np.random.default_rng(700 + 10 * n + with_free)
+        h = spread_matrix(n, float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)))
+        dm, dv, dl, dlv = level_rows(rng, h, 4 * len(LEVEL_OFFSETS), with_free)
+        om, ov, ol, olv = random_patterns(rng, n, 40)
+        order = rng.permutation(len(dm) + len(om))
+        fm, fv, lm, lv = (
+            np.concatenate(pair)[order]
+            for pair in ((dm, om), (dv, ov), (dl, ol), (dlv, olv))
+        )
+        ordinary = order >= len(dm)
+        vals, thetas, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        enum_vals, enum_xs = enumeration_loop(h, fm, fv, lm, lv)
+        assert (vals == enum_vals).all()
+        assert (thetas == enum_xs).all()
+        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        closed = ~enumerated
+        assert (vals[closed] == ref_vals[closed]).all()
+        assert (thetas[closed] == ref_xs[closed]).all()
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-7, atol=1e-7)
+        assert not enumerated[ordinary].any()
+        # A bound exactly at the level is always degenerate.
+        at_level = ~ordinary & (order % len(LEVEL_OFFSETS) == 0)
+        assert enumerated[at_level].all()
+
+    def test_every_inactive_count_group(self):
+        # ~5,000 random rows in one call: every number of inactive free
+        # coordinates, 0..n, gets its own block solve.
+        rng = np.random.default_rng(21)
+        n, rows = 4, 5000
+        kinds = rng.integers(0, 3, size=(rows, n))
+        fm, lm = kinds == 0, kinds == 1
+        fv = np.where(fm, rng.normal(size=(rows, n)), np.nan)
+        lv = np.where(lm, rng.normal(size=(rows, n)), np.nan)
+        h = spread_matrix(n, 0.7, 1.3)
+        vals, thetas, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        assert (vals == ref_vals).all()
+        assert (thetas == ref_xs).all()
+        assert not enumerated.any()
+        at_bound = lm & (ref_xs == np.where(lm, lv, np.nan))
+        inactive = (~fm & ~at_bound).sum(axis=1)
+        assert set(inactive.tolist()) == set(range(n + 1))
+
+    def test_single_relation(self):
+        # n = 1 has no off-diagonal value, hence no closed form.
+        rng = np.random.default_rng(5)
+        h = spread_matrix(1, 0.8, 1.7)
+        fm, fv, lm, lv = random_patterns(rng, 1, 12)
+        vals, thetas, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        assert (vals == ref_vals).all()
+        assert (thetas == ref_xs).all()
+        assert enumerated.all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_spread_hessian(self, seed):
+        # A random positive-definite Hessian runs the enumeration only.
+        rng = np.random.default_rng(400 + seed)
+        n = 3
+        a = rng.normal(size=(n, n))
+        h = a.T @ a + np.eye(n) * 0.5
+        fm = rng.random((40, n)) < 0.4
+        lm = (rng.random((40, n)) < 0.5) & ~fm
+        fv = rng.normal(size=(40, n))
+        lv = rng.normal(size=(40, n))
+        vals, thetas, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        assert (vals == ref_vals).all()
+        assert (thetas == ref_xs).all()
+        assert enumerated.all()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_singular_hessian_values_match(self, seed):
@@ -91,9 +227,11 @@ class TestMaskedQPKernel:
         n = 3
         h = spread_matrix(n, 0.0, float(rng.uniform(0.5, 3)))
         fm, fv, lm, lv = random_patterns(rng, n, 12)
-        vals, _ = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        vals, _, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
         ref_vals, _ = scalar_qp_loop(h, fm, fv, lm, lv)
         np.testing.assert_allclose(vals, ref_vals, atol=1e-8)
+        # No closed form without a positive-definite Hessian.
+        assert enumerated.all()
 
     def test_grouping_order_is_immaterial(self):
         # The same entries shuffled across the batch give the same
@@ -101,9 +239,9 @@ class TestMaskedQPKernel:
         rng = np.random.default_rng(11)
         h = spread_matrix(4, 1.0, 2.0)
         fm, fv, lm, lv = random_patterns(rng, 4, 25)
-        vals, thetas = solve_bound_qp_masked(h, fm, fv, lm, lv)
+        vals, thetas, _ = solve_bound_qp_masked(h, fm, fv, lm, lv)
         perm = rng.permutation(25)
-        vals_p, thetas_p = solve_bound_qp_masked(
+        vals_p, thetas_p, _ = solve_bound_qp_masked(
             h, fm[perm], fv[perm], lm[perm], lv[perm]
         )
         assert (vals_p == vals[perm]).all()
