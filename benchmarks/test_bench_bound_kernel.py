@@ -8,12 +8,13 @@ TBPA bottleneck:
   (one gathered masked-QP call per refresh, one lockstep Chebyshev LP
   wave per dominance pass) improve on the scalar per-subset /
   per-candidate path by at least ``MIN_SPEEDUP``.
-* **Cross-pass reuse** — on the tie-heavy variant of the same workload
-  (quantised vectors/scores, the stalling-streams regime the paper's
-  dominance discussion worries about), the kernel's reuse layers
-  (cross-pass witnesses and verdict keys, class-collapsed duplicate
-  LPs solved once, subset-level pass skips) beat the scalar path by at
-  least ``MIN_TIE_SPEEDUP`` while solving at most half its LPs.
+* **Reuse** — on the tie-heavy variant of the same workload (quantised
+  vectors/scores, the stalling-streams regime the paper's dominance
+  discussion worries about), the kernel's reuse layers (cross-pass
+  witnesses, class-collapsed duplicate LPs solved once, subset-level
+  pass skips) beat the scalar path by at least ``MIN_TIE_SPEEDUP``
+  while solving at most half its LPs and at most ``MAX_TIE_LPS``.  The
+  equal-slope screen, which both paths share, must flag rows there.
 * **Bit-identity** — both execution strategies return the identical
   ranked top-K (keys *and* float scores), depths and final bound, every
   run.
@@ -46,13 +47,18 @@ ROUNDS = 2 if QUICK else 3  # best-of rounds per configuration
 #: by at least this factor on the dominance-heavy workload.
 MIN_SPEEDUP = 1.5
 
-#: Tie-heavy workload size and the kernel-vs-scalar bar on it: 12x at
-#: the full size (measured ~26x); the quick smoke workload is too small
-#: to amortise the reuse layers' fixed costs, so it gates a softer 6x
-#: (measured ~9x).
+#: Tie-heavy workload size and the kernel-vs-scalar bar on it: 8x at the
+#: full size (measured ~11x), 6x in quick mode (measured ~9.6x).  The
+#: equal-slope screen answers most of the workload's LPs on both paths,
+#: so the scalar leg is fast too and the ratio sits below the ~20x it
+#: read while the scalar leg solved those LPs one by one.
 TIE_N_TUPLES = 400 if QUICK else 500
 TIE_LEVELS = 6
-MIN_TIE_SPEEDUP = 6.0 if QUICK else 12.0
+MIN_TIE_SPEEDUP = 6.0 if QUICK else 8.0
+#: Ceiling on the kernel's solved LPs on the tie-heavy workload (measured
+#: 260 at full size and 211 in quick mode; 4,574 and 3,353 without the
+#: screen).
+MAX_TIE_LPS = 330 if QUICK else 450
 
 
 def tie_heavy_problem(
@@ -101,8 +107,8 @@ def _record(name, result, **extra):
         solver_seconds=round(result.solver_seconds, 6),
         lp_solves=result.counters["lp_solves"],
         qp_solves=result.counters["qp_solves"],
+        dominance_screened=result.counters["dominance_screened"],
         dominance_witness_hits=result.counters["dominance_witness_hits"],
-        dominance_lp_reused=result.counters["dominance_lp_reused"],
         dominance_lp_deduped=result.counters["dominance_lp_deduped"],
         dominance_subset_skips=result.counters["dominance_subset_skips"],
         **extra,
@@ -165,8 +171,9 @@ def test_bound_kernel_speedup(benchmark, algo):
 
 def test_bound_kernel_incremental(benchmark):
     """Batched kernel vs the scalar reference on the tie-heavy workload:
-    >= MIN_TIE_SPEEDUP engine time, <= half the LP solves, live reuse
-    counters — at bit-identical answers."""
+    >= MIN_TIE_SPEEDUP engine time, <= half the LP solves and at most
+    MAX_TIE_LPS, live screen and reuse counters — at bit-identical
+    answers."""
     relations, query = tie_heavy_problem()
     runs = {}
 
@@ -186,8 +193,10 @@ def test_bound_kernel_incremental(benchmark):
         "bound kernel diverged from the scalar reference"
     )
 
-    # The reuse machinery must actually fire on this workload...
+    # The screen and the reuse machinery must actually fire on this
+    # workload...
     counters = ker.counters
+    assert counters["dominance_screened"] > 0
     assert counters["dominance_witness_hits"] > 0
     assert counters["dominance_lp_deduped"] > 0
     assert counters["dominance_subset_skips"] > 0
@@ -195,6 +204,10 @@ def test_bound_kernel_incremental(benchmark):
     assert counters["lp_solves"] <= 0.5 * sca.counters["lp_solves"], (
         f"bound kernel solved {counters['lp_solves']} LPs vs the scalar "
         f"path's {sca.counters['lp_solves']} — reuse below the 50% bar"
+    )
+    assert counters["lp_solves"] <= MAX_TIE_LPS, (
+        f"bound kernel solved {counters['lp_solves']} LPs, above the "
+        f"{MAX_TIE_LPS} ceiling"
     )
 
     speedup = sca.total_seconds / max(ker.total_seconds, 1e-9)

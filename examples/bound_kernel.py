@@ -6,11 +6,13 @@ feasibility LP per dominance candidate.  The paper already warns that
 those solver loops dominate TBPA's engine time.  The bound-kernel
 refactor stops solving them one at a time: each refresh gathers every
 subset's QPs into a single masked batch call, and each dominance pass
-pivots all surviving feasibility LPs as one lockstep simplex wave.  The
-kernel also remembers across passes: cached witnesses answer candidates
-without an LP, byte-identical duplicate LPs collapse to one
-representative per value-equality class, and unchanged verdict keys are
-reused outright.
+pivots all surviving feasibility LPs as one lockstep simplex wave.  In
+front of the LPs, both paths share an equal-slope screen: a partial
+combination whose ``b`` row repeats another's with a larger ``c`` loses
+everywhere and is flagged without an LP.  The kernel also remembers
+across passes: cached witnesses answer candidates without an LP, and
+byte-identical duplicate LPs collapse to one representative per
+value-equality class.
 
 This example runs the same dominance-heavy n=3 workload — quantised to a
 coarse grid so streams stall on ties and exact-duplicate dominance LPs
@@ -24,7 +26,7 @@ reference and the batched kernel and prints the bound-time split
 * the engine time drops by several x, almost all of it solver time won
   back from the dominance LP loop;
 * the kernel answers most dominance candidates without solving their LP
-  at all (witness hits + dedup + key reuse).
+  at all (screen + witness hits + dedup).
 
 Run:  python examples/bound_kernel.py
 """
@@ -40,7 +42,7 @@ relations, query = generate_problem(
                     n_tuples=120, seed=0)
 )
 # Snap vectors and scores to a coarse ladder: tie-heavy streams with
-# exact duplicate tuples, where cross-pass reuse has something to reuse.
+# exact duplicate tuples, where the screen and reuse have work to do.
 LEVELS = 5
 tied = []
 for rel in relations:
@@ -88,10 +90,10 @@ print(f"\nidentical top-{len(batched.combinations)}, depths and bound "
       f"batched {scalar.total_seconds / batched.total_seconds:.1f}x "
       f"vs scalar")
 c = batched.counters
-print("cross-pass reuse:",
+print("LPs avoided:",
+      f"{c['dominance_screened']:.0f} rows screened,",
       f"{c['dominance_witness_hits']:.0f} cached-witness hits,",
       f"{c['dominance_lp_deduped']:.0f} duplicate LPs collapsed,",
-      f"{c['dominance_lp_reused']:.0f} verdict keys reused,",
       f"{c['dominance_subset_skips']:.0f} subset passes skipped")
 print("potentials memo:",
       f"{batched.counters['potential_evals']:.0f} evaluations for "

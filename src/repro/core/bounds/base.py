@@ -107,12 +107,13 @@ class BoundCounters:
     #: bound once per block, the bound only changes once per refresh).
     potential_consults: int = 0
     potential_evals: int = 0
-    #: Incremental-dominance reuse: candidates answered by a cached
-    #: witness still satisfying every constraint, by an unchanged capped
-    #: competitor set (LP skipped), or by within-pass byte-dedup; and
+    #: Dominance candidates answered without an LP: rows the equal-slope
+    #: screen flagged (a byte-identical ``b`` row with a smaller ``c``),
+    #: candidates certified by a cached witness still satisfying every
+    #: constraint, and duplicates collapsed onto one solved system; plus
     #: subsets whose whole pass was provably redundant.
+    dominance_screened: int = 0
     dominance_witness_hits: int = 0
-    dominance_lp_reused: int = 0
     dominance_lp_deduped: int = 0
     dominance_subset_skips: int = 0
     #: Bound-QP rows the masked kernel handed to its active-set
@@ -136,8 +137,8 @@ class BoundCounters:
             "entries_dominated": self.entries_dominated,
             "potential_consults": self.potential_consults,
             "potential_evals": self.potential_evals,
+            "dominance_screened": self.dominance_screened,
             "dominance_witness_hits": self.dominance_witness_hits,
-            "dominance_lp_reused": self.dominance_lp_reused,
             "dominance_lp_deduped": self.dominance_lp_deduped,
             "dominance_subset_skips": self.dominance_subset_skips,
             "qp_enumerated": self.qp_enumerated,

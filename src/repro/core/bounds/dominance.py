@@ -15,14 +15,25 @@ because new accesses only add competitors (shrinking regions further).
 Emptiness is a feasibility LP (eq. 35), answered by the Chebyshev-centre
 test of :mod:`repro.optim.simplex`.  Because the LP cost grows with both
 the number of candidates and the number of constraints (the paper remarks
-that "solving the LP might be too costly"), two *sound* accelerations
+that "solving the LP might be too costly"), three *sound* accelerations
 wrap it:
 
-1. **Witness pre-pass** (vectorised): if alpha beats every competitor at
+1. **Equal-slope screen** (one grouped sweep): live rows with
+   byte-identical ``b`` differ only in ``c``, so against the group's
+   smallest live ``c`` every other row's half-space has an all-zero
+   normal and right-hand side ``c_min - c_alpha``.  The simplex kernels'
+   zero-row rule calls such a system empty once that right-hand side is
+   below ``-_TOL`` — before any tableau.  The screen applies the same
+   rule to the whole group at once and flags those rows up front; a
+   flagged row is also a useless competitor (the minimum's half-space
+   has the same normal and a tighter right-hand side), so the steps
+   below run on the unflagged rows only.  Tie-heavy streams (repeated
+   member vectors) produce most of their LPs in this form.
+2. **Witness pre-pass** (vectorised): if alpha beats every competitor at
    its own unconstrained optimum ``y_alpha = -b_alpha / a``, that point
    witnesses ``D(alpha) != {}`` — no LP needed.  Most live combinations
    pass this test.
-2. **Capped constraint sets**: for candidates that fail the witness test,
+3. **Capped constraint sets**: for candidates that fail the witness test,
    the LP keeps only the strongest competitors (those with the best value
    at ``y_alpha``).  Dropping constraints only *enlarges* the region, so
    "empty under a subset of constraints" still proves real emptiness,
@@ -37,9 +48,9 @@ per-candidate ``(G, h)`` blocks so the caller can stack every subset's
 problems of a whole dominance pass into one
 :func:`~repro.optim.polyhedron_feasible_point_batch` lockstep call
 (:func:`dominated_mask_batch` is the single-subset convenience wrapper).
-Both strategies share the pre-pass and the assembly, and the lockstep
-kernel's emptiness verdicts agree with the scalar test's, so the masks
-they produce are identical.
+Both strategies share the screen, the pre-pass and the assembly, and
+the lockstep kernel's emptiness verdicts agree with the scalar test's,
+so the masks they produce are identical.
 
 All directions preserve the invariant correctness depends on: a live
 partial combination is never flagged dominated.
@@ -51,6 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.optim.simplex import _TOL as _ZERO_ROW_TOL
 from repro.optim.simplex import (
     polyhedron_feasible_point,
     polyhedron_feasible_point_batch,
@@ -68,28 +80,71 @@ _MAX_LP_CONSTRAINTS = 64
 _WITNESS_TOL = 1e-9
 
 
+def _byte_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the float64 ``rows`` by their bytes: a stable permutation
+    that makes byte-identical rows adjacent, and the start of each run
+    in it (so ``order[starts]`` is each group's first row)."""
+    bits = np.ascontiguousarray(rows).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    starts = np.flatnonzero(
+        np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    )
+    return order, starts
+
+
+def _equal_slope_screen(
+    bs: np.ndarray, cs: np.ndarray, out: np.ndarray
+) -> int:
+    """Flag (in ``out``, in place) every live row whose ``c`` exceeds the
+    smallest live ``c`` among the rows with byte-identical ``b`` by more
+    than the simplex zero-row tolerance; returns the number flagged.
+
+    Against that minimum ``beta``, row ``alpha``'s half-space
+    ``2 (b_alpha - b_beta)' y <= c_beta - c_alpha`` has an all-zero
+    normal, and its right-hand side is computed exactly as the LP
+    assembly computes it, so the flag is the verdict the kernels'
+    zero-row rule would return for any system holding that row.
+    """
+    live = np.flatnonzero(~out)
+    if live.size < 2:
+        return 0
+    order, starts = _byte_runs(bs[live])
+    if starts.size == live.size:
+        return 0
+    ranked = live[order]
+    c_ranked = cs[ranked]
+    c_min = np.repeat(
+        np.minimum.reduceat(c_ranked, starts),
+        np.diff(starts, append=live.size),
+    )
+    flag = c_min - c_ranked < -_ZERO_ROW_TOL
+    out[ranked[flag]] = True
+    return int(flag.sum())
+
+
 def _witness_prepass(
     bs: np.ndarray,
     cs: np.ndarray,
-    already_dominated: np.ndarray,
+    out: np.ndarray,
     quad_coeff: float,
     witnesses: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """Passes 0 and 1 (cached witnesses + unconstrained-optimum probes).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """Passes 0 and 1 (cached witnesses + unconstrained-optimum probes)
+    over the rows ``out`` leaves live.
 
-    Returns ``(out, live, survivors, vals, witness_hits)``: the copied
-    dominated mask, the live candidate indices, the per-live-candidate
-    survivor flags, the probe value matrix (``None`` when the pre-pass is
-    disabled), and the number of candidates certified by a *cached*
-    witness (pass 0 — the cross-pass reuse counter).  ``witnesses`` rows
-    of certified survivors are updated in place.
+    Returns ``(live, survivors, vals, witness_hits)``: the live
+    candidate indices, the per-live-candidate survivor flags, the probe
+    value matrix (``None`` when the pre-pass is disabled), and the
+    number of candidates certified by a *cached* witness (pass 0 — the
+    cross-pass reuse counter).  ``witnesses`` rows of certified
+    survivors are updated in place.
     """
-    out = np.asarray(already_dominated, dtype=bool).copy()
     live = np.flatnonzero(~out)
     survivors = np.zeros(len(live), dtype=bool)
     witness_hits = 0
     if len(live) < 2:
-        return out, live, survivors, None, witness_hits
+        return live, survivors, None, witness_hits
 
     b_live = bs[live]
     c_live = cs[live]
@@ -132,7 +187,7 @@ def _witness_prepass(
             for pos in np.flatnonzero(new_winners):
                 witnesses[live[pos]] = ys[win_rows[pos]]
         survivors |= new_winners
-    return out, live, survivors, vals, witness_hits
+    return live, survivors, vals, witness_hits
 
 
 def _empty_i64(shape: tuple[int, ...]) -> np.ndarray:
@@ -141,32 +196,31 @@ def _empty_i64(shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass
 class DominancePrep:
-    """One subset's prepared dominance pass: pre-pass verdicts plus the
-    *identity* of every pending feasibility LP, assembly deferred.
+    """One subset's prepared dominance pass: screen and pre-pass verdicts
+    plus the *identity* of every pending feasibility LP, assembly
+    deferred.
 
     ``alpha[k]`` is the global candidate index of pending problem ``k``
     and ``comp[k]`` its ordered capped competitor row — together the
-    full identity of the LP given the subset's (immutable) ``b``/``c``
-    rows.  Because the subset's rows never change, any injective mapping
-    of them — their indices, or value-equality class ids — turns
-    ``(alpha, comp)`` rows into sound reuse keys: equal keys mean every
-    operand of the assembly is byte-identical, hence a byte-identical
-    ``(G, h)`` system and an identical verdict from the deterministic
-    kernel.  :meth:`assemble` materialises the block lazily, so
-    deduplicated and cache-answered candidates never pay assembly.
+    full identity of the LP given the subset's ``b``/``c`` rows.
+    :meth:`assemble` materialises the block lazily, so collapsed
+    duplicates never pay assembly.
     """
 
-    #: Copied dominated mask (pre-pass adds no new flags).
+    #: Copied dominated mask, with the equal-slope screen's flags added
+    #: (the pre-pass adds none).
     out: np.ndarray
     #: Global candidate index per pending LP, shape ``(P,)``.
     alpha: np.ndarray = field(default_factory=lambda: _empty_i64((0,)))
     #: ``(P, width)`` ordered capped competitor rows (global indices).
     comp: np.ndarray = field(default_factory=lambda: _empty_i64((0, 0)))
-    #: Class-collapsed mode only (``canon`` given): every pending
+    #: Class-collapsed mode only (``collapse=True``): every pending
     #: candidate (``owners_alpha``) and the row of ``alpha``/``comp``
     #: holding its class's representative problem (``owners_class``).
     owners_alpha: np.ndarray | None = None
     owners_class: np.ndarray | None = None
+    #: Rows the equal-slope screen flagged.
+    screened: int = 0
     #: Candidates certified by a cached cross-pass witness (pass 0).
     witness_hits: int = 0
     _bs: np.ndarray | None = None
@@ -194,53 +248,63 @@ def prepare_dominance_pass(
     quad_coeff: float,
     max_lp_constraints: int = _MAX_LP_CONSTRAINTS,
     witnesses: np.ndarray | None = None,
-    canon: np.ndarray | None = None,
+    collapse: bool = False,
 ) -> DominancePrep:
-    """Run the witness pre-pass and identify — without assembling — the
-    pending feasibility LPs of one subset (see :class:`DominancePrep`).
+    """Run the equal-slope screen and the witness pre-pass, and identify
+    — without assembling — the pending feasibility LPs of one subset (see
+    :class:`DominancePrep`).
 
-    Shares the exact pre-pass of :func:`dominated_mask` (``witnesses``
-    updated in place identically); every public entry point below is a
-    thin wrapper over this.  The competitor extraction is one stable
-    row-wise argsort over all pending candidates (identical, row for
-    row, to the scalar loop's per-candidate sort).
+    Every public entry point below is a thin wrapper over this, so the
+    scalar and batched paths flag identically.  The screen's flags join
+    the dominated mask before the pre-pass, which, like the competitor
+    extraction, then runs on the unflagged rows only (``witnesses``
+    updated in place as in :func:`dominated_mask`).  The competitor
+    extraction is one stable row-wise argsort over all pending
+    candidates (identical, row for row, to the scalar loop's
+    per-candidate sort).
 
-    ``canon`` (per-row value-equality class ids of the immutable
-    ``(b, c)`` rows) switches on *class collapse*: pending candidates of
-    the same class have byte-identical probe rows, hence identical
-    strength orderings, and their LP systems coincide up to the
-    self/twin swap — which assembles to an all-zero vacuous half-space
-    either way — plus, when a cross-class probe-value tie separates the
-    twins in the stable order, a permutation of the tied rows.  Either
-    way the representative's system is a capped subset of every owner's
-    own competitor constraints, so its "empty" verdict soundly transfers
-    (dropping or reordering constraints never flags a live candidate);
-    with ties confined to classes the systems are byte-identical.  Only
-    one representative per class is sorted and kept in
-    ``alpha``/``comp``; ``owners_alpha``/``owners_class`` map every
-    pending candidate back to its class's problem, so the caller solves
-    each class once and fans the verdict out.
+    ``collapse=True`` switches on *class collapse*: pending candidates
+    with byte-identical ``(b, c)`` rows have byte-identical probe rows,
+    hence identical strength orderings, and their LP systems coincide up
+    to the self/twin swap — which assembles to an all-zero vacuous
+    half-space either way — plus, when a cross-class probe-value tie
+    separates the twins in the stable order, a permutation of the tied
+    rows.  Either way the representative's system is a capped subset of
+    every owner's own competitor constraints, so its "empty" verdict
+    soundly transfers (dropping or reordering constraints never flags a
+    live candidate); with ties confined to classes the systems are
+    byte-identical.  Only one representative per class (its first
+    pending owner) is sorted and kept in ``alpha``/``comp``;
+    ``owners_alpha``/``owners_class`` map every pending candidate back
+    to its class's problem, so the caller solves each class once and
+    fans the verdict out.
     """
     bs = np.atleast_2d(np.asarray(bs, dtype=float))
     cs = np.asarray(cs, dtype=float)
-    out, live, survivors, vals, witness_hits = _witness_prepass(
-        bs, cs, already_dominated, quad_coeff, witnesses
+    out = np.asarray(already_dominated, dtype=bool).copy()
+    screened = _equal_slope_screen(bs, cs, out)
+    live, survivors, vals, witness_hits = _witness_prepass(
+        bs, cs, out, quad_coeff, witnesses
     )
-    prep = DominancePrep(out=out, witness_hits=witness_hits, _bs=bs, _cs=cs)
+    prep = DominancePrep(
+        out=out, screened=screened, witness_hits=witness_hits, _bs=bs, _cs=cs
+    )
     num_live = len(live)
     if num_live < 2:
         return prep
     pend = np.flatnonzero(~survivors)
     if pend.size == 0:
         return prep
-    if canon is not None:
+    if collapse:
         owners = live[pend]
-        _, rep, inv = np.unique(
-            canon[owners], return_index=True, return_inverse=True
+        order, starts = _byte_runs(np.column_stack([bs[owners], cs[owners]]))
+        owners_class = np.empty(owners.size, dtype=np.int64)
+        owners_class[order] = np.repeat(
+            np.arange(starts.size), np.diff(starts, append=owners.size)
         )
         prep.owners_alpha = owners
-        prep.owners_class = inv.reshape(-1)
-        pend = pend[rep]
+        prep.owners_class = owners_class
+        pend = pend[order[starts]]
     # Strength ordering per pending candidate (rows of the probe matrix;
     # the c fallback when the pre-pass is disabled), self removed, capped.
     if vals is not None:

@@ -37,11 +37,11 @@ access), with the engineering refinements called out in DESIGN.md:
   streams' constant ``sigma_max``: the batched kernel computes it once
   at append and every later solve of the entry gathers it from the
   subset's columns.
-* The batched kernel carries caches *across* refreshes — per-entry LP
-  keys and feasible points, per-subset pass fingerprints — so unchanged
-  dominance work is skipped and duplicated LPs are solved once; every
-  mechanism is verdict-preserving (see ``_dominance_pass_batched``), so
-  runs stay bit-identical to the scalar reference.
+* The batched dominance pass skips a subset whose candidate field is
+  unchanged since its last pass and solves byte-identical duplicate
+  LPs once; both are verdict-preserving (see
+  ``_dominance_pass_batched``), so runs stay bit-identical to the
+  scalar reference.
 * The scheme synchronises against the streams' seen prefixes, so the
   engine may invoke it only every ``bound_period`` pulls (the paper's
   practical-systems trade-off) and the incremental cross-product still
@@ -76,10 +76,7 @@ import numpy as np
 
 from repro.core.access import AccessKind
 from repro.core.bounds.base import NEG_INFINITY, BoundingScheme, EngineState
-from repro.core.bounds.dominance import (
-    _MAX_LP_CONSTRAINTS,
-    prepare_dominance_pass,
-)
+from repro.core.bounds.dominance import prepare_dominance_pass
 from repro.core.bounds.geometry import (
     completion_geometry,
     dominance_coefficients_batch,
@@ -131,10 +128,6 @@ class _SubsetState:
         "b",
         "c",
         "witness",
-        "canon",
-        "canon_ids",
-        "lp_keys",
-        "lp_point",
         "proj",
         "residual_sq",
         "score_term",
@@ -159,23 +152,11 @@ class _SubsetState:
         self.b = np.empty((cap, d))
         self.c = np.empty(cap)
         self.witness = np.full((cap, d), np.nan)
-        # Cross-refresh caches of the batched kernel (see TightBound's
-        # docstring): the value-equality class of each entry's immutable
-        # ``(b, c)`` row (assigned at append; two entries share an id iff
-        # their rows are byte-identical), the LP-problem identity key each
-        # entry's last verdict was computed for (a padded canon-id row —
-        # own class first, then the ordered capped competitor classes, -1
-        # padding; all -2 = no cached verdict), the feasible point of that
-        # solve, the entry's completion geometry (its QP's fixed values,
-        # residual and score term, fixed at append), and the field
-        # fingerprint of the last dominance pass (entry count + new
-        # flags) that licenses a full subset skip.
-        self.canon = np.full(cap, -1, dtype=np.int64)
-        self.canon_ids: dict[bytes, int] = {}
-        self.lp_keys = np.full(
-            (cap, _MAX_LP_CONSTRAINTS + 1), -2, dtype=np.int64
-        )
-        self.lp_point = np.full((cap, d), np.nan)
+        # Batched-kernel state (see TightBound's docstring): the entry's
+        # completion geometry (its QP's fixed values, residual and score
+        # term, fixed at append), and the field fingerprint of the last
+        # dominance pass (entry count + new flags) that licenses a full
+        # subset skip.
         self.proj = np.empty((cap, m))
         self.residual_sq = np.empty(cap)
         self.score_term = np.empty(cap)
@@ -196,9 +177,6 @@ class _SubsetState:
             ("b", None),
             ("c", None),
             ("witness", np.nan),
-            ("canon", -1),
-            ("lp_keys", -2),
-            ("lp_point", np.nan),
             ("proj", None),
             ("residual_sq", None),
             ("score_term", None),
@@ -228,11 +206,10 @@ class _SubsetState:
             self._grow(lo + e)
         self.scores[lo : lo + e] = scores
         self.vecs[lo : lo + e] = vecs
+        # Rows may be reused after clear(): stale flags and witnesses
+        # must not leak into new entries.
         self.dominated[lo : lo + e] = False
         self.witness[lo : lo + e] = np.nan
-        # Rows may be reused after clear(): stale caches must not leak
-        # into new entries.
-        self.lp_keys[lo : lo + e] = -2
         if geometry is not None:
             proj, residual_sq, score_term = geometry
             self.proj[lo : lo + e] = proj
@@ -507,20 +484,6 @@ class TightBound(BoundingScheme):
                     )
                     sub.b[lo : lo + e_new] = bs
                     sub.c[lo : lo + e_new] = cs
-                    if gathered:
-                        # Canonical value-equality ids for the new rows:
-                        # duplicate pulls (tie-heavy streams) produce
-                        # byte-identical (b, c) rows, which share an id
-                        # and make the pass's reuse keys cheap integers.
-                        ids = sub.canon_ids
-                        canon = sub.canon
-                        for r in range(e_new):
-                            kb = bs[r].tobytes() + cs[r].tobytes()
-                            cid = ids.get(kb)
-                            if cid is None:
-                                cid = len(ids)
-                                ids[kb] = cid
-                            canon[lo + r] = cid
                 self.counters.qp_solves += e_new
                 self.counters.entries_created += e_new
 
@@ -658,10 +621,11 @@ class TightBound(BoundingScheme):
         """Scalar reference dominance pass: one feasibility LP per
         uncertified candidate (scipy-accelerated when available).
 
-        Structured as gather (witness pre-pass + constraint assembly,
-        shared with the batched pass) followed by the per-candidate LP
-        loop, so ``solver_seconds`` times exactly the feasibility solves
-        — the same line the batched pass draws around its lockstep call.
+        Structured as gather (equal-slope screen, witness pre-pass and
+        constraint assembly, shared with the batched pass) followed by
+        the per-candidate LP loop, so ``solver_seconds`` times exactly
+        the feasibility solves — the same line the batched pass draws
+        around its lockstep call.
         The flags and witnesses equal :func:`dominated_mask`'s.
         """
         start = time.perf_counter()
@@ -682,6 +646,7 @@ class TightBound(BoundingScheme):
                 quad_coeff=quad, witnesses=sub.witness[:cnt],
             )
             self.counters.dominance_witness_hits += prep.witness_hits
+            self.counters.dominance_screened += prep.screened
             out = prep.out
             lp_started = time.perf_counter()
             for k, alpha in enumerate(prep.pending):
@@ -705,14 +670,13 @@ class TightBound(BoundingScheme):
         state: EngineState,
         subsets: list[_SubsetState],
     ) -> None:
-        """Batched dominance pass: shared witness pre-pass per subset,
-        then every subset's surviving feasibility LPs solved through one
-        lockstep kernel call (the kernel groups and stacks the ``G/h``
-        blocks by constraint count into the workspace's
+        """Batched dominance pass: shared screen and witness pre-pass per
+        subset, then every subset's surviving feasibility LPs solved
+        through one lockstep kernel call (the kernel groups and stacks the
+        ``G/h`` blocks by constraint count into the workspace's
         :meth:`~repro.core.bounds.workspace.BoundWorkspace.lp_plan` slabs).
 
-        Three verdict-preserving reuse layers run in front of the kernel
-        call:
+        Two verdict-preserving layers run in front of the kernel call:
 
         * **subset skip** — a subset whose last pass saw the same entry
           count *and* flagged nothing new has a bit-identical candidate
@@ -720,20 +684,12 @@ class TightBound(BoundingScheme):
           immutable), so every verdict would repeat; the whole pass is
           skipped.  Count alone is not enough: a shrinking live set can
           pull weaker competitors into the capped LPs and flip verdicts.
-        * **key reuse** — a pending candidate whose LP-problem key row
-          (its canonical ``(b, c)`` class plus the ordered capped
-          competitor classes) equals its cached ``lp_keys`` row would
-          rebuild a bit-identical ``(G, h)`` system; the deterministic
-          kernel would repeat last pass's (necessarily non-empty —
-          empty means flagged forever) verdict, so the cached feasible
-          point is restored without solving.  One array comparison per
-          subset answers every candidate at once.
-        * **key dedup** — within the pass, candidates of one subset with
-          equal LP-problem key rows have byte-identical ``(G, h)``
-          systems (every assembly operand is byte-identical — tie-heavy
-          streams produce exact twins), so one row-unique call per
-          subset picks the systems to assemble and solve, and the
-          verdict is fanned out to every owner.
+        * **class collapse** — pending candidates of one subset with
+          byte-identical ``(b, c)`` rows (tie-heavy streams produce exact
+          twins) share one representative system
+          (:func:`~repro.core.bounds.dominance.prepare_dominance_pass`
+          with ``collapse=True``), which is assembled and solved once and
+          whose verdict is fanned out to every owner.
         """
         start = time.perf_counter()
         scatter: list[tuple[_SubsetState, int, np.ndarray]] = []
@@ -754,55 +710,24 @@ class TightBound(BoundingScheme):
             before = sub.dominated[:cnt].copy()
             prep = prepare_dominance_pass(
                 sub.b[:cnt], sub.c[:cnt], before,
-                quad_coeff=quad, witnesses=sub.witness[:cnt],
-                canon=sub.canon[:cnt],
+                quad_coeff=quad, witnesses=sub.witness[:cnt], collapse=True,
             )
             self.counters.dominance_witness_hits += prep.witness_hits
+            self.counters.dominance_screened += prep.screened
             scatter.append((sub, cnt, prep.out))
-            alpha = prep.alpha
-            if alpha.size == 0:
+            if prep.alpha.size == 0:
                 continue
-            # Class-collapsed front end: ``prep.alpha``/``prep.comp``
-            # hold one representative problem per value-equality class;
-            # every pending candidate owns one class.  Key rows (own
-            # class first, then the ordered capped competitor classes)
-            # answer cross-pass reuse with one pad-aware array
-            # comparison (pad/-2 rows can never match: classes are
-            # >= 0, so one column past the key detects width drift).
-            comp = prep.comp
-            width = comp.shape[1]
-            canon = sub.canon
-            n_cls = alpha.size
-            keys_u = np.empty((n_cls, width + 1), dtype=np.int64)
-            keys_u[:, 0] = canon[alpha]
-            keys_u[:, 1:] = canon[comp]
-            own = prep.owners_alpha
-            own_cls = prep.owners_class
-            keys = keys_u[own_cls]
-            cached = sub.lp_keys[own]
-            reuse = (cached[:, : width + 1] == keys).all(axis=1)
-            if width + 1 < cached.shape[1]:
-                reuse &= cached[:, width + 1] == -1
-            if reuse.any():
-                hit = own[reuse]
-                sub.witness[hit] = sub.lp_point[hit]
-                self.counters.dominance_lp_reused += int(reuse.sum())
-            rest = np.flatnonzero(~reuse)
-            if rest.size == 0:
-                continue
-            # Solve each class still owed a verdict exactly once.
-            need = np.zeros(n_cls, dtype=bool)
-            need[own_cls[rest]] = True
-            sel = np.flatnonzero(need)
-            slot_of = np.full(n_cls, -1, dtype=np.int64)
-            slot_of[sel] = len(gs) + np.arange(sel.size)
-            for u in sel:
-                g, h = prep.assemble(int(u))
+            # Solve each class once: ``slots`` maps every pending owner
+            # to its class representative's position in the wave.
+            fanouts.append(
+                (sub, prep.out, prep.owners_alpha, len(gs) + prep.owners_class)
+            )
+            for k in range(prep.alpha.size):
+                g, h = prep.assemble(k)
                 gs.append(g)
                 hs.append(h)
-            self.counters.dominance_lp_deduped += int(rest.size - sel.size)
-            fanouts.append(
-                (sub, own[rest], slot_of[own_cls[rest]], keys[rest], width)
+            self.counters.dominance_lp_deduped += int(
+                prep.owners_alpha.size - prep.alpha.size
             )
 
         if gs:
@@ -813,27 +738,10 @@ class TightBound(BoundingScheme):
             )
             self.counters.solver_seconds += time.perf_counter() - started
             self.counters.lp_solves += len(gs)
-            out_of = {id(sub): out for sub, _, out in scatter}
-            # Fan each solved system's verdict out to every owner and
-            # refresh the per-entry caches, all with array indexing
-            # (``slots`` maps owners to their unique solved problem).
-            for sub, own, slots, key_rows, width in fanouts:
-                out = out_of[id(sub)]
+            for sub, out, own, slots in fanouts:
                 emptied = empty[slots]
-                if emptied.any():
-                    out[own[emptied]] = True
-                    sub.lp_keys[own[emptied]] = -2
-                ok = ~emptied
-                if ok.any():
-                    a_ok = own[ok]
-                    p_ok = points[slots[ok]]
-                    sub.witness[a_ok] = p_ok
-                    sub.lp_point[a_ok] = p_ok
-                    rows = np.full(
-                        (a_ok.size, sub.lp_keys.shape[1]), -1, np.int64
-                    )
-                    rows[:, : width + 1] = key_rows[ok]
-                    sub.lp_keys[a_ok] = rows
+                out[own[emptied]] = True
+                sub.witness[own[~emptied]] = points[slots[~emptied]]
 
         for sub, cnt, out in scatter:
             newly = out & ~sub.dominated[:cnt]

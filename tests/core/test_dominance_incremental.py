@@ -1,11 +1,12 @@
-"""Soundness regression for the batched kernel's cross-pass dominance reuse.
+"""Soundness regression for the batched kernel's dominance reuse.
 
 Properties pinned, layer by layer:
 
 * **Class collapse is byte-exact where ties stay within classes, and
-  verdict-exact everywhere** — with value-equality class ids
-  (``canon``), :func:`prepare_dominance_pass` keeps one representative
-  LP per class; its assembled ``(G, h)`` system is byte-identical to the
+  verdict-exact everywhere** — with ``collapse=True``,
+  :func:`prepare_dominance_pass` groups the pending candidates by the
+  bytes of their ``(b, c)`` rows and keeps one representative LP per
+  class; its assembled ``(G, h)`` system is byte-identical to the
   plain per-candidate assembly of *every* owner in the class (the
   self/twin swap contributes an all-zero vacuous row either way) unless
   a cross-class probe-value tie permutes rows between twins, and fanning
@@ -16,7 +17,9 @@ Properties pinned, layer by layer:
   bit-identical to the scalar :func:`chebyshev_center`.
 * **Engine-level identity** — on tie-heavy workloads the batched kernel
   returns the same ranked answer, depths and bound as the scalar
-  reference, while its reuse counters actually fire.
+  reference and as the dominance-off run, while its reuse counters
+  actually fire and the equal-slope screen flags the same rows on both
+  paths.
 * **No silent QP fallback** — ``qp_enumerated`` counts the bound-QP rows
   the closed form handed to the enumeration: none on the tie-heavy
   workload, every row when ``w_q = 0`` leaves no closed form.
@@ -37,8 +40,8 @@ from repro.optim.simplex import (
 
 def duplicated_family(rng, count, d, dup_frac=0.4, tie_free=False):
     """A random ``(b, c)`` family where ``dup_frac`` of the rows are
-    exact byte-copies of earlier rows, plus the per-row value-equality
-    class ids the engine would assign at append time.  ``tie_free``
+    exact byte-copies of earlier rows, plus per-row value-equality class
+    ids (the classes ``collapse=True`` must find).  ``tie_free``
     keeps ``c`` continuous so strength-order ties occur only *within*
     duplicate classes; the default coarse rounding also ties distinct
     classes (the adversarial tie-heavy regime)."""
@@ -74,13 +77,20 @@ def test_class_collapse_assembly_byte_identical(seed):
     # quad_coeff=0 disables the witness pre-pass: every live candidate is
     # pending, so the collapse is exercised on the full family.
     plain = prepare_dominance_pass(bs, cs, already, quad_coeff=0.0)
-    coll = prepare_dominance_pass(bs, cs, already, quad_coeff=0.0, canon=canon)
+    coll = prepare_dominance_pass(
+        bs, cs, already, quad_coeff=0.0, collapse=True
+    )
 
     assert coll.owners_alpha is not None and coll.owners_class is not None
     # Same pending set, just factored through class representatives.
     assert np.array_equal(np.sort(coll.owners_alpha), np.sort(plain.alpha))
     assert coll.alpha.size == len(np.unique(canon))
     assert coll.alpha.size < plain.alpha.size  # duplicates were planted
+    # The byte grouping matches the per-row bytes-key loop's classes.
+    pairs = set(
+        zip(coll.owners_class.tolist(), canon[coll.owners_alpha].tolist())
+    )
+    assert len(pairs) == coll.alpha.size
 
     plain_row = {int(a): k for k, a in enumerate(plain.alpha)}
     for i, owner in enumerate(coll.owners_alpha):
@@ -101,7 +111,9 @@ def test_class_collapse_verdicts_match_memoryless(seed):
     bs, cs, canon = duplicated_family(rng, count, 2)
     already = np.zeros(count, dtype=bool)
     plain = prepare_dominance_pass(bs, cs, already, quad_coeff=0.0)
-    coll = prepare_dominance_pass(bs, cs, already, quad_coeff=0.0, canon=canon)
+    coll = prepare_dominance_pass(
+        bs, cs, already, quad_coeff=0.0, collapse=True
+    )
 
     probs_p = [plain.assemble(k) for k in range(plain.alpha.size)]
     _, empty_p = polyhedron_feasible_point_batch(
@@ -139,13 +151,17 @@ def test_cached_witness_invalidated_by_new_competitor(runner):
     )
     assert not out[0]
     assert not np.isnan(witnesses[0, 0])  # A's witness was cached
-    # Pass 2: C (b=0, c=-1) beats A everywhere — A's region is now empty.
-    bs2 = np.vstack([bs, [[0.0]]])
-    cs2 = np.append(cs, -1.0)
-    out2, _ = solve(
+    # Pass 2: C (b=-1, c=-10) beats A at its witness y=0 and wherever A
+    # beats B (y >= -2.5) — A's region is now empty.  C's b differs from
+    # A's, so the equal-slope screen cannot answer A: the stale witness
+    # must be rejected and A's LP solved.
+    bs2 = np.vstack([bs, [[-1.0]]])
+    cs2 = np.append(cs, -10.0)
+    out2, lps = solve(
         bs2, cs2, np.append(out, False), quad_coeff=1.0, witnesses=witnesses
     )
     assert out2[0], "stale witness shielded a now-dominated candidate"
+    assert lps >= 1
     assert not out2[2]
 
 
@@ -192,12 +208,12 @@ def tie_heavy_problem(n_relations=3, n_tuples=90, dims=2, levels=4, seed=0):
     return relations, np.zeros(dims)
 
 
-def _run(relations, query, *, algo, batch_kernel, w_q=1.0):
+def _run(relations, query, *, algo, batch_kernel, w_q=1.0, dominance_period=2):
     scoring = EuclideanLogScoring(1.0, w_q, 1.0)
     return make_algorithm(
         algo, relations, scoring, query, 5,
-        kind=AccessKind.DISTANCE, pull_block=4, dominance_period=2,
-        batch_kernel=batch_kernel,
+        kind=AccessKind.DISTANCE, pull_block=4,
+        dominance_period=dominance_period, batch_kernel=batch_kernel,
     ).run()
 
 
@@ -224,17 +240,40 @@ def test_engine_three_way_identity(algo, seed):
 
 def test_engine_reuse_counters_fire():
     """The kernel's reuse machinery does real work on the tie-heavy
-    workload: duplicates collapse, cached witnesses answer candidates,
-    and the solved-LP count drops below the scalar path's."""
-    relations, query = tie_heavy_problem(n_tuples=120, seed=2)
+    workload: the screen flags rows, duplicates collapse, cached
+    witnesses answer candidates, and the solved-LP count drops below the
+    scalar path's."""
+    relations, query = tie_heavy_problem()
     kernel = _run(relations, query, algo="TBPA", batch_kernel=True)
     scalar = _run(relations, query, algo="TBPA", batch_kernel=False)
+    assert kernel.counters["dominance_screened"] > 0
     assert kernel.counters["dominance_lp_deduped"] > 0
     assert kernel.counters["dominance_witness_hits"] > 0
-    assert kernel.counters["lp_solves"] < scalar.counters["lp_solves"]
-    # The scalar reference solves one LP per candidate: no reuse.
-    assert scalar.counters["dominance_lp_reused"] == 0
+    assert 0 < kernel.counters["lp_solves"] < scalar.counters["lp_solves"]
+    # The scalar reference solves one LP per candidate: no collapse.
     assert scalar.counters["dominance_lp_deduped"] == 0
+
+
+@pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
+def test_engine_screen_matches_scalar_and_dominance_off(algo):
+    """The equal-slope screen runs in the shared front end: it flags the
+    same number of rows on the kernel and scalar paths, and the answer
+    equals the dominance-off run's."""
+    relations, query = tie_heavy_problem(n_tuples=120, seed=2)
+    kernel = _run(relations, query, algo=algo, batch_kernel=True)
+    scalar = _run(relations, query, algo=algo, batch_kernel=False)
+    off = _run(
+        relations, query, algo=algo, batch_kernel=True, dominance_period=None
+    )
+    assert kernel.completed and scalar.completed and off.completed
+    assert kernel.counters["dominance_screened"] > 0
+    assert (
+        kernel.counters["dominance_screened"]
+        == scalar.counters["dominance_screened"]
+    )
+    assert off.counters["dominance_screened"] == 0
+    assert _same_answer(kernel, scalar)
+    assert _same_answer(kernel, off)
 
 
 def test_qp_enumerated_counts_fallback_rows():

@@ -2,10 +2,14 @@
 
 Property pinned: **a live partial combination is never flagged
 dominated** — under the scalar LP loop, under capped constraint sets
-(dropping competitors can only enlarge regions) and under the batched
-lockstep kernel.  Liveness ground truth is established constructively: a
-candidate that wins (within tolerance) at any probed point certainly has
-a non-empty dominance region.
+(dropping competitors can only enlarge regions), under the batched
+lockstep kernel and under the equal-slope screen.  Liveness ground truth
+is established constructively: a candidate that wins (within tolerance)
+at any probed point certainly has a non-empty dominance region.
+
+The screen flags a row exactly when the simplex kernels' zero-row rule
+would call its one-row system against its ``b``-group's live minimum
+empty; the planted-gap family below pins that boundary.
 """
 
 import numpy as np
@@ -15,7 +19,9 @@ from repro.core.bounds.dominance import (
     dominance_lp_problems,
     dominated_mask,
     dominated_mask_batch,
+    prepare_dominance_pass,
 )
+from repro.optim.simplex import polyhedron_feasible_point
 
 
 def random_family(rng, count, d):
@@ -125,7 +131,10 @@ def test_lp_problems_assembly_matches_scalar_competitors():
         bs, cs, np.zeros(count, dtype=bool), quad_coeff=1.0,
         max_lp_constraints=5,
     )
-    assert not out.any()  # assembly alone never flags
+    # Assembly flags nothing by itself; only the equal-slope screen
+    # flags, and only the planted row 1 (row 0's b, a larger c).
+    assert np.flatnonzero(out).tolist() == [1]
+    assert 1 not in [alpha for alpha, _, _ in problems]
     for alpha, g, h in problems:
         assert g.shape[0] <= 5 and g.shape == (len(h), 2)
         # Each row is a valid half-space of alpha against some competitor.
@@ -135,3 +144,92 @@ def test_lp_problems_assembly_matches_scalar_competitors():
             match &= np.isclose(cs - cs[alpha], rhs)
             match[alpha] = False
             assert match.any()
+
+
+#: Gaps above the group minimum's ``c``: at or below the zero-row
+#: tolerance (1e-9) the screen must leave a row alone, above it flag it.
+SCREEN_GAPS = (0.0, 5e-10, 1e-9, 2e-9, 0.5)
+
+
+def equal_slope_family(rng, d=2, extra=6):
+    """Random rows plus two planted groups sharing one ``b`` row each:
+    group A's minimum ``c`` is exactly 0.0 (so every gap is exact), and
+    group B's is a random value (gaps as the float sums produce them).
+    Returns ``(bs, cs, groups)`` with ``groups`` the planted row indices,
+    minimum first."""
+    bs = [rng.normal(size=d) for _ in range(extra)]
+    cs = list(rng.normal(size=extra))
+    groups = []
+    for base in (0.0, float(rng.normal())):
+        b = rng.normal(size=d)
+        rows = []
+        for gap in SCREEN_GAPS:
+            rows.append(len(bs))
+            bs.append(b.copy())
+            cs.append(base + gap)
+        groups.append(rows)
+    return np.array(bs), np.array(cs), groups
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_slope_screen_flags_exactly_past_tolerance(seed):
+    """A planted row is flagged exactly when its gap above the group's
+    live minimum exceeds 1e-9, and each flagged row's one-row system
+    against that minimum is empty under the kernels' own rule."""
+    rng = np.random.default_rng(300 + seed)
+    bs, cs, groups = equal_slope_family(rng)
+    count = len(cs)
+    prep = prepare_dominance_pass(
+        bs, cs, np.zeros(count, dtype=bool), quad_coeff=1.0
+    )
+    planted = [r for rows in groups for r in rows]
+    for rows in groups:
+        low = rows[0]
+        for r in rows:
+            rhs = cs[low] - cs[r]  # as the LP assembly computes it
+            assert prep.out[r] == (rhs < -1e-9), (r, rhs)
+            g = 2.0 * (bs[r] - bs[low])[None, :]
+            empty = polyhedron_feasible_point(g, np.array([rhs])) is None
+            assert empty == prep.out[r]
+    # Group A's gaps are exact: 0, 5e-10 and 1e-9 stay, 2e-9 and 0.5 go.
+    assert prep.out[groups[0]].tolist() == [False, False, False, True, True]
+    assert prep.screened == int(prep.out[planted].sum())
+    # Random rows have distinct b rows: the screen leaves them alone.
+    assert not prep.out[np.setdiff1d(np.arange(count), planted)].any()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_equal_slope_screen_never_flags_live(seed):
+    """Screen flags (and the LPs behind them) never hit a provably live
+    row on families with planted equal-``b`` groups."""
+    rng = np.random.default_rng(400 + seed)
+    d = int(rng.integers(1, 4))
+    quad = float(rng.uniform(0.2, 4.0))
+    bs, cs, _ = equal_slope_family(rng, d=d, extra=int(rng.integers(2, 20)))
+    count = len(cs)
+    prep = prepare_dominance_pass(
+        bs, cs, np.zeros(count, dtype=bool), quad_coeff=quad
+    )
+    assert prep.screened > 0
+    for runner in (dominated_mask, dominated_mask_batch):
+        out, _ = runner(
+            bs, cs, np.zeros(count, dtype=bool), quad_coeff=quad,
+            witnesses=np.full((count, d), np.nan),
+        )
+        assert (out >= prep.out).all()  # the screen's flags stand
+        points = np.vstack([-bs / quad, rng.normal(size=(200, d)) * 3.0])
+        live = provably_live(bs, cs, quad, points)
+        assert not (out & live).any(), np.flatnonzero(out & live)
+
+
+def test_equal_slope_screen_skips_dominated_minimum():
+    """A row already flagged does not anchor its group: the next live
+    row acts as the minimum, and gaps are measured from it."""
+    bs = np.array([[1.0, -0.5]] * 4 + [[0.0, 2.0]])
+    cs = np.array([-1.0, 0.0, 5e-10, 0.25, 3.0])
+    already = np.array([True, False, False, False, False])
+    prep = prepare_dominance_pass(bs, cs, already, quad_coeff=1.0)
+    # Against the dominated row 0, rows 1-3 would all be flagged; against
+    # the live minimum (row 1) only row 3 is past the tolerance.
+    assert prep.out.tolist() == [True, False, False, True, False]
+    assert prep.screened == 1

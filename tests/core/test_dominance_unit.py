@@ -18,11 +18,15 @@ class TestDominatedMask:
         assert lps == 0
 
     def test_identical_b_smaller_c_wins(self):
-        # Same direction, alpha strictly better constant: beta dominated.
+        # Same direction, alpha strictly better constant: beta dominated,
+        # by the equal-slope screen alone — no feasibility LP is solved.
         bs = np.array([[1.0, 0.0], [1.0, 0.0]])
         cs = np.array([0.0, 1.0])
-        mask, _ = dominated_mask(bs, cs, np.array([False, False]), quad_coeff=1.0)
+        mask, lps = dominated_mask(
+            bs, cs, np.array([False, False]), quad_coeff=1.0
+        )
         assert list(mask) == [False, True]
+        assert lps == 0
 
     def test_sandwiched_entry_dominated(self):
         # In 1-D with b in {-1, 0, +1} and equal c, the middle entry's
