@@ -525,9 +525,12 @@ class ShardCursor:
 
     The other sources' columns are allocated at full order size on the
     first window and filled as windows land; ``filled`` is the
-    watermark.  :class:`MergeStream` calls :meth:`request` on every live
-    cursor of a refill before it calls :meth:`ensure` on any, then reads
-    :meth:`window` and advances ``pos``.
+    watermark.  :class:`MergeStream` calls :meth:`request` with the
+    cursor's share of a refill on every live cursor before it calls
+    :meth:`ensure` on any — for one row when other shards are live, for
+    the rows the pull takes when this is the last — then reads
+    :meth:`window` and advances ``pos``.  A blocking source therefore
+    fetches one page per multi-shard refill that finds it dry.
     """
 
     __slots__ = (
@@ -610,22 +613,31 @@ class MergeStream:
     for bit — completed sharded runs return identical top-K, depths and
     bounds (the differential suite pins this for S in {1, 2, 4, 7}).
 
-    The merge runs *ahead of* the pulls: a refill merges the next
-    ``max(B, readahead)`` rows in one vectorised pass — each live shard
-    exposes a window of that many rows (the top-R of the merge can only
-    come from those), one ``np.lexsort`` over the stacked ``(rank, tid)``
-    candidates fixes their global order, and each cursor advances by how
-    many of its rows were taken.  Pulls then serve array slices of the
-    staged merge, so the per-numpy-call overhead of merging amortises
-    across blocks and block pulls stay within noise of the single-shard
-    slicing fast path (the staging is invisible: staged rows do not count
-    toward ``depth`` or the rank statistics until actually pulled).  With
-    an ``executor`` the per-shard window reads of a refill are
-    dispatched as one task per shard and merged when all return (the
-    service passes its shard pool here, which is what "shard-parallel
-    block pulls" means operationally).  Every shard, whatever its tier,
-    is read through one :class:`ShardCursor`; read-ahead means fewer,
-    larger per-shard fetches, exactly what a remote shard wants.
+    The merge runs *ahead of* the pulls: a refill merges up to the next
+    ``R = max(B, readahead)`` rows in one vectorised pass — each live
+    shard exposes its local rows, at most R of them (the top-R of the
+    merge can only come from those), one ``np.lexsort`` over the stacked
+    ``(rank, tid)`` candidates fixes their global order, and each cursor
+    advances by how many of its rows were taken.  Pulls then serve array
+    slices of the staged merge, so the per-numpy-call overhead of
+    merging amortises across blocks and block pulls stay within noise of
+    the single-shard slicing fast path (the staging is invisible: staged
+    rows do not count toward ``depth`` or the rank statistics until
+    actually pulled).  With an ``executor`` the per-shard window reads
+    of a refill are dispatched as one task per shard and merged when all
+    return (the service passes its shard pool here, which is what
+    "shard-parallel block pulls" means operationally).
+
+    Every shard, whatever its tier, is read through one
+    :class:`ShardCursor`.  A refill asks each live cursor for its share
+    ``ceil(R / live)`` of the rows and needs only one local row from
+    each, so a fetched shard reads about what the merge takes from it.
+    A shard whose local rows stop short of R may hold unseen rows, each
+    sorting after its last local row, so the refill stages the
+    candidates only up to the *frontier* — the earliest last local row
+    among the short shards — which is at least one row.  Resident
+    cursors hold their whole order, are never short, and stage exactly
+    the top R.
 
     The merged prefix is a *growing* :class:`~repro.core.columnar.
     ColumnarPrefix` (like the k-d indexed path): rows are appended in
@@ -765,17 +777,19 @@ class MergeStream:
         return block
 
     def _refill(self, needed: int) -> bool:
-        """Merge the next ``max(needed, READAHEAD)`` rows of the shard
-        cursors into the stage; False when every cursor is drained."""
+        """Merge up to ``max(needed, READAHEAD)`` rows of the shard
+        cursors into the stage — every row the local windows prove
+        final, at least one; False when every cursor is drained."""
         live = [c for c in self.cursors if c.remaining > 0]
         if not live:
             return False
         span = max(needed, self.READAHEAD)
-        # Every live cursor learns the span before any blocks, so
-        # asynchronously fed cursors (remote shard streams) overlap their
-        # window fetches across shards.
+        # Every live cursor learns its share of the span before any
+        # blocks, so asynchronously fed cursors (remote shard streams)
+        # overlap their fetches across shards.
+        share = -(-span // len(live))
         for c in live:
-            c.request(span)
+            c.request(share)
         if len(live) == 1:
             # Every other shard is drained: the merge degenerates to the
             # single-shard slicing fast path, which needs only the rows
@@ -793,10 +807,10 @@ class MergeStream:
             self._stage_is_slab = False
             c.pos += take
             return True
-        # The top-``span`` of the merge can only come from each shard's
-        # next ``span`` rows, so every shard must hold them locally.
+        # One local row per shard is enough to emit something: see the
+        # frontier cut below.
         for c in live:
-            c.ensure(span)
+            c.ensure(1)
         if self._executor is not None:
             try:
                 windows = list(self._executor.map(lambda c: c.window(span), live))
@@ -827,14 +841,30 @@ class MergeStream:
         else:
             keys = np.negative(ranks, out=self._scr_keys[:total])
         order = np.lexsort((tids, keys))
-        sel = order[: min(span, len(order))]
+        cut = span
+        offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        # A shard whose local rows stop short of the span may hold unseen
+        # rows, and each of them sorts after its last local row.  So the
+        # candidates up to the earliest such last row are final (a shard
+        # holding its whole span contributes no unseen row within it);
+        # that row itself is one, so the cut is never empty.  Resident
+        # cursors are never short and skip this.
+        ends = [
+            offsets[s] + sizes[s] - 1
+            for s, c in enumerate(live)
+            if sizes[s] < min(span, c.remaining)
+        ]
+        if ends:
+            last = np.zeros(total, dtype=bool)
+            last[ends] = True
+            cut = min(cut, int(np.argmax(last[order])) + 1)
+        sel = order[:cut]
         sel_shards = shard_of[sel]
         counts = np.bincount(sel_shards, minlength=len(live))
         # Rows taken from a shard are always a prefix of its (sorted)
         # window, and within ``sel`` they appear in window order, so the
         # payload gather is one prefix-slice scatter per shard — the wide
         # vector windows themselves are views and never copied whole.
-        offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
         starts = np.array([c.pos for c in live])
         local = sel - offsets[sel_shards] + starts[sel_shards]
         self._stage_tuples = [

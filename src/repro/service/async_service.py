@@ -13,13 +13,16 @@ the dominant cost is I/O round-trips, not compute.  Three layers:
 * :class:`RemoteShardStream` is the event-loop prefetch adaptor: the
   one :class:`~repro.core.access.ShardCursor` subclass, filled from an
   endpoint through **pipelined prefetch** — a per-shard feeder task on
-  the event loop keeps window fetches in flight ahead of the engine, so
-  while the engine scores block ``B``, the per-shard fetches for block
-  ``B+1`` are already sleeping out their simulated latency.  Each query
-  merges its cursors in a :class:`~repro.core.access.MergeStream` built
-  directly, as :class:`~repro.service.rankjoin.RankJoinService` does;
-  the merge issues every live shard's window request before blocking on
-  any of them, so one refill overlaps its fetches *across* shards too.
+  the event loop fetches one page at a time, one page ahead of what the
+  merge asked for, so while the engine scores block ``B``, the pages
+  for block ``B+1`` are already sleeping out their simulated latency.
+  Each query merges its cursors in a
+  :class:`~repro.core.access.MergeStream` built directly, as
+  :class:`~repro.service.rankjoin.RankJoinService` does; the merge asks
+  every live shard for its share of a refill before blocking on any of
+  them, so one refill overlaps its fetches *across* shards too, and it
+  stages only the rows the shards' local pages prove final, so a shard
+  is fetched about as deep as the engine reads it.
 * :class:`AsyncRankJoinService` is the front-end: an awaitable
   ``submit(query, k, deadline=...)``, a **bounded admission queue** with
   a reject-or-wait backpressure policy, per-query deadlines and
@@ -165,12 +168,14 @@ class RemoteShardStream(ShardCursor):
 
     ``request(n)``
         Non-blocking: raise the fetch target to cover the next ``n``
-        rows *plus one window of prefetch*, and wake the feeder task.
-        The feeder (a coroutine on the service's event loop) keeps
-        issuing ``afetch_window`` calls until the target is reached —
-        this is the pipeline: by the time the engine finishes scoring
-        the rows ``ensure`` handed over, the next window is already in
-        flight or landed.
+        rows *plus one page of read-ahead*, and wake the feeder task.
+        The feeder (a coroutine on the service's event loop) fetches one
+        page per ``afetch_window`` call until the target is reached, so
+        each page is local the moment it lands and the next one is
+        already in flight while the engine scores the rows ``ensure``
+        handed over.  The service's stream factory calls ``request(0)``
+        on every shard as the query's streams open, so every shard's
+        first page is in flight before the engine's first pull.
     ``ensure(n)``
         Blocking: return once the next ``min(n, remaining)`` rows are
         locally available.  Raises
@@ -179,10 +184,10 @@ class RemoteShardStream(ShardCursor):
         converts that into a certified partial result.
 
     ``pipelined=False`` is the serial comparator: no feeder, and
-    ``request(n)`` itself awaits exactly the window the next ``n`` rows
-    need, blocking the engine for its full latency with no overlap
-    across shards or with compute — the baseline the pipelined-speedup
-    benchmark measures against.
+    ``request(n)`` itself awaits the whole pages the next ``n`` rows
+    need, as one window, blocking the engine for its full latency with
+    no overlap across shards or with compute — the baseline the
+    pipelined-speedup benchmark measures against.
     """
 
     __slots__ = (
@@ -193,7 +198,6 @@ class RemoteShardStream(ShardCursor):
         "_expired",
         "_error",
         "_pipelined",
-        "_prefetch_rows",
         "_feeder",
         "_closed",
     )
@@ -205,7 +209,6 @@ class RemoteShardStream(ShardCursor):
         loop: asyncio.AbstractEventLoop,
         expired=None,
         pipelined: bool = True,
-        prefetch_rows: int | None = None,
     ) -> None:
         super().__init__(endpoint)
         self._target = 0
@@ -215,7 +218,6 @@ class RemoteShardStream(ShardCursor):
         self._expired = expired
         self._error: BaseException | None = None
         self._pipelined = pipelined
-        self._prefetch_rows = prefetch_rows
         self._feeder: concurrent.futures.Future | None = None
         self._closed = False
 
@@ -225,7 +227,7 @@ class RemoteShardStream(ShardCursor):
     # -- read-ahead hook (called from the engine thread) --------------------
 
     def request(self, n: int) -> None:
-        """Raise the fetch target to ``pos + n`` rows plus prefetch and
+        """Raise the fetch target to ``pos + n`` rows plus one page and
         wake the feeder; returns immediately.  Serial mode fetches the
         rows here instead, one blocking window."""
         if not self._pipelined:
@@ -233,8 +235,7 @@ class RemoteShardStream(ShardCursor):
             return
         if self._closed:
             return
-        prefetch = self._prefetch_rows if self._prefetch_rows is not None else n
-        target = min(self.pos + n + prefetch, self.total)
+        target = min(self.pos + n + self.source.page_size, self.total)
         with self._cond:
             if target <= self._target:
                 return
@@ -268,16 +269,17 @@ class RemoteShardStream(ShardCursor):
                 self._cond.wait(timeout=0.02)
 
     def _ensure_serial(self, need: int) -> None:
-        """Non-overlapped comparator: fetch exactly what is needed, one
-        blocking window at a time."""
+        """Non-overlapped comparator: fetch the whole pages covering what
+        is needed, one blocking window at a time."""
+        page = self.source.page_size
         while self.filled < need:
             if self._interrupted():
                 raise StreamInterrupted(
                     f"deadline expired waiting on {self.source!r}"
                 )
+            rows = -(-(need - self.filled) // page) * page
             future = asyncio.run_coroutine_threadsafe(
-                self.source.afetch_window(self.filled, need - self.filled),
-                self._loop,
+                self.source.afetch_window(self.filled, rows), self._loop
             )
             while True:
                 try:
@@ -294,6 +296,7 @@ class RemoteShardStream(ShardCursor):
     # -- feeder (runs on the event loop) ------------------------------------
 
     async def _feed(self) -> None:
+        page = self.source.page_size
         try:
             while True:
                 with self._cond:
@@ -305,7 +308,7 @@ class RemoteShardStream(ShardCursor):
                     await self._wake.wait()
                     self._wake.clear()
                     continue
-                window = await self.source.afetch_window(filled, target - filled)
+                window = await self.source.afetch_window(filled, page)
                 self._ingest(window)
         except asyncio.CancelledError:
             raise
@@ -364,10 +367,9 @@ class AsyncRankJoinService(RankJoinService):
     pipelined:
         ``False`` disables prefetch and fetch overlap (the serial
         comparator used by benchmarks); answers are identical either
-        way.
-    prefetch_rows:
-        Rows each shard keeps in flight beyond the engine's current
-        window (default: one full window).
+        way.  Pipelined cursors fetch one page per round-trip, read one
+        page beyond what the merge asked for, and request every shard's
+        first page as the query's streams open.
     engine_workers:
         Threads running engine loops; defaults to ``max_inflight``.
     executor:
@@ -405,7 +407,6 @@ class AsyncRankJoinService(RankJoinService):
         queue_limit: int = 32,
         admission: str = "wait",
         pipelined: bool = True,
-        prefetch_rows: int | None = None,
         engine_workers: int | None = None,
         executor: str = "thread",
         proc_workers: int | None = None,
@@ -438,7 +439,6 @@ class AsyncRankJoinService(RankJoinService):
         self.queue_limit = queue_limit
         self.admission = admission
         self.pipelined = pipelined
-        self.prefetch_rows = prefetch_rows
         self._engine_pool = ThreadPoolExecutor(
             max_workers=engine_workers or max_inflight,
             thread_name_prefix="async-rankjoin",
@@ -583,7 +583,10 @@ class AsyncRankJoinService(RankJoinService):
 
     def _remote_factory(self, bucket: bytes, canonical: np.ndarray, ctx: _QueryContext):
         """Stream factory: per relation, a merge over one remote cursor
-        per shard, prefetching through the query's context."""
+        per shard, prefetching through the query's context.  Every
+        cursor requests its first page as it opens, so no relation's
+        first pull waits out a round-trip the open could have started
+        (a no-op in serial mode, which fetches on demand)."""
 
         def factory() -> list:
             streams = []
@@ -598,9 +601,9 @@ class AsyncRankJoinService(RankJoinService):
                         loop=ctx.loop,
                         expired=ctx.should_stop,
                         pipelined=self.pipelined,
-                        prefetch_rows=self.prefetch_rows,
                     )
                     ctx.add_cursor(cursor)
+                    cursor.request(0)
                     cursors.append(cursor)
                 streams.append(
                     MergeStream(

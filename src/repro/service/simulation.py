@@ -15,7 +15,12 @@ costs, not only access counts:
   (simulated time, so tests stay fast and deterministic); the awaitable
   :meth:`~RemoteShardEndpoint.afetch_window` also sleeps it
   (``asyncio.sleep``), which is what lets the async service overlap
-  in-flight windows across shards and against engine compute.
+  in-flight windows across shards and against engine compute.  Every
+  client asks for whole pages from a page boundary, so no page is
+  charged twice: the async service's pipelined feeders ask for one page
+  per window, its serial comparator and the blocking
+  :class:`~repro.core.access.ShardCursor` for the pages covering a
+  deficit.
 * :func:`make_service_streams` serves whole relations through blocking
   endpoints: one :class:`~repro.core.access.MergeStream` per relation
   over one :class:`~repro.core.access.ShardCursor`, so the ProxRJ engine

@@ -24,8 +24,9 @@ from repro.core import (
     open_streams,
     partition_indices,
 )
-from repro.core.access import MergeStream
+from repro.core.access import MergeStream, ShardCursor, sorted_stream
 from repro.data import SyntheticConfig, generate_problem
+from repro.service import LatencyModel, RemoteShardEndpoint
 
 SHARD_COUNTS = (1, 2, 4, 7)
 
@@ -215,6 +216,88 @@ class TestMergeStreamOrder:
         rel = Relation("R", [0.5], [[0.0]])
         with pytest.raises(ValueError, match="cursor"):
             MergeStream(rel, AccessKind.DISTANCE, [])
+
+
+def tie_heavy_relation(n, seed):
+    """One relation on a 3x3 grid with two scores: ranks tie in runs, so
+    the order across shards rests on the tid tie-break."""
+    rng = np.random.default_rng(seed)
+    return Relation(
+        "R",
+        rng.choice([0.5, 1.0], n),
+        rng.choice([-1.0, 0.0, 1.0], (n, 2)),
+        sigma_max=1.0,
+    )
+
+
+class TestMergeFetchSchedule:
+    """What a refill reads from its shards: fetched shards page in about
+    as deep as the merge takes from them, resident shards stage the full
+    span as before, and the merged order never changes."""
+
+    BLOCKS = (1, 8, 3, 64)
+
+    @pytest.mark.parametrize("kind", [AccessKind.DISTANCE, AccessKind.SCORE])
+    @pytest.mark.parametrize("partition", ["hash", "range"])
+    @pytest.mark.parametrize("page", [1, 3, 25])
+    @pytest.mark.parametrize("shards", [2, 4, 7])
+    def test_blocking_sources_fetch_by_the_frontier(
+        self, shards, page, partition, kind
+    ):
+        n = 150
+        base = tie_heavy_relation(n, seed=shards * 31 + page)
+        query = np.zeros(2) if kind is AccessKind.DISTANCE else None
+        sharded = ShardedRelation.from_relation(
+            base, shards=shards, partition=partition
+        )
+        cursors = [
+            ShardCursor(
+                RemoteShardEndpoint.from_relation(
+                    shard, kind=kind, query=query, shard_index=i,
+                    page_size=page, latency=LatencyModel(0.0, 0.0),
+                )
+            )
+            for i, shard in enumerate(sharded.storage.shards)
+        ]
+        stream = MergeStream(sharded, kind, cursors)
+        expected = [t.tid for t in sorted_stream(base, kind, query).next_block(n)]
+        got = []
+        i = 0
+        while not stream.exhausted:
+            got.extend(t.tid for t in stream.next_block(self.BLOCKS[i % 4]))
+            i += 1
+            for c in cursors:
+                assert c.source.pages <= -(-c.pos // page) + 1
+                assert c.source.pages == -(-c.source.tuples_served // page)
+        assert got == expected
+
+    @pytest.mark.parametrize("kind", [AccessKind.DISTANCE, AccessKind.SCORE])
+    @pytest.mark.parametrize("shards", [2, 4, 7])
+    def test_resident_refills_stage_the_full_span(self, shards, kind):
+        n = 300
+        base = tie_heavy_relation(n, seed=shards)
+        query = np.zeros(2) if kind is AccessKind.DISTANCE else None
+        sharded = ShardedRelation.from_relation(base, shards=shards)
+        stream = open_streams([sharded], kind, query)[0]
+        staged = []
+        refill = stream._refill
+
+        def spy(needed):
+            left = sum(c.remaining for c in stream.cursors)
+            if refill(needed):
+                want = min(max(needed, MergeStream.READAHEAD), left)
+                staged.append((len(stream._stage_tuples), want))
+                return True
+            return False
+
+        stream._refill = spy
+        got = []
+        i = 0
+        while not stream.exhausted:
+            got.extend(t.tid for t in stream.next_block(self.BLOCKS[i % 4]))
+            i += 1
+        assert got == [t.tid for t in sorted_stream(base, kind, query).next_block(n)]
+        assert staged and all(have == want for have, want in staged)
 
 
 class TestShardedEngineDifferential:

@@ -11,6 +11,9 @@ Covers the acceptance bar of the async subsystem end to end:
   modes;
 * deadlines and cancellation returning *certified partial* results;
 * bounded-admission backpressure (reject and wait policies);
+* the fetch schedule: every page charged once in both fetch modes, one
+  page per pipelined round-trip, and every shard's first page requested
+  as the query's streams open;
 * the pipelined-prefetch speedup: a fixed workload over S=4 shards at
   2 ms simulated shard latency must finish in <= 60% of the serial
   (non-overlapped) remote wall-clock.
@@ -246,19 +249,22 @@ class TestRemoteShardStream:
         asyncio.run(main())
 
     def test_prefetch_runs_ahead(self):
-        ep = self._endpoint(size=40)
+        """The feeder reads one page beyond the request, in whole pages:
+        10 rows asked of 8-row pages land 3 pages without another
+        request."""
+        ep = self._endpoint(size=40, page_size=8)
 
         async def main():
             loop = asyncio.get_running_loop()
-            cursor = RemoteShardStream(ep, loop=loop, prefetch_rows=10)
+            cursor = RemoteShardStream(ep, loop=loop)
 
             def engine_side():
                 cursor.request(10)
                 cursor.ensure(10)
                 deadline = time.monotonic() + 2.0
-                while cursor.filled < 20 and time.monotonic() < deadline:
+                while cursor.filled < 24 and time.monotonic() < deadline:
                     time.sleep(0.002)
-                assert cursor.filled >= 20  # 10 asked + 10 prefetched
+                assert cursor.filled >= 24  # 10 asked + one 8-row page
                 cursor.close()
 
             await loop.run_in_executor(None, engine_side)
@@ -428,9 +434,10 @@ class TestDeadlinesAndCancellation:
         full = RankJoinService(
             relations, SCORING, k=5, result_cache_size=0
         ).submit(q)
+        # No page can land before the deadline, so the query must expire.
         svc = AsyncRankJoinService(
             relations, SCORING, k=5, result_cache_size=0,
-            latency=LatencyModel(base=0.004, jitter=0.0), page_size=4,
+            latency=LatencyModel(base=0.05, jitter=0.0), page_size=4,
         )
         try:
             partial = svc.serve([q], deadline=0.02)[0]
@@ -579,6 +586,75 @@ class TestBackpressure:
         assert all(not isinstance(o, BaseException) for o in outcomes)
         assert all(o.completed for o in outcomes)
         assert svc.stats.as_dict()["rejected"] == 0
+
+
+def endpoints_of(svc):
+    return list(svc._endpoints._data.values())
+
+
+class TestFetchSchedule:
+    """Whole pages, one page per pipelined round-trip, and every shard's
+    first page requested as the query's streams open."""
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_every_page_is_charged_once(self, pipelined):
+        relations, q = make_problem(n_relations=2, size=2000, seed=5, shards=2)
+        svc = AsyncRankJoinService(
+            relations, SCORING, k=300, result_cache_size=0, pipelined=pipelined,
+            latency=LatencyModel(base=0.0002, jitter=0.0), page_size=25,
+        )
+        try:
+            assert svc.serve([q])[0].completed
+        finally:
+            svc.close()
+        endpoints = endpoints_of(svc)
+        assert len(endpoints) == 4
+        for ep in endpoints:
+            assert ep.tuples_served > 0
+            assert ep.pages == -(-ep.tuples_served // ep.page_size)
+
+    def test_pipelined_fetches_are_single_pages(self):
+        relations, base = make_problem(n_relations=2, size=300, seed=3, shards=4)
+        rng = np.random.default_rng(1)
+        queries = [base + rng.uniform(-0.3, 0.3, 2) for _ in range(4)]
+        svc = AsyncRankJoinService(
+            relations, SCORING, k=5, result_cache_size=0,
+            latency=LatencyModel(base=0.0005, jitter=0.0), page_size=8,
+        )
+        try:
+            assert all(r.completed for r in svc.serve(queries))
+        finally:
+            svc.close()
+        meters = svc.remote_meters()
+        assert meters["windows"] == meters["pages"] > 0
+        assert all(ep.windows == ep.pages for ep in endpoints_of(svc))
+
+    def test_first_pages_requested_at_open(self, monkeypatch):
+        """By the time the engine first pulls a second relation, each of
+        its shards has already asked for its first page."""
+        relations, q = make_problem(n_relations=2, size=150, seed=3, shards=4)
+        first_pull = []
+        next_block = MergeStream.next_block
+
+        def spy(stream, limit):
+            if not any(s is stream for s, _ in first_pull):
+                first_pull.append(
+                    (stream, [c.source.windows for c in stream.cursors])
+                )
+            return next_block(stream, limit)
+
+        monkeypatch.setattr(MergeStream, "next_block", spy)
+        svc = AsyncRankJoinService(
+            relations, SCORING, k=5, result_cache_size=0,
+            latency=LatencyModel(base=0.005, jitter=0.0), page_size=8,
+        )
+        try:
+            assert svc.serve([q])[0].completed
+        finally:
+            svc.close()
+        assert len(first_pull) == 2
+        _, windows = first_pull[1]
+        assert len(windows) == 4 and min(windows) >= 1
 
 
 class TestPipelinedSpeedup:
