@@ -1,32 +1,33 @@
-"""The batched bound kernel, and where TBPA's CPU time actually goes.
+"""The batched bound kernel, the lazy dominance pass, and where TBPA's
+CPU time actually goes.
 
 The tight bound solves one tiny QP per stale partial combination and one
 feasibility LP per dominance candidate.  The paper already warns that
-"solving the LP might be too costly" — and on dominance-heavy workloads
-those solver loops dominate TBPA's engine time.  The bound-kernel
-refactor stops solving them one at a time: each refresh gathers every
-subset's QPs into a single masked batch call, and each dominance pass
-pivots all surviving feasibility LPs as one lockstep simplex wave.  In
-front of the LPs, both paths share an equal-slope screen: a partial
-combination whose ``b`` row repeats another's with a larger ``c`` loses
-everywhere and is flagged without an LP.  The kernel also remembers
-across passes: cached witnesses answer candidates without an LP, and
-byte-identical duplicate LPs collapse to one representative per
-value-equality class.
+"solving the LP might be too costly".  The bound kernel stops solving
+them one at a time: each refresh gathers every subset's QPs into a
+single masked batch call, and each dominance pass pivots all pending
+feasibility LPs as one lockstep simplex wave.  The dominance pass is
+also lazy on both paths: the tight bound is a max, and a dominated
+partial combination can never carry it, so a subset's pass tests only
+the candidates whose completion bound could set the subset's max — most
+passes end after certifying the top row at its cached witness or its
+own optimum, without an LP.  In front of that, an equal-slope screen
+flags a partial combination whose ``b`` row repeats another's with a
+larger ``c``: it loses everywhere, no LP needed.
 
 This example runs the same dominance-heavy n=3 workload — quantised to a
-coarse grid so streams stall on ties and exact-duplicate dominance LPs
-occur, the regime the reuse machinery targets — through the scalar
-reference and the batched kernel and prints the bound-time split
-(engine / bound / dominance / solver), demonstrating that
+coarse grid so streams stall on ties and repeated member vectors occur,
+the regime the screen targets — through the scalar reference, the
+batched kernel and the batched kernel with dominance off, and prints
+the bound-time split (engine / bound / dominance / solver),
+demonstrating that
 
 * the answers are *identical* — same ranked top-K, depths and bound bit
-  for bit (the kernels are row-stable replicas of the scalar solvers,
-  and the reuse layers are verdict-preserving);
-* the engine time drops by several x, almost all of it solver time won
-  back from the dominance LP loop;
-* the kernel answers most dominance candidates without solving their LP
-  at all (screen + witness hits + dedup).
+  for bit on all three runs (the kernels are row-stable replicas of the
+  scalar solvers, and flags never move the bound);
+* the kernel solves almost no dominance LPs: the screen and cached
+  witnesses answer the candidates the lazy pass looks at;
+* what dominance still costs next to the dominance-off run.
 
 Run:  python examples/bound_kernel.py
 """
@@ -55,21 +56,25 @@ for rel in relations:
 relations = tied
 scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
 
-STRATEGIES = (("scalar loops", False), ("batched kernel", True))
+STRATEGIES = (
+    ("scalar loops", False, 2),  # dominance pass every 2 accesses
+    ("batched kernel", True, 2),
+    ("dominance off", True, None),
+)
 results = {}
-for label, batch_kernel in STRATEGIES:
+for label, batch_kernel, period in STRATEGIES:
     engine = make_algorithm(
         "TBPA", relations, scoring, query, 10,
         kind=AccessKind.DISTANCE,
         pull_block=8,
-        dominance_period=2,       # dominance-heavy: LP pass every 2 accesses
+        dominance_period=period,
         batch_kernel=batch_kernel,
     )
     results[label] = engine.run()
 
 print(f"{'path':<16}{'engine':>12}{'bound':>11}{'dominance':>12}"
       f"{'solver':>12}{'LPs':>7}{'QPs':>7}")
-for label, _ in STRATEGIES:
+for label, _, _ in STRATEGIES:
     r = results[label]
     print(f"{label:<16}"
           f"{r.total_seconds * 1e3:>10.1f}ms"
@@ -79,22 +84,25 @@ for label, _ in STRATEGIES:
           f"{r.counters['lp_solves']:>7.0f}"
           f"{r.counters['qp_solves']:>7.0f}")
 
-scalar = results["scalar loops"]
 batched = results["batched kernel"]
-assert batched.depths == scalar.depths and batched.bound == scalar.bound
-assert [(c.key, c.score) for c in batched.combinations] == [
-    (c.key, c.score) for c in scalar.combinations
-]
+for other in ("scalar loops", "dominance off"):
+    r = results[other]
+    assert batched.depths == r.depths and batched.bound == r.bound
+    assert [(c.key, c.score) for c in batched.combinations] == [
+        (c.key, c.score) for c in r.combinations
+    ]
+scalar, off = results["scalar loops"], results["dominance off"]
 print(f"\nidentical top-{len(batched.combinations)}, depths and bound "
-      f"across both strategies; "
+      f"across all three runs; "
       f"batched {scalar.total_seconds / batched.total_seconds:.1f}x "
-      f"vs scalar")
+      f"vs scalar, "
+      f"{batched.total_seconds / off.total_seconds:.1f}x dominance off")
 c = batched.counters
-print("LPs avoided:",
-      f"{c['dominance_screened']:.0f} rows screened,",
+print("dominance:",
+      f"{c['entries_dominated']:.0f} rows flagged,",
+      f"{c['dominance_screened']:.0f} by the screen,",
       f"{c['dominance_witness_hits']:.0f} cached-witness hits,",
-      f"{c['dominance_lp_deduped']:.0f} duplicate LPs collapsed,",
-      f"{c['dominance_subset_skips']:.0f} subset passes skipped")
+      f"{c['lp_solves']:.0f} LPs")
 print("potentials memo:",
       f"{batched.counters['potential_evals']:.0f} evaluations for "
       f"{batched.counters['potential_consults']:.0f} strategy consultations")

@@ -109,13 +109,10 @@ class BoundCounters:
     potential_evals: int = 0
     #: Dominance candidates answered without an LP: rows the equal-slope
     #: screen flagged (a byte-identical ``b`` row with a smaller ``c``),
-    #: candidates certified by a cached witness still satisfying every
-    #: constraint, and duplicates collapsed onto one solved system; plus
-    #: subsets whose whole pass was provably redundant.
+    #: and candidates certified by a cached witness still satisfying
+    #: every constraint.
     dominance_screened: int = 0
     dominance_witness_hits: int = 0
-    dominance_lp_deduped: int = 0
-    dominance_subset_skips: int = 0
     #: Bound-QP rows the masked kernel handed to its active-set
     #: enumeration instead of the closed form (degenerate rows, or a
     #: Hessian without the closed form, e.g. ``w_q = 0``).
@@ -139,8 +136,6 @@ class BoundCounters:
             "potential_evals": self.potential_evals,
             "dominance_screened": self.dominance_screened,
             "dominance_witness_hits": self.dominance_witness_hits,
-            "dominance_lp_deduped": self.dominance_lp_deduped,
-            "dominance_subset_skips": self.dominance_subset_skips,
             "qp_enumerated": self.qp_enumerated,
             "bound_seconds": self.bound_seconds,
             "dominance_seconds": self.dominance_seconds,

@@ -40,6 +40,18 @@ wrap it:
    while "non-empty" is treated as inconclusive and the candidate is
    conservatively kept.
 
+The engine's passes are also **lazy**: given the subset's completion
+bounds ``t``, a pass tests only candidates that could set the subset's
+maximum.  All rows share the quadratic term, so a row with an empty
+region is beaten at every point by another row and its bound never
+exceeds the best non-dominated row's: flags never change ``t_M``, they
+only spare later refreshes the flagged rows' re-solves.  So the pass
+walks the live rows in descending ``t``, testing each at its cached
+witness and at its own optimum, and stops at the first certified row;
+only the walked rows above it go to an LP.  The rows below stay live
+and unflagged: later passes test them again, and as competitors they
+only shrink other rows' regions, which stays sound.
+
 The surviving LPs come in two execution strategies: the scalar loop of
 :func:`dominated_mask` (one :func:`~repro.optim.polyhedron_feasible_point`
 call per candidate — scipy-accelerated when available), and the batched
@@ -48,9 +60,11 @@ per-candidate ``(G, h)`` blocks so the caller can stack every subset's
 problems of a whole dominance pass into one
 :func:`~repro.optim.polyhedron_feasible_point_batch` lockstep call
 (:func:`dominated_mask_batch` is the single-subset convenience wrapper).
-Both strategies share the screen, the pre-pass and the assembly, and
-the lockstep kernel's emptiness verdicts agree with the scalar test's,
-so the masks they produce are identical.
+Both strategies share the screen, the witness tests, the walk and the
+assembly, and the lockstep kernel's emptiness verdicts agree with the
+scalar test's, so the masks they produce are identical.  The public
+``dominated_mask*`` wrappers run the eager full pass (no ``t``): the
+reference the soundness suites pin.
 
 All directions preserve the invariant correctness depends on: a live
 partial combination is never flagged dominated.
@@ -126,26 +140,21 @@ def _equal_slope_screen(
 def _witness_prepass(
     bs: np.ndarray,
     cs: np.ndarray,
-    out: np.ndarray,
+    live: np.ndarray,
     quad_coeff: float,
     witnesses: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Passes 0 and 1 (cached witnesses + unconstrained-optimum probes)
-    over the rows ``out`` leaves live.
+    over the (at least two) ``live`` rows.
 
-    Returns ``(live, survivors, vals, witness_hits)``: the live
-    candidate indices, the per-live-candidate survivor flags, the probe
-    value matrix (``None`` when the pre-pass is disabled), and the
-    number of candidates certified by a *cached* witness (pass 0 — the
-    cross-pass reuse counter).  ``witnesses`` rows of certified
-    survivors are updated in place.
+    Returns ``(survivors, vals, witness_hits)``: the per-live-candidate
+    survivor flags, the probe value matrix (``None`` when the pre-pass
+    is disabled), and the number of candidates certified by a *cached*
+    witness (pass 0 — the cross-pass reuse counter).  ``witnesses`` rows
+    of certified survivors are updated in place.
     """
-    live = np.flatnonzero(~out)
     survivors = np.zeros(len(live), dtype=bool)
     witness_hits = 0
-    if len(live) < 2:
-        return live, survivors, None, witness_hits
-
     b_live = bs[live]
     c_live = cs[live]
 
@@ -187,7 +196,53 @@ def _witness_prepass(
             for pos in np.flatnonzero(new_winners):
                 witnesses[live[pos]] = ys[win_rows[pos]]
         survivors |= new_winners
-    return live, survivors, vals, witness_hits
+    return survivors, vals, witness_hits
+
+
+def _walk_by_bound(
+    bs: np.ndarray,
+    cs: np.ndarray,
+    live: np.ndarray,
+    t: np.ndarray,
+    quad_coeff: float,
+    witnesses: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """The lazy pass's walk down the ``live`` rows in descending ``t``:
+    passes 0 and 1 of :func:`_witness_prepass` for one row at a time
+    (its cached witness, then its own unconstrained optimum, stored as
+    its witness when it certifies the row), stopping at the first
+    certified row.
+
+    Returns the positions in ``live`` of the walked rows whose ``t``
+    exceeds the certified row's (all walked rows when none certifies):
+    the pending LPs; their probe-value rows at their own optima (``None``
+    when the pre-pass is disabled); and the witness hits (0 or 1).
+    """
+    b_live, c_live = bs[live], cs[live]
+    walked: list[int] = []
+    probe_rows: list[np.ndarray] = []
+    t_live = t[live]
+    for pos in np.argsort(-t_live, kind="stable"):
+        row = live[pos]
+        cached = witnesses is not None and not np.isnan(witnesses[row, 0])
+        probes = [witnesses[row]] if cached else []
+        if quad_coeff > 0.0:
+            probes.append(-bs[row] / quad_coeff)
+        for k, y in enumerate(probes):
+            vals = 2.0 * y @ b_live.T + c_live
+            if vals[pos] <= vals.min() + _WITNESS_TOL:
+                hit = cached and k == 0
+                if not hit and witnesses is not None:
+                    witnesses[row] = y
+                above = t_live[walked] > t_live[pos]
+                pend = np.array(walked, dtype=np.int64)[above]
+                rows = np.array(probe_rows)[above] if probe_rows else None
+                return pend, rows, int(hit)
+        walked.append(pos)
+        if quad_coeff > 0.0:
+            probe_rows.append(vals)
+    rows = np.array(probe_rows) if probe_rows else None
+    return np.array(walked, dtype=np.int64), rows, 0
 
 
 def _empty_i64(shape: tuple[int, ...]) -> np.ndarray:
@@ -203,8 +258,7 @@ class DominancePrep:
     ``alpha[k]`` is the global candidate index of pending problem ``k``
     and ``comp[k]`` its ordered capped competitor row — together the
     full identity of the LP given the subset's ``b``/``c`` rows.
-    :meth:`assemble` materialises the block lazily, so collapsed
-    duplicates never pay assembly.
+    :meth:`assemble` materialises the block on demand.
     """
 
     #: Copied dominated mask, with the equal-slope screen's flags added
@@ -214,11 +268,6 @@ class DominancePrep:
     alpha: np.ndarray = field(default_factory=lambda: _empty_i64((0,)))
     #: ``(P, width)`` ordered capped competitor rows (global indices).
     comp: np.ndarray = field(default_factory=lambda: _empty_i64((0, 0)))
-    #: Class-collapsed mode only (``collapse=True``): every pending
-    #: candidate (``owners_alpha``) and the row of ``alpha``/``comp``
-    #: holding its class's representative problem (``owners_class``).
-    owners_alpha: np.ndarray | None = None
-    owners_class: np.ndarray | None = None
     #: Rows the equal-slope screen flagged.
     screened: int = 0
     #: Candidates certified by a cached cross-pass witness (pass 0).
@@ -248,10 +297,10 @@ def prepare_dominance_pass(
     quad_coeff: float,
     max_lp_constraints: int = _MAX_LP_CONSTRAINTS,
     witnesses: np.ndarray | None = None,
-    collapse: bool = False,
+    t: np.ndarray | None = None,
 ) -> DominancePrep:
-    """Run the equal-slope screen and the witness pre-pass, and identify
-    — without assembling — the pending feasibility LPs of one subset (see
+    """Run the equal-slope screen and the witness tests, and identify —
+    without assembling — the pending feasibility LPs of one subset (see
     :class:`DominancePrep`).
 
     Every public entry point below is a thin wrapper over this, so the
@@ -263,53 +312,37 @@ def prepare_dominance_pass(
     candidates (identical, row for row, to the scalar loop's
     per-candidate sort).
 
-    ``collapse=True`` switches on *class collapse*: pending candidates
-    with byte-identical ``(b, c)`` rows have byte-identical probe rows,
-    hence identical strength orderings, and their LP systems coincide up
-    to the self/twin swap — which assembles to an all-zero vacuous
-    half-space either way — plus, when a cross-class probe-value tie
-    separates the twins in the stable order, a permutation of the tied
-    rows.  Either way the representative's system is a capped subset of
-    every owner's own competitor constraints, so its "empty" verdict
-    soundly transfers (dropping or reordering constraints never flags a
-    live candidate); with ties confined to classes the systems are
-    byte-identical.  Only one representative per class (its first
-    pending owner) is sorted and kept in ``alpha``/``comp``;
-    ``owners_alpha``/``owners_class`` map every pending candidate back
-    to its class's problem, so the caller solves each class once and
-    fans the verdict out.
+    ``t``, the subset's completion bounds, makes the pass lazy (see the
+    module docstring): :func:`_walk_by_bound` replaces the pre-pass and
+    leaves pending only the uncertified rows above the first certified
+    one in descending ``t``.  Without ``t`` every candidate the pre-pass
+    leaves uncertified is pending (the eager pass).
     """
     bs = np.atleast_2d(np.asarray(bs, dtype=float))
     cs = np.asarray(cs, dtype=float)
     out = np.asarray(already_dominated, dtype=bool).copy()
     screened = _equal_slope_screen(bs, cs, out)
-    live, survivors, vals, witness_hits = _witness_prepass(
-        bs, cs, out, quad_coeff, witnesses
-    )
-    prep = DominancePrep(
-        out=out, screened=screened, witness_hits=witness_hits, _bs=bs, _cs=cs
-    )
+    prep = DominancePrep(out=out, screened=screened, _bs=bs, _cs=cs)
+    live = np.flatnonzero(~out)
     num_live = len(live)
     if num_live < 2:
         return prep
-    pend = np.flatnonzero(~survivors)
+    if t is None:
+        survivors, vals, prep.witness_hits = _witness_prepass(
+            bs, cs, live, quad_coeff, witnesses
+        )
+        pend = np.flatnonzero(~survivors)
+        at_opt = None if vals is None else vals[pend]
+    else:
+        pend, at_opt, prep.witness_hits = _walk_by_bound(
+            bs, cs, live, t, quad_coeff, witnesses
+        )
     if pend.size == 0:
         return prep
-    if collapse:
-        owners = live[pend]
-        order, starts = _byte_runs(np.column_stack([bs[owners], cs[owners]]))
-        owners_class = np.empty(owners.size, dtype=np.int64)
-        owners_class[order] = np.repeat(
-            np.arange(starts.size), np.diff(starts, append=owners.size)
-        )
-        prep.owners_alpha = owners
-        prep.owners_class = owners_class
-        pend = pend[order[starts]]
-    # Strength ordering per pending candidate (rows of the probe matrix;
-    # the c fallback when the pre-pass is disabled), self removed, capped.
-    if vals is not None:
-        at_opt = vals[pend]
-    else:
+    # Strength ordering per pending candidate (its probe row at its own
+    # optimum; the c fallback when the pre-pass is disabled), self
+    # removed, capped.
+    if at_opt is None:
         at_opt = np.broadcast_to(cs[live], (pend.size, num_live))
     order = np.argsort(at_opt, axis=1, kind="stable")
     cand = live[order]  # (P, num_live) global indices, strength order

@@ -37,11 +37,10 @@ access), with the engineering refinements called out in DESIGN.md:
   streams' constant ``sigma_max``: the batched kernel computes it once
   at append and every later solve of the entry gathers it from the
   subset's columns.
-* The batched dominance pass skips a subset whose candidate field is
-  unchanged since its last pass and solves byte-identical duplicate
-  LPs once; both are verdict-preserving (see
-  ``_dominance_pass_batched``), so runs stay bit-identical to the
-  scalar reference.
+* Dominance passes are lazy on both paths: a subset's pass tests only
+  the candidates whose completion bound could set ``t_M`` (see
+  :mod:`repro.core.bounds.dominance`), so flags never move the bound
+  and most passes end after one certified row, without an LP.
 * The scheme synchronises against the streams' seen prefixes, so the
   engine may invoke it only every ``bound_period`` pulls (the paper's
   practical-systems trade-off) and the incremental cross-product still
@@ -131,8 +130,6 @@ class _SubsetState:
         "proj",
         "residual_sq",
         "score_term",
-        "pass_count",
-        "pass_newly",
     )
 
     def __init__(self, mask: int, n: int, d: int):
@@ -154,14 +151,10 @@ class _SubsetState:
         self.witness = np.full((cap, d), np.nan)
         # Batched-kernel state (see TightBound's docstring): the entry's
         # completion geometry (its QP's fixed values, residual and score
-        # term, fixed at append), and the field fingerprint of the last
-        # dominance pass (entry count + new flags) that licenses a full
-        # subset skip.
+        # term, fixed at append).
         self.proj = np.empty((cap, m))
         self.residual_sq = np.empty(cap)
         self.score_term = np.empty(cap)
-        self.pass_count = -1
-        self.pass_newly = 0
 
     def _grow(self, needed: int) -> None:
         cap = len(self.t)
@@ -221,8 +214,6 @@ class _SubsetState:
     def clear(self) -> None:
         self.count = 0
         self.t_max = NEG_INFINITY
-        self.pass_count = -1
-        self.pass_newly = 0
 
     def recompute_max(self) -> None:
         cnt = self.count
@@ -247,21 +238,26 @@ class TightBound(BoundingScheme):
     Parameters
     ----------
     dominance_period:
-        Run the dominance LP pass every this many accesses under distance
+        Run the dominance pass every this many accesses under distance
         access (Figures 3(m)/(n) sweep this): a refresh runs a pass when
         the access count crosses a multiple of the period since the last
         refresh, so block pulls and ``bound_period`` keep the cadence.
-        ``None`` disables dominance (the paper's "period = infinity").
-        Ignored under score access, where Algorithm 3's best-entry rule
-        plays the same role for free.
+        The pass is lazy: per subset it tests only the candidates whose
+        completion bound could set the subset's max, so it never moves
+        the bound, the depths or the answer — flags only spare later
+        refreshes the flagged rows' re-solves.  ``None`` disables
+        dominance (the paper's "period = infinity").  Ignored under
+        score access, where Algorithm 3's best-entry rule plays the same
+        role for free.
     batch_kernel:
         ``True`` (default) routes each refresh through the batched bound
         kernel: one gathered :func:`~repro.optim.solve_bound_qp_masked`
         call for every stale subset's QPs and one lockstep
         :func:`~repro.optim.polyhedron_feasible_point_batch` call per
         dominance pass.  ``False`` keeps the per-subset / per-candidate
-        scalar path — the reference the differential suite pins the
-        kernel against (completed runs are bit-identical either way).
+        scalar path, with the same lazy dominance rule — the reference
+        the differential suite pins the kernel against (completed runs
+        are bit-identical either way).
     """
 
     def __init__(
@@ -619,14 +615,14 @@ class TightBound(BoundingScheme):
         self, scoring: QuadraticFormScoring, n: int, subsets: list[_SubsetState]
     ) -> None:
         """Scalar reference dominance pass: one feasibility LP per
-        uncertified candidate (scipy-accelerated when available).
+        pending candidate (scipy-accelerated when available).
 
-        Structured as gather (equal-slope screen, witness pre-pass and
-        constraint assembly, shared with the batched pass) followed by
-        the per-candidate LP loop, so ``solver_seconds`` times exactly
-        the feasibility solves — the same line the batched pass draws
-        around its lockstep call.
-        The flags and witnesses equal :func:`dominated_mask`'s.
+        Structured as gather (the screen, the lazy walk and the
+        constraint assembly of
+        :func:`~repro.core.bounds.dominance.prepare_dominance_pass`,
+        shared with the batched pass) followed by the per-candidate LP
+        loop, so ``solver_seconds`` times exactly the feasibility solves —
+        the same line the batched pass draws around its lockstep call.
         """
         start = time.perf_counter()
         for sub in subsets:
@@ -638,12 +634,11 @@ class TightBound(BoundingScheme):
             m = len(sub.members)
             # Shared quadratic coefficient of eq. (24) for this subset.
             quad = scoring.w_q * (n - m) + scoring.w_mu * (m / n) * (n - m)
-            before = sub.dominated[:cnt].copy()
             # The pre-pass updates the witness rows in place, so cached
             # non-emptiness certificates persist across passes.
             prep = prepare_dominance_pass(
-                sub.b[:cnt], sub.c[:cnt], before,
-                quad_coeff=quad, witnesses=sub.witness[:cnt],
+                sub.b[:cnt], sub.c[:cnt], sub.dominated[:cnt],
+                quad_coeff=quad, witnesses=sub.witness[:cnt], t=sub.t[:cnt],
             )
             self.counters.dominance_witness_hits += prep.witness_hits
             self.counters.dominance_screened += prep.screened
@@ -670,86 +665,57 @@ class TightBound(BoundingScheme):
         state: EngineState,
         subsets: list[_SubsetState],
     ) -> None:
-        """Batched dominance pass: shared screen and witness pre-pass per
-        subset, then every subset's surviving feasibility LPs solved
-        through one lockstep kernel call (the kernel groups and stacks the
-        ``G/h`` blocks by constraint count into the workspace's
-        :meth:`~repro.core.bounds.workspace.BoundWorkspace.lp_plan` slabs).
-
-        Two verdict-preserving layers run in front of the kernel call:
-
-        * **subset skip** — a subset whose last pass saw the same entry
-          count *and* flagged nothing new has a bit-identical candidate
-          field (entries are append-only and their ``b``/``c`` rows
-          immutable), so every verdict would repeat; the whole pass is
-          skipped.  Count alone is not enough: a shrinking live set can
-          pull weaker competitors into the capped LPs and flip verdicts.
-        * **class collapse** — pending candidates of one subset with
-          byte-identical ``(b, c)`` rows (tie-heavy streams produce exact
-          twins) share one representative system
-          (:func:`~repro.core.bounds.dominance.prepare_dominance_pass`
-          with ``collapse=True``), which is assembled and solved once and
-          whose verdict is fanned out to every owner.
+        """Batched dominance pass: the same screen and lazy walk per
+        subset as :meth:`_dominance_pass`, then every subset's pending
+        feasibility LPs solved through one lockstep kernel call (the
+        kernel groups and stacks the ``G/h`` blocks by constraint count
+        into the workspace's
+        :meth:`~repro.core.bounds.workspace.BoundWorkspace.lp_plan`
+        slabs).  The flags equal the scalar pass's.
         """
         start = time.perf_counter()
-        scatter: list[tuple[_SubsetState, int, np.ndarray]] = []
+        # (subset, entry count, mask, pending candidates, first wave slot)
+        scatter: list[tuple[_SubsetState, int, np.ndarray, np.ndarray, int]] = []
         gs: list[np.ndarray] = []
         hs: list[np.ndarray] = []
-        fanouts: list[tuple] = []
         for sub in subsets:
             if sub.dead or not sub.members:
                 continue
             cnt = sub.count
             if cnt - int(sub.dominated[:cnt].sum()) < 2:
                 continue
-            if sub.pass_count == cnt and sub.pass_newly == 0:
-                self.counters.dominance_subset_skips += 1
-                continue
             m = len(sub.members)
             quad = scoring.w_q * (n - m) + scoring.w_mu * (m / n) * (n - m)
-            before = sub.dominated[:cnt].copy()
             prep = prepare_dominance_pass(
-                sub.b[:cnt], sub.c[:cnt], before,
-                quad_coeff=quad, witnesses=sub.witness[:cnt], collapse=True,
+                sub.b[:cnt], sub.c[:cnt], sub.dominated[:cnt],
+                quad_coeff=quad, witnesses=sub.witness[:cnt], t=sub.t[:cnt],
             )
             self.counters.dominance_witness_hits += prep.witness_hits
             self.counters.dominance_screened += prep.screened
-            scatter.append((sub, cnt, prep.out))
-            if prep.alpha.size == 0:
-                continue
-            # Solve each class once: ``slots`` maps every pending owner
-            # to its class representative's position in the wave.
-            fanouts.append(
-                (sub, prep.out, prep.owners_alpha, len(gs) + prep.owners_class)
-            )
+            scatter.append((sub, cnt, prep.out, prep.alpha, len(gs)))
             for k in range(prep.alpha.size):
                 g, h = prep.assemble(k)
                 gs.append(g)
                 hs.append(h)
-            self.counters.dominance_lp_deduped += int(
-                prep.owners_alpha.size - prep.alpha.size
-            )
 
         if gs:
-            # One ragged lockstep call for every subset's surviving LPs.
+            # One ragged lockstep call for every subset's pending LPs.
             started = time.perf_counter()
             points, empty = polyhedron_feasible_point_batch(
                 gs, hs, workspace=self._workspace(state)
             )
             self.counters.solver_seconds += time.perf_counter() - started
             self.counters.lp_solves += len(gs)
-            for sub, out, own, slots in fanouts:
-                emptied = empty[slots]
-                out[own[emptied]] = True
-                sub.witness[own[~emptied]] = points[slots[~emptied]]
 
-        for sub, cnt, out in scatter:
+        for sub, cnt, out, alpha, first in scatter:
+            if alpha.size:
+                slots = np.arange(first, first + alpha.size)
+                emptied = empty[slots]
+                out[alpha[emptied]] = True
+                sub.witness[alpha[~emptied]] = points[slots[~emptied]]
             newly = out & ~sub.dominated[:cnt]
-            n_newly = int(newly.sum())
-            self.counters.entries_dominated += n_newly
+            self.counters.entries_dominated += int(newly.sum())
             sub.dominated[:cnt] = out
-            sub.pass_count = cnt
-            sub.pass_newly = n_newly
         self.counters.dominance_seconds += time.perf_counter() - start
 
     # -- score access (Algorithm 3) -------------------------------------------

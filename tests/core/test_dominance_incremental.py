@@ -1,25 +1,23 @@
-"""Soundness regression for the batched kernel's dominance reuse.
+"""Soundness regression for the dominance pass's reuse and laziness.
 
 Properties pinned, layer by layer:
 
-* **Class collapse is byte-exact where ties stay within classes, and
-  verdict-exact everywhere** — with ``collapse=True``,
-  :func:`prepare_dominance_pass` groups the pending candidates by the
-  bytes of their ``(b, c)`` rows and keeps one representative LP per
-  class; its assembled ``(G, h)`` system is byte-identical to the
-  plain per-candidate assembly of *every* owner in the class (the
-  self/twin swap contributes an all-zero vacuous row either way) unless
-  a cross-class probe-value tie permutes rows between twins, and fanning
-  one verdict out to the whole class flags exactly the candidates the
-  plain one-LP-per-candidate pass flags in both regimes.
+* **The lazy pass tests only candidates that can set the subset's
+  bound** — given ``t``, :func:`prepare_dominance_pass` walks the live
+  rows in descending ``t``, ends the subset's pass at the first
+  certified row (no LP when that is the top row) and sends to an LP
+  only the uncertified rows above it; the eager pass (no ``t``, the
+  public ``dominated_mask``) still flags what the lazy pass leaves
+  untested.
+* **Stale witnesses never shield a candidate** — a cached witness is
+  re-checked against the current competitor field.
 * **Trivial constraint counts skip the tableau soundly** — zero- and
   single-constraint problems are answered analytically by the batch,
   bit-identical to the scalar :func:`chebyshev_center`.
 * **Engine-level identity** — on tie-heavy workloads the batched kernel
   returns the same ranked answer, depths and bound as the scalar
-  reference and as the dominance-off run, while its reuse counters
-  actually fire and the equal-slope screen flags the same rows on both
-  paths.
+  reference and as the dominance-off run, flags the same rows, solves
+  almost no LPs, and the screen and cached witnesses actually fire.
 * **No silent QP fallback** — ``qp_enumerated`` counts the bound-QP rows
   the closed form handed to the enumeration: none on the tie-heavy
   workload, every row when ``w_q = 0`` leaves no closed form.
@@ -29,107 +27,55 @@ import numpy as np
 import pytest
 
 from repro.core import AccessKind, EuclideanLogScoring, make_algorithm
-from repro.core.bounds.dominance import prepare_dominance_pass
+from repro.core.bounds.dominance import dominated_mask, prepare_dominance_pass
 from repro.core.relation import Relation
 from repro.optim.simplex import (
     chebyshev_center,
     chebyshev_center_batch,
-    polyhedron_feasible_point_batch,
+    polyhedron_feasible_point,
 )
 
-
-def duplicated_family(rng, count, d, dup_frac=0.4, tie_free=False):
-    """A random ``(b, c)`` family where ``dup_frac`` of the rows are
-    exact byte-copies of earlier rows, plus per-row value-equality class
-    ids (the classes ``collapse=True`` must find).  ``tie_free``
-    keeps ``c`` continuous so strength-order ties occur only *within*
-    duplicate classes; the default coarse rounding also ties distinct
-    classes (the adversarial tie-heavy regime)."""
-    bs = rng.normal(size=(count, d))
-    cs = rng.normal(size=count)
-    if not tie_free:
-        cs = np.round(cs, 1)  # coarse -> cross-class value ties too
-    n_dup = max(2, int(count * dup_frac))
-    src = rng.integers(0, count - n_dup, size=n_dup)
-    for k, s in enumerate(src):
-        bs[count - n_dup + k] = bs[s]
-        cs[count - n_dup + k] = cs[s]
-    ids: dict[bytes, int] = {}
-    canon = np.empty(count, dtype=np.int64)
-    for r in range(count):
-        key = bs[r].tobytes() + cs[r].tobytes()
-        canon[r] = ids.setdefault(key, len(ids))
-    return bs, cs, canon
+#: Ceiling on the LPs a tie-heavy engine run may solve: the lazy pass
+#: sends a candidate to an LP only when it sits above every certified
+#: row of its subset in bound order, and a dominated row's bound can at
+#: most tie its subset's best non-dominated row's.
+MAX_LAZY_LPS = 40
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_class_collapse_assembly_byte_identical(seed):
-    """Every owner's class-representative (G, h) is byte-equal to the
-    plain per-candidate assembly would have built for that owner —
-    guaranteed whenever strength-order ties stay within classes (twins
-    adjacent in the stable order; cross-class ties only permute rows,
-    covered by the verdict-level test below)."""
-    rng = np.random.default_rng(seed)
-    count = int(rng.integers(8, 40))
-    d = int(rng.integers(1, 4))
-    bs, cs, canon = duplicated_family(rng, count, d, tie_free=True)
-    already = np.zeros(count, dtype=bool)
-    # quad_coeff=0 disables the witness pre-pass: every live candidate is
-    # pending, so the collapse is exercised on the full family.
-    plain = prepare_dominance_pass(bs, cs, already, quad_coeff=0.0)
-    coll = prepare_dominance_pass(
-        bs, cs, already, quad_coeff=0.0, collapse=True
+def test_lazy_pass_tests_only_rows_that_can_set_the_bound():
+    """1-D sandwich: row 1 (b=0, c=2) loses to row 0 left of 0 and to
+    row 2 right of 0, but wins at no probed optimum, so only an LP proves
+    its region empty."""
+    bs = np.array([[-1.0], [0.0], [1.0]])
+    cs = np.array([0.0, 2.0, 0.0])
+    fresh = np.zeros(3, dtype=bool)
+    eager, lps = dominated_mask(bs, cs, fresh, quad_coeff=1.0)
+    assert eager.tolist() == [False, True, False] and lps == 1
+
+    # Top-t row 0 wins at its own optimum: the pass ends there, with no
+    # LP, and row 1 stays live and unflagged.
+    witnesses = np.full((3, 1), np.nan)
+    lazy = prepare_dominance_pass(
+        bs, cs, fresh, quad_coeff=1.0, witnesses=witnesses,
+        t=np.array([5.0, 1.0, 3.0]),
     )
-
-    assert coll.owners_alpha is not None and coll.owners_class is not None
-    # Same pending set, just factored through class representatives.
-    assert np.array_equal(np.sort(coll.owners_alpha), np.sort(plain.alpha))
-    assert coll.alpha.size == len(np.unique(canon))
-    assert coll.alpha.size < plain.alpha.size  # duplicates were planted
-    # The byte grouping matches the per-row bytes-key loop's classes.
-    pairs = set(
-        zip(coll.owners_class.tolist(), canon[coll.owners_alpha].tolist())
+    assert lazy.alpha.size == 0
+    assert not lazy.out.any()
+    assert witnesses[0, 0] == 1.0  # the optimum that certified it
+    # Cached now: the next pass certifies row 0 by its witness.
+    again = prepare_dominance_pass(
+        bs, cs, fresh, quad_coeff=1.0, witnesses=witnesses,
+        t=np.array([5.0, 1.0, 3.0]),
     )
-    assert len(pairs) == coll.alpha.size
+    assert again.alpha.size == 0 and again.witness_hits == 1
 
-    plain_row = {int(a): k for k, a in enumerate(plain.alpha)}
-    for i, owner in enumerate(coll.owners_alpha):
-        g_rep, h_rep = coll.assemble(int(coll.owners_class[i]))
-        g_own, h_own = plain.assemble(plain_row[int(owner)])
-        assert g_rep.tobytes() == g_own.tobytes()
-        assert h_rep.tobytes() == h_own.tobytes()
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_class_collapse_verdicts_match_memoryless(seed):
-    """Solving one LP per class and fanning the verdict out flags exactly
-    the candidates the plain one-LP-per-candidate pass flags — on
-    the adversarial family whose cross-class value ties permute rows
-    between twins (the regime where byte-identity no longer holds)."""
-    rng = np.random.default_rng(50 + seed)
-    count = int(rng.integers(8, 36))
-    bs, cs, canon = duplicated_family(rng, count, 2)
-    already = np.zeros(count, dtype=bool)
-    plain = prepare_dominance_pass(bs, cs, already, quad_coeff=0.0)
-    coll = prepare_dominance_pass(
-        bs, cs, already, quad_coeff=0.0, collapse=True
+    # A dominated row above every certified row does get its LP, and the
+    # LP flags it.
+    above = prepare_dominance_pass(
+        bs, cs, fresh, quad_coeff=1.0, t=np.array([1.0, 5.0, 3.0])
     )
-
-    probs_p = [plain.assemble(k) for k in range(plain.alpha.size)]
-    _, empty_p = polyhedron_feasible_point_batch(
-        [g for g, _ in probs_p], [h for _, h in probs_p]
-    )
-    mask_p = plain.out.copy()
-    mask_p[plain.alpha[empty_p]] = True
-
-    probs_c = [coll.assemble(k) for k in range(coll.alpha.size)]
-    _, empty_c = polyhedron_feasible_point_batch(
-        [g for g, _ in probs_c], [h for _, h in probs_c]
-    )
-    mask_c = coll.out.copy()
-    mask_c[coll.owners_alpha[empty_c[coll.owners_class]]] = True
-
-    assert np.array_equal(mask_c, mask_p)
+    assert above.alpha.tolist() == [1]
+    assert polyhedron_feasible_point(*above.assemble(0)) is None
 
 
 @pytest.mark.parametrize("runner", ["scalar", "batched"])
@@ -138,7 +84,7 @@ def test_cached_witness_invalidated_by_new_competitor(runner):
     arrives: the pre-pass re-checks it against the *current* competitor
     field, so a newly appended dominator flags the candidate on the next
     pass despite its stored pass-1 witness."""
-    from repro.core.bounds.dominance import dominated_mask, dominated_mask_batch
+    from repro.core.bounds.dominance import dominated_mask_batch
 
     solve = dominated_mask if runner == "scalar" else dominated_mask_batch
     # Pass 1: A (b=0, c=0) wins at its own optimum against the weak B.
@@ -238,20 +184,28 @@ def test_engine_three_way_identity(algo, seed):
     assert _same_answer(kernel, scalar)
 
 
-def test_engine_reuse_counters_fire():
-    """The kernel's reuse machinery does real work on the tie-heavy
-    workload: the screen flags rows, duplicates collapse, cached
-    witnesses answer candidates, and the solved-LP count drops below the
-    scalar path's."""
+@pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
+def test_engine_lazy_pass(algo):
+    """The lazy pass on the tie-heavy workload at period 2: the screen
+    flags rows and cached witnesses answer candidates on both execution
+    strategies, both flag the same rows, the kernel solves at most
+    MAX_LAZY_LPS LPs, and the answer equals the dominance-off run's."""
     relations, query = tie_heavy_problem()
-    kernel = _run(relations, query, algo="TBPA", batch_kernel=True)
-    scalar = _run(relations, query, algo="TBPA", batch_kernel=False)
-    assert kernel.counters["dominance_screened"] > 0
-    assert kernel.counters["dominance_lp_deduped"] > 0
-    assert kernel.counters["dominance_witness_hits"] > 0
-    assert 0 < kernel.counters["lp_solves"] < scalar.counters["lp_solves"]
-    # The scalar reference solves one LP per candidate: no collapse.
-    assert scalar.counters["dominance_lp_deduped"] == 0
+    kernel = _run(relations, query, algo=algo, batch_kernel=True)
+    scalar = _run(relations, query, algo=algo, batch_kernel=False)
+    off = _run(
+        relations, query, algo=algo, batch_kernel=True, dominance_period=None
+    )
+    for run in (kernel, scalar):
+        assert run.counters["dominance_screened"] > 0
+        assert run.counters["dominance_witness_hits"] > 0
+    assert (
+        kernel.counters["entries_dominated"]
+        == scalar.counters["entries_dominated"]
+    )
+    assert kernel.counters["lp_solves"] <= MAX_LAZY_LPS
+    assert kernel.completed and off.completed
+    assert _same_answer(kernel, off)
 
 
 @pytest.mark.parametrize("algo", ["TBPA", "TBRR"])

@@ -8,7 +8,10 @@ stdlib ``random`` — relation count, dimension, k, block size, bound
 period, access kind, algorithm (TBPA/TBRR), dominance period and uniform
 or tie-heavy data — and runs each one on both.  A completed kernel run
 must equal the scalar run with ``==`` on the ranked ``(key, score)``
-list, the depths and the bound.  A failure names the config's seed;
+list, the depths and the bound, and a config with a dominance period
+must also equal the same config with dominance off: the pass only
+flags rows that can never carry a subset's bound, so it moves no
+answer, depth or bound.  A failure names the config's seed;
 ``pytest tests/core/test_kernel_differential.py -k seed<N>`` reruns it
 alone.
 """
@@ -79,12 +82,12 @@ def ranked(result):
     )
 
 
-def run(cfg, relations, query, batch_kernel):
+def run(cfg, relations, query, batch_kernel, dominance_period):
     return make_algorithm(
         cfg["algorithm"], relations, SCORING, query, cfg["k"],
         kind=cfg["kind"], pull_block=cfg["pull_block"],
         bound_period=cfg["bound_period"],
-        dominance_period=cfg["dominance_period"], batch_kernel=batch_kernel,
+        dominance_period=dominance_period, batch_kernel=batch_kernel,
     ).run()
 
 
@@ -100,8 +103,12 @@ def test_kernel_matches_scalar(seed):
     # Shown with the failure even when a run raises instead of diverging.
     print(repro)
     relations, query = make_problem(cfg)
-    scalar = run(cfg, relations, query, batch_kernel=False)
-    kernel = run(cfg, relations, query, batch_kernel=True)
+    period = cfg["dominance_period"]
+    scalar = run(cfg, relations, query, False, period)
+    kernel = run(cfg, relations, query, True, period)
     assert scalar.completed, repro
     assert kernel.completed, repro
     assert ranked(kernel) == ranked(scalar), repro
+    if period is not None:
+        off = run(cfg, relations, query, True, None)
+        assert ranked(kernel) == ranked(off), repro
