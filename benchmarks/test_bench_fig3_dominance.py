@@ -5,6 +5,28 @@ Paper shapes: at n = 2 dominance checking after every access costs more
 than it saves, with a small (~4%) win around period 8-16; at n = 3 the
 test is always beneficial, best (~35%) around period 8.  Period None is
 the paper's "infinity" (dominance disabled) bar.
+
+Documented reproduction deviation: neither win reproduces.  Over the
+sweep's 28 runs (k = 10, TBPA/TBRR, periods 1-16 and None):
+
+* the dominance pass flags 0 rows at every period;
+* ``qp_solves`` equals the dominance-off run's at every period: 918
+  (TBPA) and 1,716 (TBRR) at n = 2, 33,404 and 60,606 at n = 3;
+* the sweep solves 348 LPs in all, 2-26 per run;
+* engine time with dominance on over period None, periods
+  1/2/4/8/12/16 (median of 3 sweeps on a shared 2-CPU host, where one
+  run's ratio spreads by up to +-0.4):
+
+  - n = 2: TBPA 1.56/1.18/1.19/1.24/1.26/1.19,
+    TBRR 1.80/1.56/1.41/1.06/1.42/1.06;
+  - n = 3: TBPA 1.83/1.34/1.46/1.55/1.34/1.36,
+    TBRR 2.09/1.79/1.58/1.54/1.44/1.48.
+
+The revalidation fast path (a cached optimum that stays feasible stays
+optimal), the closed-form QPs and the exact lazy pass leave dominance no
+re-solves to save.  The paper's ~35% at n = 3 assumed re-solves this
+implementation never makes, and dominance stays off by default
+(``dominance_period=None``).
 """
 
 import pytest

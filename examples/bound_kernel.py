@@ -4,16 +4,16 @@ CPU time actually goes.
 The tight bound solves one tiny QP per stale partial combination and one
 feasibility LP per dominance candidate.  The paper already warns that
 "solving the LP might be too costly".  The bound kernel stops solving
-them one at a time: each refresh gathers every subset's QPs into a
-single masked batch call, and each dominance pass pivots all pending
-feasibility LPs as one lockstep simplex wave.  The dominance pass is
-also lazy on both paths: the tight bound is a max, and a dominated
-partial combination can never carry it, so a subset's pass tests only
-the candidates whose completion bound could set the subset's max — most
-passes end after certifying the top row at its cached witness or its
-own optimum, without an LP.  In front of that, an equal-slope screen
-flags a partial combination whose ``b`` row repeats another's with a
-larger ``c``: it loses everywhere, no LP needed.
+the QPs one at a time: each refresh gathers every subset's QPs into a
+single masked batch call.  The dominance pass, the same on both paths,
+is lazy: the tight bound is a max, and a dominated partial combination
+can never carry it, so a subset's pass tests only the candidates whose
+completion bound could set the subset's max — most passes end after
+certifying the top row at its cached witness or its own optimum,
+without an LP, and the few LPs left take one dense simplex call each.
+In front of that, an equal-slope screen flags a partial combination
+whose ``b`` row repeats another's with a larger ``c``: it loses
+everywhere, no LP needed.
 
 This example runs the same dominance-heavy n=3 workload — quantised to a
 coarse grid so streams stall on ties and repeated member vectors occur,
@@ -23,8 +23,10 @@ the bound-time split (engine / bound / dominance / solver),
 demonstrating that
 
 * the answers are *identical* — same ranked top-K, depths and bound bit
-  for bit on all three runs (the kernels are row-stable replicas of the
-  scalar solvers, and flags never move the bound);
+  for bit on all three runs (the QP kernel is a row-stable replica of
+  the scalar solver, and flags never move the bound);
+* the batched-over-scalar ratio is the QP batching's alone: both paths
+  run the same dominance pass;
 * the kernel solves almost no dominance LPs: the screen and cached
   witnesses answer the candidates the lazy pass looks at;
 * what dominance still costs next to the dominance-off run.

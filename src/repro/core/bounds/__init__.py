@@ -4,11 +4,7 @@ plus the geometry, dominance and numeric-fallback machinery behind them."""
 from repro.core.bounds.approximate import ApproxTightBound
 from repro.core.bounds.base import BoundCounters, BoundingScheme, EngineState
 from repro.core.bounds.corner import CornerBound
-from repro.core.bounds.dominance import (
-    dominance_lp_problems,
-    dominated_mask,
-    dominated_mask_batch,
-)
+from repro.core.bounds.dominance import dominated_mask
 from repro.core.bounds.geometry import (
     CompletionResult,
     PartialGeometry,
@@ -35,9 +31,7 @@ __all__ = [
     "PartialGeometry",
     "completion_geometry",
     "dominance_coefficients",
-    "dominance_lp_problems",
     "dominated_mask",
-    "dominated_mask_batch",
     "partial_geometry",
     "score_access_completion",
     "score_access_completion_batch",

@@ -21,7 +21,7 @@ wrap it:
 1. **Equal-slope screen** (one grouped sweep): live rows with
    byte-identical ``b`` differ only in ``c``, so against the group's
    smallest live ``c`` every other row's half-space has an all-zero
-   normal and right-hand side ``c_min - c_alpha``.  The simplex kernels'
+   normal and right-hand side ``c_min - c_alpha``.  The simplex's
    zero-row rule calls such a system empty once that right-hand side is
    below ``-_TOL`` — before any tableau.  The screen applies the same
    rule to the whole group at once and flags those rows up front; a
@@ -52,19 +52,13 @@ only the walked rows above it go to an LP.  The rows below stay live
 and unflagged: later passes test them again, and as competitors they
 only shrink other rows' regions, which stays sound.
 
-The surviving LPs come in two execution strategies: the scalar loop of
-:func:`dominated_mask` (one :func:`~repro.optim.polyhedron_feasible_point`
-call per candidate — scipy-accelerated when available), and the batched
-bound kernel, where :func:`dominance_lp_problems` only *assembles* the
-per-candidate ``(G, h)`` blocks so the caller can stack every subset's
-problems of a whole dominance pass into one
-:func:`~repro.optim.polyhedron_feasible_point_batch` lockstep call
-(:func:`dominated_mask_batch` is the single-subset convenience wrapper).
-Both strategies share the screen, the witness tests, the walk and the
-assembly, and the lockstep kernel's emptiness verdicts agree with the
-scalar test's, so the masks they produce are identical.  The public
-``dominated_mask*`` wrappers run the eager full pass (no ``t``): the
-reference the soundness suites pin.
+:func:`prepare_dominance_pass` runs the screen and the witness tests
+and identifies the surviving LPs; each is then one dense
+:func:`~repro.optim.polyhedron_feasible_point` call.  The engine's
+pass (:class:`~repro.core.bounds.tight.TightBound`, both execution
+strategies) and the public :func:`dominated_mask` share that front end
+and that solver; :func:`dominated_mask` runs the eager full pass (no
+``t``): the reference the soundness suites pin.
 
 All directions preserve the invariant correctness depends on: a live
 partial combination is never flagged dominated.
@@ -77,15 +71,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.optim.simplex import _TOL as _ZERO_ROW_TOL
-from repro.optim.simplex import (
-    polyhedron_feasible_point,
-    polyhedron_feasible_point_batch,
-)
+from repro.optim.simplex import polyhedron_feasible_point
 
 __all__ = [
     "dominated_mask",
-    "dominated_mask_batch",
-    "dominance_lp_problems",
     "DominancePrep",
     "prepare_dominance_pass",
 ]
@@ -117,7 +106,7 @@ def _equal_slope_screen(
     Against that minimum ``beta``, row ``alpha``'s half-space
     ``2 (b_alpha - b_beta)' y <= c_beta - c_alpha`` has an all-zero
     normal, and its right-hand side is computed exactly as the LP
-    assembly computes it, so the flag is the verdict the kernels'
+    assembly computes it, so the flag is the verdict the simplex's
     zero-row rule would return for any system holding that row.
     """
     live = np.flatnonzero(~out)
@@ -258,7 +247,8 @@ class DominancePrep:
     ``alpha[k]`` is the global candidate index of pending problem ``k``
     and ``comp[k]`` its ordered capped competitor row — together the
     full identity of the LP given the subset's ``b``/``c`` rows.
-    :meth:`assemble` materialises the block on demand.
+    :meth:`assemble` materialises the block on demand and :meth:`solve`
+    solves every pending LP.
     """
 
     #: Copied dominated mask, with the equal-slope screen's flags added
@@ -275,11 +265,6 @@ class DominancePrep:
     _bs: np.ndarray | None = None
     _cs: np.ndarray | None = None
 
-    @property
-    def pending(self) -> list[int]:
-        """``alpha`` as a plain int list (scalar-loop convenience)."""
-        return self.alpha.tolist()
-
     def assemble(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``(G, h)`` half-space block of pending problem ``k``."""
         a = self.alpha[k]
@@ -287,6 +272,19 @@ class DominancePrep:
         g = 2.0 * (self._bs[a] - self._bs[competitors])
         h = self._cs[competitors] - self._cs[a]
         return g, h
+
+    def solve(self, witnesses: np.ndarray | None = None) -> np.ndarray:
+        """Pass 2: one dense feasibility LP per pending candidate, against
+        its strongest competitors.  An empty region flags the candidate
+        in :attr:`out`; a non-empty one stores its Chebyshev centre in
+        ``witnesses`` (when given).  Returns :attr:`out`."""
+        for k, alpha in enumerate(self.alpha.tolist()):
+            point = polyhedron_feasible_point(*self.assemble(k))
+            if point is None:
+                self.out[alpha] = True
+            elif witnesses is not None:
+                witnesses[alpha] = point
+        return self.out
 
 
 def prepare_dominance_pass(
@@ -303,14 +301,12 @@ def prepare_dominance_pass(
     without assembling — the pending feasibility LPs of one subset (see
     :class:`DominancePrep`).
 
-    Every public entry point below is a thin wrapper over this, so the
-    scalar and batched paths flag identically.  The screen's flags join
-    the dominated mask before the pre-pass, which, like the competitor
-    extraction, then runs on the unflagged rows only (``witnesses``
-    updated in place as in :func:`dominated_mask`).  The competitor
-    extraction is one stable row-wise argsort over all pending
-    candidates (identical, row for row, to the scalar loop's
-    per-candidate sort).
+    :func:`dominated_mask` and the engine's pass both start here, so
+    they flag identically.  The screen's flags join the dominated mask
+    before the pre-pass, which, like the competitor extraction, then
+    runs on the unflagged rows only (``witnesses`` updated in place as
+    in :func:`dominated_mask`).  The competitor extraction is one stable
+    row-wise argsort over all pending candidates.
 
     ``t``, the subset's completion bounds, makes the pass lazy (see the
     module docstring): :func:`_walk_by_bound` replaces the pre-pass and
@@ -409,88 +405,4 @@ def dominated_mask(
         max_lp_constraints=max_lp_constraints,
         witnesses=witnesses,
     )
-    # Pass 2: feasibility LP for the remaining candidates, against their
-    # strongest competitors.
-    for k, alpha in enumerate(prep.pending):
-        g, h = prep.assemble(k)
-        point = polyhedron_feasible_point(g, h)
-        if point is None:
-            prep.out[alpha] = True
-        elif witnesses is not None:
-            witnesses[alpha] = point
-    return prep.out, len(prep.pending)
-
-
-def dominance_lp_problems(
-    bs: np.ndarray,
-    cs: np.ndarray,
-    already_dominated: np.ndarray,
-    *,
-    quad_coeff: float,
-    max_lp_constraints: int = _MAX_LP_CONSTRAINTS,
-    witnesses: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
-    """The gather half of a batched dominance pass for one subset ``M``.
-
-    Runs the witness pre-pass (updating ``witnesses`` in place exactly
-    like :func:`dominated_mask`) and *assembles* — without solving — the
-    feasibility-LP blocks of the candidates it could not certify.
-
-    Returns
-    -------
-    (out, problems):
-        The copied dominated mask (no new flags yet) and one
-        ``(candidate_index, G, h)`` triple per pending LP.  The caller
-        stacks the blocks of many subsets into one
-        :func:`~repro.optim.polyhedron_feasible_point_batch` call and
-        applies the verdicts: ``empty`` → ``out[candidate] = True``,
-        non-empty → store the returned point in ``witnesses[candidate]``.
-    """
-    prep = prepare_dominance_pass(
-        bs,
-        cs,
-        already_dominated,
-        quad_coeff=quad_coeff,
-        max_lp_constraints=max_lp_constraints,
-        witnesses=witnesses,
-    )
-    problems = [
-        (alpha, *prep.assemble(k)) for k, alpha in enumerate(prep.pending)
-    ]
-    return prep.out, problems
-
-
-def dominated_mask_batch(
-    bs: np.ndarray,
-    cs: np.ndarray,
-    already_dominated: np.ndarray,
-    *,
-    quad_coeff: float,
-    max_lp_constraints: int = _MAX_LP_CONSTRAINTS,
-    witnesses: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Batched :func:`dominated_mask`: same pre-pass and constraint
-    assembly, with the pending feasibility LPs solved in one lockstep
-    :func:`~repro.optim.polyhedron_feasible_point_batch` call instead of
-    a per-candidate loop.  The returned mask is identical to the scalar
-    path's (the kernels' emptiness verdicts agree); only the cached
-    witness *points* may differ when scipy answers the scalar LPs."""
-    out, problems = dominance_lp_problems(
-        bs,
-        cs,
-        already_dominated,
-        quad_coeff=quad_coeff,
-        max_lp_constraints=max_lp_constraints,
-        witnesses=witnesses,
-    )
-    if not problems:
-        return out, 0
-    points, empty = polyhedron_feasible_point_batch(
-        [g for _, g, _ in problems], [h for _, _, h in problems]
-    )
-    for k, (alpha, _, _) in enumerate(problems):
-        if empty[k]:
-            out[alpha] = True
-        elif witnesses is not None:
-            witnesses[alpha] = points[k]
-    return out, len(problems)
+    return prep.solve(witnesses), prep.alpha.size

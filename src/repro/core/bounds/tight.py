@@ -20,27 +20,26 @@ access), with the engineering refinements called out in DESIGN.md:
   in amortised O(1) per entry; staleness scans and per-subset maxima are
   array reductions instead of per-entry Python loops.
 * **Batched bound kernel** (default, ``batch_kernel=True``): instead of
-  one QP call per subset and one feasibility LP per dominance candidate,
-  a refresh *gathers* every stale subset's completion problems into the
-  run's :class:`~repro.core.bounds.workspace.BoundWorkspace` slabs and
-  makes a single :func:`~repro.optim.solve_bound_qp_masked` call (mixed
+  one QP call per subset, a refresh *gathers* every stale subset's
+  completion problems into the run's
+  :class:`~repro.core.bounds.workspace.BoundWorkspace` slabs and makes a
+  single :func:`~repro.optim.solve_bound_qp_masked` call (mixed
   fixed/lower patterns, closed-form water-level rows; the
   ``qp_enumerated`` counter reports the rows it hands to its active-set
-  enumeration), and a dominance pass stacks every subset's surviving
-  feasibility LPs into a single lockstep
-  :func:`~repro.optim.polyhedron_feasible_point_batch` call.  The
-  kernels' row-stable arithmetic makes completed runs bit-identical to
-  the scalar path (``batch_kernel=False``, the per-subset/per-candidate
-  reference kept for the differential suite).
+  enumeration).  The kernel's row-stable arithmetic makes completed
+  runs bit-identical to the scalar path (``batch_kernel=False``, the
+  per-subset reference kept for the differential suite).
 * Each entry's completion geometry (its QP's fixed values, residual and
   score term) depends only on its own tuples, the query and the
   streams' constant ``sigma_max``: the batched kernel computes it once
   at append and every later solve of the entry gathers it from the
   subset's columns.
-* Dominance passes are lazy on both paths: a subset's pass tests only
-  the candidates whose completion bound could set ``t_M`` (see
-  :mod:`repro.core.bounds.dominance`), so flags never move the bound
-  and most passes end after one certified row, without an LP.
+* Both execution strategies run one dominance pass, lazy: a subset's
+  pass tests only the candidates whose completion bound could set
+  ``t_M`` (see :mod:`repro.core.bounds.dominance`), so flags never move
+  the bound and most passes end after one certified row, without an
+  LP.  The few LPs left are solved one dense
+  :func:`~repro.optim.polyhedron_feasible_point` call each.
 * The scheme synchronises against the streams' seen prefixes, so the
   engine may invoke it only every ``bound_period`` pulls (the paper's
   practical-systems trade-off) and the incremental cross-product still
@@ -89,10 +88,6 @@ from repro.optim.qp import (
     solve_bound_qp_batch,
     solve_bound_qp_masked,
     spread_matrix,
-)
-from repro.optim.simplex import (
-    polyhedron_feasible_point,
-    polyhedron_feasible_point_batch,
 )
 
 __all__ = ["TightBound"]
@@ -250,14 +245,13 @@ class TightBound(BoundingScheme):
         score access, where Algorithm 3's best-entry rule plays the same
         role for free.
     batch_kernel:
-        ``True`` (default) routes each refresh through the batched bound
-        kernel: one gathered :func:`~repro.optim.solve_bound_qp_masked`
-        call for every stale subset's QPs and one lockstep
-        :func:`~repro.optim.polyhedron_feasible_point_batch` call per
-        dominance pass.  ``False`` keeps the per-subset / per-candidate
-        scalar path, with the same lazy dominance rule — the reference
-        the differential suite pins the kernel against (completed runs
-        are bit-identical either way).
+        ``True`` (default) routes each refresh's bound QPs through the
+        batched kernel: one gathered
+        :func:`~repro.optim.solve_bound_qp_masked` call for every stale
+        subset.  ``False`` keeps the per-subset scalar QP path — the
+        reference the differential suite pins the kernel against
+        (completed runs are bit-identical either way).  The dominance
+        pass is the same on both.
     """
 
     def __init__(
@@ -523,10 +517,7 @@ class TightBound(BoundingScheme):
         if track_dominance:
             period = self.dominance_period
             if accesses_before // period < self._accesses // period:
-                if gathered:
-                    self._dominance_pass_batched(scoring, n, state, subsets)
-                else:
-                    self._dominance_pass(scoring, n, subsets)
+                self._dominance_pass(scoring, n, subsets)
                 for sub in subsets:
                     sub.recompute_max()
 
@@ -614,15 +605,15 @@ class TightBound(BoundingScheme):
     def _dominance_pass(
         self, scoring: QuadraticFormScoring, n: int, subsets: list[_SubsetState]
     ) -> None:
-        """Scalar reference dominance pass: one feasibility LP per
-        pending candidate (scipy-accelerated when available).
+        """The dominance pass: one dense feasibility LP per pending
+        candidate.
 
         Structured as gather (the screen, the lazy walk and the
         constraint assembly of
-        :func:`~repro.core.bounds.dominance.prepare_dominance_pass`,
-        shared with the batched pass) followed by the per-candidate LP
-        loop, so ``solver_seconds`` times exactly the feasibility solves —
-        the same line the batched pass draws around its lockstep call.
+        :func:`~repro.core.bounds.dominance.prepare_dominance_pass`)
+        followed by the per-candidate LP loop
+        (:meth:`~repro.core.bounds.dominance.DominancePrep.solve`), so
+        ``solver_seconds`` times exactly the feasibility solves.
         """
         start = time.perf_counter()
         for sub in subsets:
@@ -642,77 +633,10 @@ class TightBound(BoundingScheme):
             )
             self.counters.dominance_witness_hits += prep.witness_hits
             self.counters.dominance_screened += prep.screened
-            out = prep.out
             lp_started = time.perf_counter()
-            for k, alpha in enumerate(prep.pending):
-                g, h = prep.assemble(k)
-                point = polyhedron_feasible_point(g, h)
-                if point is None:
-                    out[alpha] = True
-                else:
-                    sub.witness[alpha] = point
+            out = prep.solve(sub.witness[:cnt])
             self.counters.solver_seconds += time.perf_counter() - lp_started
-            self.counters.lp_solves += len(prep.pending)
-            newly = out & ~sub.dominated[:cnt]
-            self.counters.entries_dominated += int(newly.sum())
-            sub.dominated[:cnt] = out
-        self.counters.dominance_seconds += time.perf_counter() - start
-
-    def _dominance_pass_batched(
-        self,
-        scoring: QuadraticFormScoring,
-        n: int,
-        state: EngineState,
-        subsets: list[_SubsetState],
-    ) -> None:
-        """Batched dominance pass: the same screen and lazy walk per
-        subset as :meth:`_dominance_pass`, then every subset's pending
-        feasibility LPs solved through one lockstep kernel call (the
-        kernel groups and stacks the ``G/h`` blocks by constraint count
-        into the workspace's
-        :meth:`~repro.core.bounds.workspace.BoundWorkspace.lp_plan`
-        slabs).  The flags equal the scalar pass's.
-        """
-        start = time.perf_counter()
-        # (subset, entry count, mask, pending candidates, first wave slot)
-        scatter: list[tuple[_SubsetState, int, np.ndarray, np.ndarray, int]] = []
-        gs: list[np.ndarray] = []
-        hs: list[np.ndarray] = []
-        for sub in subsets:
-            if sub.dead or not sub.members:
-                continue
-            cnt = sub.count
-            if cnt - int(sub.dominated[:cnt].sum()) < 2:
-                continue
-            m = len(sub.members)
-            quad = scoring.w_q * (n - m) + scoring.w_mu * (m / n) * (n - m)
-            prep = prepare_dominance_pass(
-                sub.b[:cnt], sub.c[:cnt], sub.dominated[:cnt],
-                quad_coeff=quad, witnesses=sub.witness[:cnt], t=sub.t[:cnt],
-            )
-            self.counters.dominance_witness_hits += prep.witness_hits
-            self.counters.dominance_screened += prep.screened
-            scatter.append((sub, cnt, prep.out, prep.alpha, len(gs)))
-            for k in range(prep.alpha.size):
-                g, h = prep.assemble(k)
-                gs.append(g)
-                hs.append(h)
-
-        if gs:
-            # One ragged lockstep call for every subset's pending LPs.
-            started = time.perf_counter()
-            points, empty = polyhedron_feasible_point_batch(
-                gs, hs, workspace=self._workspace(state)
-            )
-            self.counters.solver_seconds += time.perf_counter() - started
-            self.counters.lp_solves += len(gs)
-
-        for sub, cnt, out, alpha, first in scatter:
-            if alpha.size:
-                slots = np.arange(first, first + alpha.size)
-                emptied = empty[slots]
-                out[alpha[emptied]] = True
-                sub.witness[alpha[~emptied]] = points[slots[~emptied]]
+            self.counters.lp_solves += prep.alpha.size
             newly = out & ~sub.dominated[:cnt]
             self.counters.entries_dominated += int(newly.sum())
             sub.dominated[:cnt] = out

@@ -10,12 +10,6 @@ slab the batched bound stack fills on each refresh:
   :class:`~repro.core.bounds.tight.TightBound` gathers across *all*
   stale subsets (from each entry's cached completion geometry) before
   its single :func:`~repro.optim.solve_bound_qp_masked` call;
-* the LP gather plans (:meth:`BoundWorkspace.lp_plan`): one
-  :class:`~repro.optim.simplex.ChebyGatherPlan` per constraint-count /
-  dimensionality shape, built on first use and reused every dominance
-  refresh, so the lockstep Chebyshev kernel's per-group ``G``/``h``
-  stacks and 3-D tableaux live in grow-only slabs here instead of being
-  allocated per pass;
 * generic named scratch buffers (grow-only, doubling) that the batch
   scorer's candidate sieve borrows for its per-block temporaries;
 * the per-relation potentials memo: ``pot_i`` depends only on the
@@ -47,11 +41,10 @@ class BoundWorkspace:
     unit tests that call ``update`` directly).
     """
 
-    __slots__ = ("_buffers", "_lp_plans", "potentials_cache", "potentials_version")
+    __slots__ = ("_buffers", "potentials_cache", "potentials_version")
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
-        self._lp_plans: dict[tuple[int, int], object] = {}
         #: Cached per-relation potentials and the bound version they
         #: were computed at (-1 = nothing cached yet).
         self.potentials_cache: list[float] | None = None
@@ -100,22 +93,6 @@ class BoundWorkspace:
             self.array("qp_lower_mask", (rows, n), np.bool_, zero=True),
             self.array("qp_lower_vals", (rows, n)),
         )
-
-    def lp_plan(self, m: int, d: int):
-        """The cached :class:`~repro.optim.simplex.ChebyGatherPlan` for
-        ``m``-constraint, ``d``-dimensional Chebyshev groups.
-
-        Built once per ``(m, d)`` shape and reused every refresh; the
-        plan's stack and tableau buffers are slabs of this workspace, so
-        steady-state dominance passes allocate nothing for LP assembly.
-        """
-        plan = self._lp_plans.get((m, d))
-        if plan is None:
-            from repro.optim.simplex import ChebyGatherPlan
-
-            plan = ChebyGatherPlan(self, m, d)
-            self._lp_plans[(m, d)] = plan
-        return plan
 
     # -- potentials memo ---------------------------------------------------
 

@@ -140,6 +140,16 @@ def sweep_dominance_period(
 
     Only the tight-bound algorithms participate (dominance is a tight-
     bound refinement); period None is the paper's "infinity" bar.
+
+    A documented reproduction deviation: the paper's wins (~4% at n = 2,
+    ~35% at n = 3 around period 8) do not reproduce.  On the benchmark
+    sweep (``benchmarks/test_bench_fig3_dominance.py``, which lists the
+    per-period numbers) the pass flags no row, every period solves as
+    many bound QPs as dominance off, and no period runs faster than
+    period None beyond the host's run-to-run spread.  The revalidation
+    fast path, the closed-form QPs and the exact lazy pass leave
+    dominance no re-solves to save; the paper's gain assumed re-solves
+    this implementation never makes, and dominance stays off by default.
     """
     cells = []
     for period in TESTED["dominance_period"]:

@@ -1,13 +1,12 @@
-"""Numerical optimisation substrate: dense active-set QP and two-phase
-simplex LP, the two solvers the paper's tight bound and dominance test
-rely on ("off-the-shelf solvers" in the paper; built from scratch here).
+"""Numerical optimisation substrate: dense active-set QP and simplex LP,
+the two solvers the paper's tight bound and dominance test rely on
+("off-the-shelf solvers" in the paper; implemented here).
 
-Each solver family ships a batched kernel (``*_batch`` /
-:func:`solve_bound_qp_masked`) that stacks many tiny problems into one
-vectorised call — lockstep simplex tableaus for the LPs, active-set
-enumeration with per-entry termination masks for the QPs — with every
-entry bit-identical to a loop over its scalar counterpart (see the
-module docstrings for the row-stability contract)."""
+The QP family ships a batched kernel (:func:`solve_bound_qp_masked`)
+that stacks many tiny problems into one vectorised call, with every
+entry bit-identical to a loop over its scalar counterpart (see
+:mod:`repro.optim.qp` for the row-stability contract).  The dominance
+LPs are few enough to solve one at a time."""
 
 from repro.optim.qp import (
     QPResult,
@@ -18,16 +17,10 @@ from repro.optim.qp import (
     spread_matrix,
 )
 from repro.optim.simplex import (
-    LPResult,
     LPStatus,
     chebyshev_center,
-    chebyshev_center_batch,
     polyhedron_feasible_point,
-    polyhedron_feasible_point_batch,
     polyhedron_is_empty,
-    polyhedron_is_empty_batch,
-    simplex_standard_form,
-    solve_lp,
 )
 
 __all__ = [
@@ -37,14 +30,8 @@ __all__ = [
     "solve_bound_qp_masked",
     "solve_qp",
     "spread_matrix",
-    "LPResult",
     "LPStatus",
     "chebyshev_center",
-    "chebyshev_center_batch",
     "polyhedron_feasible_point",
-    "polyhedron_feasible_point_batch",
     "polyhedron_is_empty",
-    "polyhedron_is_empty_batch",
-    "simplex_standard_form",
-    "solve_lp",
 ]

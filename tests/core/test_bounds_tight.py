@@ -260,7 +260,6 @@ class TestDominanceIntegration:
 
             return run
 
-        bound._dominance_pass_batched = counted(bound._dominance_pass_batched)
         bound._dominance_pass = counted(bound._dominance_pass)
         refreshes = []  # (accesses after the refresh, passes it ran)
         update = bound.update

@@ -11,17 +11,22 @@ Properties pinned, layer by layer:
   untested.
 * **Stale witnesses never shield a candidate** — a cached witness is
   re-checked against the current competitor field.
-* **Trivial constraint counts skip the tableau soundly** — zero- and
-  single-constraint problems are answered analytically by the batch,
-  bit-identical to the scalar :func:`chebyshev_center`.
 * **Engine-level identity** — on tie-heavy workloads the batched kernel
   returns the same ranked answer, depths and bound as the scalar
   reference and as the dominance-off run, flags the same rows, solves
   almost no LPs, and the screen and cached witnesses actually fire.
+* **No scipy on the dominance path** — both execution strategies solve
+  their dominance LPs without importing scipy.
 * **No silent QP fallback** — ``qp_enumerated`` counts the bound-QP rows
   the closed form handed to the enumeration: none on the tie-heavy
   workload, every row when ``w_q = 0`` leaves no closed form.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +34,7 @@ import pytest
 from repro.core import AccessKind, EuclideanLogScoring, make_algorithm
 from repro.core.bounds.dominance import dominated_mask, prepare_dominance_pass
 from repro.core.relation import Relation
-from repro.optim.simplex import (
-    chebyshev_center,
-    chebyshev_center_batch,
-    polyhedron_feasible_point,
-)
+from repro.optim.simplex import polyhedron_feasible_point
 
 #: Ceiling on the LPs a tie-heavy engine run may solve: the lazy pass
 #: sends a candidate to an LP only when it sits above every certified
@@ -78,20 +79,16 @@ def test_lazy_pass_tests_only_rows_that_can_set_the_bound():
     assert polyhedron_feasible_point(*above.assemble(0)) is None
 
 
-@pytest.mark.parametrize("runner", ["scalar", "batched"])
-def test_cached_witness_invalidated_by_new_competitor(runner):
+def test_cached_witness_invalidated_by_new_competitor():
     """A cached witness is never trusted after a constraint it violates
     arrives: the pre-pass re-checks it against the *current* competitor
     field, so a newly appended dominator flags the candidate on the next
     pass despite its stored pass-1 witness."""
-    from repro.core.bounds.dominance import dominated_mask_batch
-
-    solve = dominated_mask if runner == "scalar" else dominated_mask_batch
     # Pass 1: A (b=0, c=0) wins at its own optimum against the weak B.
     bs = np.array([[0.0], [1.0]])
     cs = np.array([0.0, 5.0])
     witnesses = np.full((3, 1), np.nan)
-    out, _ = solve(
+    out, _ = dominated_mask(
         bs, cs, np.zeros(2, dtype=bool), quad_coeff=1.0,
         witnesses=witnesses[:2],
     )
@@ -103,40 +100,12 @@ def test_cached_witness_invalidated_by_new_competitor(runner):
     # must be rejected and A's LP solved.
     bs2 = np.vstack([bs, [[-1.0]]])
     cs2 = np.append(cs, -10.0)
-    out2, lps = solve(
+    out2, lps = dominated_mask(
         bs2, cs2, np.append(out, False), quad_coeff=1.0, witnesses=witnesses
     )
     assert out2[0], "stale witness shielded a now-dominated candidate"
     assert lps >= 1
     assert not out2[2]
-
-
-def test_trivial_constraint_counts_match_scalar():
-    """m=0 (all rows stripped), m=1 (analytic centre) and the
-    contradictory zero-row certificate are answered without a tableau,
-    bit-identical to the scalar path."""
-    d = 3
-    gs = [
-        np.zeros((2, d)),                       # all rows strip -> whole space
-        np.array([[1.0, -2.0, 0.5]]),           # one half-space
-        np.vstack([np.zeros(d), [1.0, 0.0, 0.0]]),  # zero row + real row
-        np.zeros((1, d)),                       # zero row with h < 0: empty
-    ]
-    hs = [
-        np.array([0.5, 0.0]),
-        np.array([-3.0]),
-        np.array([1.0, 2.0]),
-        np.array([-1.0]),
-    ]
-    b_centers, b_radii = chebyshev_center_batch(gs, hs)
-    for i, (g, h) in enumerate(zip(gs, hs)):
-        center, radius = chebyshev_center(g, h)
-        if center is None:
-            assert np.isnan(b_centers[i]).all()
-            assert b_radii[i] == -np.inf
-        else:
-            assert b_centers[i].tobytes() == np.asarray(center).tobytes()
-            assert b_radii[i] == radius
 
 
 def tie_heavy_problem(n_relations=3, n_tuples=90, dims=2, levels=4, seed=0):
@@ -228,6 +197,41 @@ def test_engine_screen_matches_scalar_and_dominance_off(algo):
     assert off.counters["dominance_screened"] == 0
     assert _same_answer(kernel, scalar)
     assert _same_answer(kernel, off)
+
+
+#: A tie-heavy problem whose lazy passes reach the LP under both
+#: pulling strategies (1 LP under TBPA and 7 under TBRR at period 2).
+LP_PROBLEM = {"levels": 5, "seed": 1}
+
+
+def test_dominance_path_never_imports_scipy():
+    """Both execution strategies solve their dominance LPs in a fresh
+    interpreter without importing scipy: the dense simplex is the only
+    LP solver, so no import lands inside the engine's timed region."""
+    script = textwrap.dedent(f"""
+        import sys
+        from test_dominance_incremental import _run, tie_heavy_problem
+        relations, query = tie_heavy_problem(**{LP_PROBLEM!r})
+        for algo in ("TBPA", "TBRR"):
+            for batch_kernel in (True, False):
+                run = _run(relations, query, algo=algo, batch_kernel=batch_kernel)
+                assert run.completed
+                print(algo, batch_kernel, int(run.counters["lp_solves"]),
+                      "scipy" in sys.modules)
+    """)
+    here = Path(__file__).resolve().parent
+    path = [str(here.parents[1] / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    legs = [line.split() for line in done.stdout.splitlines()]
+    assert len(legs) == 4
+    for algo, batch_kernel, lps, scipy_loaded in legs:
+        assert int(lps) > 0, (algo, batch_kernel)
+        assert scipy_loaded == "False", (algo, batch_kernel)
 
 
 def test_qp_enumerated_counts_fallback_rows():

@@ -1,14 +1,14 @@
 """Soundness regression for dominance pruning (Section 3.2.2).
 
 Property pinned: **a live partial combination is never flagged
-dominated** — under the scalar LP loop, under capped constraint sets
-(dropping competitors can only enlarge regions), under the batched
-lockstep kernel and under the equal-slope screen.  Liveness ground truth
+dominated** — under the LP loop, under capped constraint sets (dropping
+competitors can only enlarge regions) and under the equal-slope
+screen.  Liveness ground truth
 is established constructively: a candidate that wins (within tolerance)
 at any probed point certainly has a non-empty dominance region.
 
-The screen flags a row exactly when the simplex kernels' zero-row rule
-would call its one-row system against its ``b``-group's live minimum
+The screen flags a row exactly when the simplex's zero-row rule would
+call its one-row system against its ``b``-group's live minimum
 empty; the planted-gap family below pins that boundary.
 """
 
@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.bounds.dominance import (
-    dominance_lp_problems,
     dominated_mask,
-    dominated_mask_batch,
     prepare_dominance_pass,
 )
 from repro.optim.simplex import polyhedron_feasible_point
@@ -46,13 +44,8 @@ def provably_live(bs, cs, quad_coeff, points):
     "runner",
     [
         pytest.param(lambda **kw: dominated_mask(**kw), id="scalar"),
-        pytest.param(lambda **kw: dominated_mask_batch(**kw), id="batched"),
         pytest.param(
             lambda **kw: dominated_mask(max_lp_constraints=3, **kw), id="capped"
-        ),
-        pytest.param(
-            lambda **kw: dominated_mask_batch(max_lp_constraints=3, **kw),
-            id="capped-batched",
         ),
     ],
 )
@@ -78,63 +71,44 @@ def test_live_combination_never_flagged(seed, runner):
     assert not flagged_live.any(), np.flatnonzero(flagged_live)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_batched_mask_matches_scalar(seed):
-    """The batched pass flags exactly the scalar pass's set (the kernels'
-    emptiness verdicts agree), starting from identical inputs."""
-    rng = np.random.default_rng(100 + seed)
-    count = int(rng.integers(5, 30))
-    bs, cs = random_family(rng, count, 2)
-    already = rng.random(count) < 0.2
-    quad = 1.0
-    out_s, _ = dominated_mask(
-        bs, cs, already.copy(), quad_coeff=quad,
-        witnesses=np.full((count, 2), np.nan),
-    )
-    out_b, _ = dominated_mask_batch(
-        bs, cs, already.copy(), quad_coeff=quad,
-        witnesses=np.full((count, 2), np.nan),
-    )
-    assert (out_s == out_b).all()
-
-
 def test_sequential_passes_with_witness_reuse():
     """Growing competitor fields across passes (the engine's usage):
     cached witnesses never let a dominated candidate slip through, and
-    live candidates survive every pass, scalar and batched alike."""
+    live candidates survive every pass."""
     rng = np.random.default_rng(42)
     d, quad = 2, 1.5
     total = 30
     bs = rng.normal(size=(total, d))
     cs = rng.normal(size=total)
-    for runner in (dominated_mask, dominated_mask_batch):
-        witnesses = np.full((total, d), np.nan)
-        out = np.zeros(total, dtype=bool)
-        for upto in (10, 20, total):
-            out_prefix, _ = runner(
-                bs[:upto], cs[:upto], out[:upto].copy(),
-                quad_coeff=quad, witnesses=witnesses[:upto],
-            )
-            out[:upto] = out_prefix
-            points = np.vstack([-bs[:upto] / quad, rng.normal(size=(150, d)) * 3.0])
-            live = provably_live(bs[:upto], cs[:upto], quad, points)
-            assert not (out[:upto] & live).any()
+    witnesses = np.full((total, d), np.nan)
+    out = np.zeros(total, dtype=bool)
+    for upto in (10, 20, total):
+        out_prefix, _ = dominated_mask(
+            bs[:upto], cs[:upto], out[:upto].copy(),
+            quad_coeff=quad, witnesses=witnesses[:upto],
+        )
+        out[:upto] = out_prefix
+        points = np.vstack([-bs[:upto] / quad, rng.normal(size=(150, d)) * 3.0])
+        live = provably_live(bs[:upto], cs[:upto], quad, points)
+        assert not (out[:upto] & live).any()
 
 
-def test_lp_problems_assembly_matches_scalar_competitors():
-    """dominance_lp_problems assembles exactly the capped strongest-
-    competitor systems the scalar loop solves."""
+def test_lp_assembly_matches_capped_competitors():
+    """prepare_dominance_pass plus DominancePrep.assemble build exactly
+    the capped strongest-competitor systems the LP loop solves."""
     rng = np.random.default_rng(7)
     count = 12
     bs, cs = random_family(rng, count, 2)
-    out, problems = dominance_lp_problems(
+    prep = prepare_dominance_pass(
         bs, cs, np.zeros(count, dtype=bool), quad_coeff=1.0,
         max_lp_constraints=5,
     )
+    pending = prep.alpha.tolist()
+    problems = [(alpha, *prep.assemble(k)) for k, alpha in enumerate(pending)]
     # Assembly flags nothing by itself; only the equal-slope screen
     # flags, and only the planted row 1 (row 0's b, a larger c).
-    assert np.flatnonzero(out).tolist() == [1]
-    assert 1 not in [alpha for alpha, _, _ in problems]
+    assert np.flatnonzero(prep.out).tolist() == [1]
+    assert problems and 1 not in pending
     for alpha, g, h in problems:
         assert g.shape[0] <= 5 and g.shape == (len(h), 2)
         # Each row is a valid half-space of alpha against some competitor.
@@ -175,7 +149,7 @@ def equal_slope_family(rng, d=2, extra=6):
 def test_equal_slope_screen_flags_exactly_past_tolerance(seed):
     """A planted row is flagged exactly when its gap above the group's
     live minimum exceeds 1e-9, and each flagged row's one-row system
-    against that minimum is empty under the kernels' own rule."""
+    against that minimum is empty under the simplex's own rule."""
     rng = np.random.default_rng(300 + seed)
     bs, cs, groups = equal_slope_family(rng)
     count = len(cs)
@@ -211,15 +185,14 @@ def test_equal_slope_screen_never_flags_live(seed):
         bs, cs, np.zeros(count, dtype=bool), quad_coeff=quad
     )
     assert prep.screened > 0
-    for runner in (dominated_mask, dominated_mask_batch):
-        out, _ = runner(
-            bs, cs, np.zeros(count, dtype=bool), quad_coeff=quad,
-            witnesses=np.full((count, d), np.nan),
-        )
-        assert (out >= prep.out).all()  # the screen's flags stand
-        points = np.vstack([-bs / quad, rng.normal(size=(200, d)) * 3.0])
-        live = provably_live(bs, cs, quad, points)
-        assert not (out & live).any(), np.flatnonzero(out & live)
+    out, _ = dominated_mask(
+        bs, cs, np.zeros(count, dtype=bool), quad_coeff=quad,
+        witnesses=np.full((count, d), np.nan),
+    )
+    assert (out >= prep.out).all()  # the screen's flags stand
+    points = np.vstack([-bs / quad, rng.normal(size=(200, d)) * 3.0])
+    live = provably_live(bs, cs, quad, points)
+    assert not (out & live).any(), np.flatnonzero(out & live)
 
 
 def test_equal_slope_screen_skips_dominated_minimum():

@@ -1,17 +1,17 @@
 """Seeded bound-kernel differential sweep.
 
 The tight bound has one batched kernel (``batch_kernel=True``: gathered
-masked QPs, lockstep dominance LPs, cross-pass reuse) and one scalar
-reference (``batch_kernel=False``: one QP per subset, one LP per
-dominance candidate).  This sweep draws random configurations with
-stdlib ``random`` — relation count, dimension, k, block size, bound
-period, access kind, algorithm (TBPA/TBRR), dominance period and uniform
-or tie-heavy data — and runs each one on both.  A completed kernel run
-must equal the scalar run with ``==`` on the ranked ``(key, score)``
-list, the depths and the bound, and a config with a dominance period
-must also equal the same config with dominance off: the pass only
-flags rows that can never carry a subset's bound, so it moves no
-answer, depth or bound.  A failure names the config's seed;
+masked QPs, cached completion geometry) and one scalar reference
+(``batch_kernel=False``: one QP per subset); both run the same lazy
+dominance pass, one LP per pending candidate.  This sweep draws random
+configurations with stdlib ``random`` — relation count, dimension, k,
+block size, bound period, access kind, algorithm (TBPA/TBRR), dominance
+period and uniform or tie-heavy data — and runs each one on both.  A
+completed kernel run must equal the scalar run with ``==`` on the
+ranked ``(key, score)`` list, the depths and the bound, and a config
+with a dominance period must also equal the same config with dominance
+off: the pass only flags rows that can never carry a subset's bound, so
+it moves no answer, depth or bound.  A failure names the config's seed;
 ``pytest tests/core/test_kernel_differential.py -k seed<N>`` reruns it
 alone.
 """

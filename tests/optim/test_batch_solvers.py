@@ -1,12 +1,11 @@
-"""Differential suite for the batched bound-solver kernels.
+"""Differential suite for the batched bound-QP kernels.
 
 Pins the acceptance bar of the bound-kernel refactor: every batch API is
-bit-identical, entry for entry, to a loop over its scalar counterpart —
-:func:`repro.optim.solve_bound_qp` for the QPs and
-:func:`repro.optim.chebyshev_center` (the dense scalar path) for the
-feasibility LPs.  Degenerate, infeasible and tie cases included; the
-singular-Hessian family (``w_q = 0``) pins optimal *values* only, per the
-documented contract (both sides fall back to least squares there).
+bit-identical, entry for entry, to a loop over its scalar counterpart
+:func:`repro.optim.solve_bound_qp`.  Degenerate and tie cases included;
+the singular-Hessian family (``w_q = 0``) pins optimal *values* only,
+per the documented contract (both sides fall back to least squares
+there).
 
 The masked QP kernel solves spread-Hessian rows in closed form and hands
 the rest to its active-set enumeration.  Rows whose lower bound sits
@@ -20,14 +19,7 @@ pins every row to the enumeration and every closed-form row to both.
 import numpy as np
 import pytest
 
-import repro.optim.simplex as simplex_mod
 from repro.optim import (
-    chebyshev_center,
-    chebyshev_center_batch,
-    polyhedron_feasible_point,
-    polyhedron_feasible_point_batch,
-    polyhedron_is_empty,
-    polyhedron_is_empty_batch,
     solve_bound_qp,
     solve_bound_qp_batch,
     solve_bound_qp_masked,
@@ -286,115 +278,3 @@ class TestSubsetQPBatch:
             )
             assert (res.x == thetas[e]).all()
             assert res.value == vals[e]
-
-
-def random_polyhedra(rng, count, d):
-    """Mixed feasible / infeasible / degenerate (zero-row, tied) systems."""
-    gs, hs = [], []
-    for trial in range(count):
-        m = int(rng.integers(1, 40))
-        g = rng.normal(size=(m, d))
-        if trial % 5 == 0:
-            g[int(rng.integers(0, m))] = 0.0  # zero row
-        if trial % 6 == 0 and m >= 2:
-            g[1] = g[0]  # tied half-space directions
-        y0 = rng.normal(size=d)
-        slack = rng.normal(size=m) * (0.5 if trial % 3 else -0.2)
-        gs.append(g)
-        hs.append(g @ y0 + slack)
-    return gs, hs
-
-
-class TestBatchLPKernel:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_chebyshev_bit_identical_to_scalar_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 4))
-        gs, hs = random_polyhedra(rng, 60, d)
-        centers, radii = chebyshev_center_batch(gs, hs)
-        for i, (g, h) in enumerate(zip(gs, hs)):
-            c_ref, r_ref = chebyshev_center(g, h)
-            assert r_ref == radii[i]
-            if c_ref is None:
-                assert np.isnan(centers[i]).all()
-            else:
-                assert (c_ref == centers[i]).all()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_feasible_point_matches_dense_scalar(self, seed, monkeypatch):
-        # Force the scalar path onto the dense simplex (scipy disabled):
-        # the batch kernel must reproduce it bit for bit, witness included.
-        monkeypatch.setattr(simplex_mod, "_SCIPY_LINPROG", None)
-        rng = np.random.default_rng(100 + seed)
-        gs, hs = random_polyhedra(rng, 50, 2)
-        points, empty = polyhedron_feasible_point_batch(gs, hs)
-        for i, (g, h) in enumerate(zip(gs, hs)):
-            ref = polyhedron_feasible_point(g, h)
-            if ref is None:
-                assert empty[i]
-                assert np.isnan(points[i]).all()
-            else:
-                assert not empty[i]
-                assert (ref == points[i]).all()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_emptiness_decisions_match_scalar(self, seed):
-        # Against the default scalar path (scipy-accelerated when
-        # available): the *verdicts* must agree — the invariant the
-        # dominance pass relies on.
-        rng = np.random.default_rng(200 + seed)
-        gs, hs = random_polyhedra(rng, 60, 2)
-        empty = polyhedron_is_empty_batch(gs, hs)
-        for i, (g, h) in enumerate(zip(gs, hs)):
-            assert polyhedron_is_empty(g, h) == bool(empty[i])
-
-    def test_witnesses_are_feasible(self):
-        rng = np.random.default_rng(3)
-        gs, hs = random_polyhedra(rng, 40, 3)
-        points, empty = polyhedron_feasible_point_batch(gs, hs)
-        for i, (g, h) in enumerate(zip(gs, hs)):
-            if not empty[i]:
-                assert (g @ points[i] <= h + 1e-6).all()
-
-    def test_all_zero_rows(self):
-        # Pure "0 <= h" systems: feasible iff every h >= 0.
-        gs = [np.zeros((2, 2)), np.zeros((2, 2))]
-        hs = [np.array([1.0, 2.0]), np.array([1.0, -1.0])]
-        points, empty = polyhedron_feasible_point_batch(gs, hs)
-        assert not empty[0] and (points[0] == 0.0).all()
-        assert empty[1]
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_all_zero_rows_point_has_d_coordinates(self, d):
-        # Once the zero rows are stripped no row is left; the scalar
-        # point must still live in R^d, like the centre and the batch's.
-        g = np.zeros((2, d))
-        h = np.array([0.5, 0.0])
-        point = polyhedron_feasible_point(g, h)
-        center, radius = chebyshev_center(g, h)
-        points, empty = polyhedron_feasible_point_batch([g], [h])
-        assert point.shape == (d,) and (point == 0.0).all()
-        assert point.tobytes() == center.tobytes()
-        assert not empty[0] and point.tobytes() == points[0].tobytes()
-
-    def test_thin_region_kept(self):
-        # A single point (x <= 0, x >= 0) is not robustly empty; the
-        # batched test must keep it, like the scalar one.
-        gs = [np.array([[1.0], [-1.0]])]
-        hs = [np.array([0.0, 0.0])]
-        assert not polyhedron_is_empty_batch(gs, hs)[0]
-
-    def test_stacked_array_input(self):
-        rng = np.random.default_rng(9)
-        g = rng.normal(size=(7, 12, 2))
-        y0 = rng.normal(size=(7, 1, 2))
-        h = np.einsum("bmd,bnd->bm", g, y0) + 0.3
-        points, empty = polyhedron_feasible_point_batch(g, h)
-        assert not empty.any()
-        for b in range(7):
-            c_ref, r_ref = chebyshev_center(g[b], h[b])
-            assert (points[b] == c_ref).all()
-
-    def test_empty_batch(self):
-        centers, radii = chebyshev_center_batch([], [])
-        assert centers.shape[0] == 0 and radii.shape == (0,)

@@ -1,95 +1,34 @@
-"""Tests for the two-phase simplex and the dominance feasibility test."""
+"""Tests for the dense Chebyshev-centre simplex and the dominance
+feasibility test built on it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.optim.simplex as simplex_mod
 from repro.optim import (
-    LPStatus,
     chebyshev_center,
+    polyhedron_feasible_point,
     polyhedron_is_empty,
-    simplex_standard_form,
-    solve_lp,
 )
 
-coef = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
-
-class TestStandardForm:
-    def test_textbook_optimum(self):
-        # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0  -> (4, 0), 12
-        a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-        b = np.array([4.0, 6.0])
-        c = np.array([-3.0, -2.0, 0.0, 0.0])
-        res = simplex_standard_form(a, b, c)
-        assert res.status is LPStatus.OPTIMAL
-        assert res.value == pytest.approx(-12.0)
-        np.testing.assert_allclose(res.x[:2], [4.0, 0.0], atol=1e-9)
-
-    def test_infeasible(self):
-        # x = -1 with x >= 0 is infeasible.
-        res = simplex_standard_form([[1.0]], [-1.0], [0.0])
-        assert res.status is LPStatus.INFEASIBLE
-
-    def test_unbounded(self):
-        # min -x s.t. x - s = 0  (x free upward)
-        res = simplex_standard_form([[1.0, -1.0]], [0.0], [-1.0, 0.0])
-        assert res.status is LPStatus.UNBOUNDED
-
-    def test_negative_rhs_normalisation(self):
-        # -x = -3, x >= 0 -> x = 3.
-        res = simplex_standard_form([[-1.0]], [-3.0], [1.0])
-        assert res.status is LPStatus.OPTIMAL
-        assert res.x[0] == pytest.approx(3.0)
-
-    def test_degenerate_redundant_rows(self):
-        a = np.array([[1.0, 1.0], [2.0, 2.0]])
-        b = np.array([2.0, 4.0])
-        c = np.array([1.0, 0.0])
-        res = simplex_standard_form(a, b, c)
-        assert res.status is LPStatus.OPTIMAL
-        assert res.value == pytest.approx(0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            simplex_standard_form([[1.0]], [1.0, 2.0], [1.0])
-
-
-class TestSolveLPFreeVars:
-    def test_free_variable_optimum_negative(self):
-        # min x s.t. x >= -5 (i.e. -x <= 5) -> x = -5.
-        res = solve_lp([1.0], [[-1.0]], [5.0])
-        assert res.status is LPStatus.OPTIMAL
-        assert res.x[0] == pytest.approx(-5.0)
-
-    def test_two_dim_box(self):
-        # min -x - y over the unit box.
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        b = np.array([1.0, 1.0, 0.0, 0.0])
-        res = solve_lp([-1.0, -1.0], a, b)
-        assert res.value == pytest.approx(-2.0)
-
-    def test_unbounded_detection(self):
-        res = solve_lp([-1.0], [[-1.0]], [0.0])
-        assert res.status is LPStatus.UNBOUNDED
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_against_scipy_linprog(self, seed):
-        scipy_opt = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(seed)
-        n, m = 3, 6
-        a = rng.normal(size=(m, n))
-        x0 = rng.normal(size=n)
-        b = a @ x0 + abs(rng.normal(size=m)) + 0.5  # feasible by construction
-        c = rng.normal(size=n)
-        # Keep bounded by boxing the variables.
-        a_full = np.vstack([a, np.eye(n), -np.eye(n)])
-        b_full = np.concatenate([b, np.full(n, 50.0), np.full(n, 50.0)])
-        res = solve_lp(c, a_full, b_full)
-        ref = scipy_opt.linprog(c, A_ub=a_full, b_ub=b_full, bounds=(None, None))
-        assert res.status is LPStatus.OPTIMAL
-        assert res.value == pytest.approx(float(ref.fun), abs=1e-6)
+def random_polyhedra(rng, count, d):
+    """Mixed feasible / infeasible / degenerate (zero-row, tied) systems."""
+    gs, hs = [], []
+    for trial in range(count):
+        m = int(rng.integers(1, 40))
+        g = rng.normal(size=(m, d))
+        if trial % 5 == 0:
+            g[int(rng.integers(0, m))] = 0.0  # zero row
+        if trial % 6 == 0 and m >= 2:
+            g[1] = g[0]  # tied half-space directions
+        y0 = rng.normal(size=d)
+        slack = rng.normal(size=m) * (0.5 if trial % 3 else -0.2)
+        gs.append(g)
+        hs.append(g @ y0 + slack)
+    return gs, hs
 
 
 class TestChebyshevAndEmptiness:
@@ -142,3 +81,82 @@ class TestChebyshevAndEmptiness:
         y0 = rng.normal(size=d)
         h = g @ y0 + abs(rng.normal(size=m)) + 0.05
         assert not polyhedron_is_empty(g, h)
+
+    def test_witnesses_are_feasible(self):
+        rng = np.random.default_rng(3)
+        gs, hs = random_polyhedra(rng, 40, 3)
+        for g, h in zip(gs, hs):
+            point = polyhedron_feasible_point(g, h)
+            if point is not None:
+                assert (g @ point <= h + 1e-6).all()
+
+    def test_all_zero_rows(self):
+        # Pure "0 <= h" systems: feasible iff every h >= 0.
+        point = polyhedron_feasible_point(np.zeros((2, 2)), np.array([1.0, 2.0]))
+        assert (point == 0.0).all()
+        assert polyhedron_feasible_point(
+            np.zeros((2, 2)), np.array([1.0, -1.0])
+        ) is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_all_zero_rows_point_has_d_coordinates(self, d):
+        # Once the zero rows are stripped no row is left; the point must
+        # still live in R^d, like the centre.
+        g = np.zeros((2, d))
+        h = np.array([0.5, 0.0])
+        point = polyhedron_feasible_point(g, h)
+        center, radius = chebyshev_center(g, h)
+        assert point.shape == (d,) and (point == 0.0).all()
+        assert point.tobytes() == center.tobytes()
+
+    def test_trivial_constraint_counts_skip_the_tableau(self, monkeypatch):
+        """m = 0 (all rows stripped), m = 1 (analytic centre) and the
+        contradictory zero-row certificate are answered without a
+        tableau."""
+
+        def no_tableau(*args, **kwargs):
+            raise AssertionError("trivial system reached the simplex")
+
+        monkeypatch.setattr(simplex_mod, "_run_simplex", no_tableau)
+        d = 3
+        # All rows strip: the whole space, centre at the origin.
+        center, radius = chebyshev_center(np.zeros((2, d)), np.array([0.5, 0.0]))
+        assert (center == 0.0).all() and radius == 1e3
+        # One half-space g'y <= h: the capped ball touches the plane.
+        g = np.array([[1.0, -2.0, 0.5]])
+        center, radius = chebyshev_center(g, np.array([-3.0]))
+        assert radius == 1e3
+        norm = np.linalg.norm(g[0])
+        assert g[0] @ center + norm * radius == pytest.approx(-3.0)
+        # A zero row beside one real row: the real row's analytic centre.
+        center, radius = chebyshev_center(
+            np.vstack([np.zeros(d), [1.0, 0.0, 0.0]]), np.array([1.0, 2.0])
+        )
+        assert radius == 1e3 and center.tolist() == [2.0 - 1e3, 0.0, 0.0]
+        # A zero row with h < 0: certainly empty.
+        center, radius = chebyshev_center(np.zeros((1, d)), np.array([-1.0]))
+        assert center is None and radius == -np.inf
+        assert polyhedron_is_empty(np.zeros((1, d)), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_emptiness_verdicts_match_highs(seed):
+    """Dense ``polyhedron_is_empty`` verdicts equal the verdicts of the
+    same Chebyshev LP solved by scipy's HiGHS (``r* < -tol`` or
+    infeasible), a test-side oracle only: the library never imports
+    scipy."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(200 + seed)
+    gs, hs = random_polyhedra(rng, 60, 2)
+    for g, h in zip(gs, hs):
+        d = g.shape[1]
+        a_ub = np.hstack([g, np.linalg.norm(g, axis=1)[:, None]])
+        c = np.zeros(d + 1)
+        c[-1] = -1.0
+        res = scipy_opt.linprog(
+            c, A_ub=a_ub, b_ub=h, bounds=[(None, None)] * d + [(None, 1e3)],
+            method="highs",
+        )
+        assert res.status in (0, 2)
+        highs_empty = res.status == 2 or float(res.x[-1]) < -1e-7
+        assert polyhedron_is_empty(g, h) == highs_empty
