@@ -1,10 +1,10 @@
 """Soundness regression for dominance pruning (Section 3.2.2).
 
 Property pinned: **a live partial combination is never flagged
-dominated** — under the LP loop, under capped constraint sets (dropping
-competitors can only enlarge regions) and under the equal-slope
-screen.  Liveness ground truth
-is established constructively: a candidate that wins (within tolerance)
+dominated** — under the eager LP loop, under the engine's lazy pass,
+under capped constraint sets (dropping competitors can only enlarge
+regions) and under the equal-slope screen.  Liveness ground truth is
+established constructively: a candidate that wins (within tolerance)
 at any probed point certainly has a non-empty dominance region.
 
 The screen flags a row exactly when the simplex's zero-row rule would
@@ -31,6 +31,24 @@ def random_family(rng, count, d):
     return bs, cs
 
 
+def lazy_mask(
+    bs, cs, already_dominated, *, quad_coeff, witnesses=None,
+    max_lp_constraints=64,
+):
+    """The engine's lazy pass (``prepare_dominance_pass`` with ``t``,
+    then one LP per pending row) with the rows walked worst-first:
+    ``t`` ascends in each row's unconstrained optimum value, so the
+    walk reaches the likely-dominated rows before any certified one
+    and sends them to LPs.  Returns ``(out, lps)`` like
+    :func:`dominated_mask`."""
+    t = cs - (bs * bs).sum(axis=1) / quad_coeff
+    prep = prepare_dominance_pass(
+        bs, cs, already_dominated, quad_coeff=quad_coeff,
+        max_lp_constraints=max_lp_constraints, witnesses=witnesses, t=t,
+    )
+    return prep.solve(witnesses), prep.alpha.size
+
+
 def provably_live(bs, cs, quad_coeff, points):
     """Candidates that win at one of the probed ``points`` (tolerance
     shrunk so the certificate is strict)."""
@@ -46,6 +64,10 @@ def provably_live(bs, cs, quad_coeff, points):
         pytest.param(lambda **kw: dominated_mask(**kw), id="scalar"),
         pytest.param(
             lambda **kw: dominated_mask(max_lp_constraints=3, **kw), id="capped"
+        ),
+        pytest.param(lambda **kw: lazy_mask(**kw), id="lazy"),
+        pytest.param(
+            lambda **kw: lazy_mask(max_lp_constraints=3, **kw), id="capped-lazy"
         ),
     ],
 )
@@ -71,7 +93,31 @@ def test_live_combination_never_flagged(seed, runner):
     assert not flagged_live.any(), np.flatnonzero(flagged_live)
 
 
-def test_sequential_passes_with_witness_reuse():
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_flags_within_eager(seed):
+    """From identical inputs the lazy pass flags only rows the eager
+    pass flags (its LPs are the eager pass's systems for the walked
+    rows), and rows flagged on input stay flagged."""
+    rng = np.random.default_rng(100 + seed)
+    count = int(rng.integers(5, 30))
+    bs, cs = random_family(rng, count, 2)
+    already = rng.random(count) < 0.2
+    quad = 1.0
+    out_e, _ = dominated_mask(
+        bs, cs, already.copy(), quad_coeff=quad,
+        witnesses=np.full((count, 2), np.nan),
+    )
+    out_l, lps = lazy_mask(
+        bs, cs, already.copy(), quad_coeff=quad,
+        witnesses=np.full((count, 2), np.nan),
+    )
+    assert lps > 0
+    assert out_l[already].all()
+    assert (out_l <= out_e).all(), np.flatnonzero(out_l & ~out_e)
+
+
+@pytest.mark.parametrize("runner", [dominated_mask, lazy_mask], ids=["eager", "lazy"])
+def test_sequential_passes_with_witness_reuse(runner):
     """Growing competitor fields across passes (the engine's usage):
     cached witnesses never let a dominated candidate slip through, and
     live candidates survive every pass."""
@@ -83,7 +129,7 @@ def test_sequential_passes_with_witness_reuse():
     witnesses = np.full((total, d), np.nan)
     out = np.zeros(total, dtype=bool)
     for upto in (10, 20, total):
-        out_prefix, _ = dominated_mask(
+        out_prefix, _ = runner(
             bs[:upto], cs[:upto], out[:upto].copy(),
             quad_coeff=quad, witnesses=witnesses[:upto],
         )
@@ -172,8 +218,9 @@ def test_equal_slope_screen_flags_exactly_past_tolerance(seed):
     assert not prep.out[np.setdiff1d(np.arange(count), planted)].any()
 
 
+@pytest.mark.parametrize("runner", [dominated_mask, lazy_mask], ids=["eager", "lazy"])
 @pytest.mark.parametrize("seed", range(10))
-def test_equal_slope_screen_never_flags_live(seed):
+def test_equal_slope_screen_never_flags_live(seed, runner):
     """Screen flags (and the LPs behind them) never hit a provably live
     row on families with planted equal-``b`` groups."""
     rng = np.random.default_rng(400 + seed)
@@ -185,7 +232,7 @@ def test_equal_slope_screen_never_flags_live(seed):
         bs, cs, np.zeros(count, dtype=bool), quad_coeff=quad
     )
     assert prep.screened > 0
-    out, _ = dominated_mask(
+    out, _ = runner(
         bs, cs, np.zeros(count, dtype=bool), quad_coeff=quad,
         witnesses=np.full((count, d), np.nan),
     )
