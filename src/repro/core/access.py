@@ -7,24 +7,31 @@ exposes exactly the statistics the bounding schemes are allowed to use:
 the distance/score of the first and last tuple retrieved so far, the
 depth, and the relation's ``sigma_max``.
 
-Streams are columnar inside.  Every pre-sorted order is computed by one
-function, :func:`sort_order`: one distance computation over the
-relation's stacked ``(N, d)`` vector matrix, one ``np.lexsort`` keyed by
-``(rank, tid)`` (tid as the tie-break keeps the stream deterministic,
-which instance-optimality requires).  :class:`AccessOrder` wraps the
-resulting permutation: one fancy-index per column materialises the
-order's columnar arrays, while its rows stay an :class:`OrderRows` view —
-``order.tuples[i]`` is the relation's own row ``relation[perm[i]]``,
-looked up only when a stream pulls position ``i``.  Orders are columnar;
-rows are built on pull.  Every stream maintains a
-:class:`~repro.core.columnar.ColumnarPrefix` — the extracted prefix
-``P_i`` as contiguous arrays in access order — which is what the batch
-scorer, the candidate pruner and the bounding schemes slice instead of
-re-walking ``RankTuple`` lists.  :class:`OrderStream` (the base of the
-pre-sorted streams, and the service's replay of a cached order) freezes
-the prefix over the order arrays, so pulling just advances a cursor and
-``next_block`` is one slice — the engine's block-pull fast path; the k-d
-indexed path appends row by row as the traversal produces tuples.
+Streams are columnar inside.  Every pre-sorted order is an
+:class:`AccessOrder`, sorted lazily, head first: one rank pass
+(:func:`rank_column`: one distance computation over the relation's
+stacked ``(N, d)`` vector matrix, or its scores) computes the shard's
+rank column once, and :func:`head_order` sorts only the order's first
+:data:`HEAD_ROWS` rows by ``(rank, tid)`` (tid as the tie-break keeps
+the stream deterministic, which instance-optimality requires), keeping
+every row tied at the cut so the head is the full order's leading rows
+bit for bit.  A read past the head extends it by doubling; the merge
+typically reads a few dozen rows of a shard, so most orders are never
+sorted beyond their first head.  One fancy-index per column
+materialises the head's columnar arrays, while its rows stay an
+:class:`OrderRows` view — ``order.tuples[i]`` is the relation's own row
+``relation[perm[i]]``, looked up only when a stream pulls position
+``i``.  Orders are columnar; rows are built on pull.  Every stream
+maintains a :class:`~repro.core.columnar.ColumnarPrefix` — the
+extracted prefix ``P_i`` as contiguous arrays in access order — which
+is what the batch scorer, the candidate pruner and the bounding schemes
+slice instead of re-walking ``RankTuple`` lists.  :class:`OrderStream`
+(the base of the pre-sorted streams, and the service's replay of a
+cached order) freezes the prefix over the head arrays, so pulling just
+advances a cursor and ``next_block`` is one slice — the engine's
+block-pull fast path — and re-freezes it over the extended arrays when
+a pull runs past the head; the k-d indexed path appends row by row as
+the traversal produces tuples.
 
 ``DistanceAccess`` can traverse a k-d tree incrementally (the realistic
 spatial-engine path) or pre-sort (simplest correct baseline); both produce
@@ -41,7 +48,7 @@ order's columns window by window from a source — a resident
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
 from enum import Enum
 from typing import Callable, Iterator, Protocol, Sequence
 
@@ -57,12 +64,15 @@ __all__ = [
     "AccessStream",
     "DistanceAccess",
     "MergeStream",
+    "OrderHead",
     "OrderRows",
     "OrderStream",
     "ScoreAccess",
     "ShardCursor",
     "StreamInterrupted",
+    "head_order",
     "open_streams",
+    "rank_column",
     "sort_order",
     "sorted_stream",
 ]
@@ -160,9 +170,72 @@ class _BaseStream:
 
 
 #: Rows per chunk when evaluating distances: bounds the transient
-#: ``(rows, d)`` difference matrix, so sorting a memory-mapped shard never
+#: ``(rows, d)`` difference matrix, so scanning a memory-mapped shard never
 #: makes its whole vector column resident at once.
 _SCAN_CHUNK = 4096
+
+#: Rows in an order's first sorted head (plus the rows tied at its cut).
+#: The merge reads a few dozen rows of a typical shard, and a read past
+#: the head extends it, so the size only trades one sort against a few.
+HEAD_ROWS = 256
+
+
+def rank_column(
+    kind: AccessKind,
+    vectors: np.ndarray,
+    scores: np.ndarray,
+    query: np.ndarray | None = None,
+    *,
+    metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
+) -> np.ndarray:
+    """The rank pass of an access order: one rank per base row, unsorted.
+
+    The distance to ``query`` under kind A, the score under kind B.
+    Distances are evaluated in row chunks; every rank is row-local, so
+    chunking is bit-identical to a single pass.  A custom ``metric`` is
+    evaluated once per row.
+    """
+    if kind is AccessKind.SCORE:
+        return np.asarray(scores, dtype=float)
+    if query is None:
+        raise ValueError("distance-based access requires a query vector")
+    query = np.asarray(query, dtype=float)
+    n = len(vectors)
+    if metric is not None:
+        return np.fromiter((metric(v, query) for v in vectors), dtype=float, count=n)
+    ranks = np.empty(n, dtype=float)
+    for lo in range(0, n, _SCAN_CHUNK):
+        hi = min(lo + _SCAN_CHUNK, n)
+        diff = np.asarray(vectors[lo:hi], dtype=float) - query
+        ranks[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return ranks
+
+
+def head_order(
+    kind: AccessKind, ranks: np.ndarray, tids: np.ndarray, rows: int
+) -> np.ndarray:
+    """Base positions of the first ``rows`` rows of the ``(rank, tid)``
+    order, plus every row tied with the last of them (int64).
+
+    The one place an access order is sorted.  The sort key is the rank
+    under kind A and ``-score`` under kind B (negation is exact for
+    floats, so the ``(-score, tid)`` order matches ``sorted(key=(-score,
+    tid))`` bit for bit); the tid tie-break keeps the order
+    deterministic, which instance-optimality requires.  Below the full
+    size, one ``np.partition`` finds the ``rows``-th smallest key and
+    only the rows keyed at most that are lexsorted: every row left out
+    sorts after every row kept, so the result is the full order's head
+    bit for bit.
+    """
+    keys = ranks if kind is AccessKind.DISTANCE else -ranks
+    if rows < len(keys):
+        cut = np.partition(keys, rows - 1)[rows - 1]
+        idx = np.flatnonzero(keys <= cut)
+        # Fewer rows only when NaN keys reach the cut: sort them all.
+        if len(idx) >= rows:
+            perm = idx[np.lexsort((tids[idx], keys[idx]))]
+            return perm.astype(np.int64, copy=False)
+    return np.lexsort((tids, keys)).astype(np.int64, copy=False)
 
 
 def sort_order(
@@ -174,115 +247,117 @@ def sort_order(
     *,
     metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A shard's ``(rank, tid)`` access order: ``(perm, ranks)``.
+    """A shard's full ``(rank, tid)`` access order: ``(perm, ranks)``.
 
-    The one place an access order is computed.  ``perm`` lists base row
-    positions in access order (int64 — the permutation the durable
-    catalog persists); ``ranks`` is the distance (kind A) or score
-    (kind B) at each access position.  One ``np.lexsort`` keyed by
-    ``(rank, tid)``: the tid tie-break keeps the order deterministic,
-    which instance-optimality requires.  Distances are evaluated in row
-    chunks; every rank is row-local, so chunking is bit-identical to a
-    single pass.  A custom ``metric`` is evaluated once per row.
+    The rank pass, then a head of every row: ``perm`` lists base row
+    positions in access order, ``ranks`` the rank at each position.
     """
-    tids = np.asarray(tids)
-    if kind is AccessKind.DISTANCE:
-        if query is None:
-            raise ValueError("distance-based access requires a query vector")
-        query = np.asarray(query, dtype=float)
-        n = len(tids)
-        if metric is not None:
-            keys = np.fromiter(
-                (metric(v, query) for v in vectors), dtype=float, count=n
-            )
-        else:
-            keys = np.empty(n, dtype=float)
-            for lo in range(0, n, _SCAN_CHUNK):
-                hi = min(lo + _SCAN_CHUNK, n)
-                diff = np.asarray(vectors[lo:hi], dtype=float) - query
-                keys[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        perm = np.lexsort((tids, keys))
-    else:
-        keys = np.asarray(scores, dtype=float)
-        # Negation is exact for floats, so (-score, tid) lexsort matches
-        # the canonical sorted(key=(-score, tid)) order bit for bit.
-        perm = np.lexsort((tids, -keys))
-    return perm.astype(np.int64, copy=False), keys[perm]
+    ranks = rank_column(kind, vectors, scores, query, metric=metric)
+    perm = head_order(kind, ranks, np.asarray(tids), len(ranks))
+    return perm, ranks[perm]
 
 
 class OrderRows(Sequence):
     """The rows of an access order, resolved when pulled.
 
-    Position ``i`` is ``rows[perm[i]]`` — the relation's own row object,
-    looked up only when a stream pulls (or a merge stages) that
-    position.  Opening an order therefore builds no Python rows, and a
-    relation that materialises rows lazily (a durable shard) builds only
-    the rows a query actually reads.
+    Position ``i`` is ``rows[perm[i]]`` under the order's current head
+    permutation — the relation's own row object, looked up only when a
+    stream pulls (or a merge stages) that position; a position past the
+    head extends it.  Opening an order therefore builds no Python rows,
+    and a relation that materialises rows lazily (a durable shard)
+    builds only the rows a query actually reads.
     """
 
-    __slots__ = ("_rows", "_perm")
+    __slots__ = ("_rows", "_order")
 
-    def __init__(self, rows: Sequence[RankTuple], perm: np.ndarray) -> None:
+    def __init__(self, rows: Sequence[RankTuple], order: "AccessOrder") -> None:
         self._rows = rows
-        self._perm = perm
+        self._order = order
 
     def __len__(self) -> int:
-        return len(self._perm)
+        return self._order.total
 
     def __getitem__(self, i):
         if isinstance(i, slice):
+            start, stop, step = i.indices(self._order.total)
+            if step != 1:
+                return [self[j] for j in range(start, stop, step)]
             rows = self._rows
-            return [rows[p] for p in self._perm[i].tolist()]
-        return self._rows[int(self._perm[i])]
+            perm = self._order.extend(stop).perm
+            return [rows[p] for p in perm[start:stop].tolist()]
+        # The merge stages rows one position at a time: keep the common
+        # case (a position inside the current head) to one lookup.
+        perm = self._order._head.perm
+        if 0 <= i < len(perm):
+            return self._rows[perm[i]]
+        total = self._order.total
+        if i < 0:
+            i += total
+        if not 0 <= i < total:
+            raise IndexError("order position out of range")
+        return self._rows[self._order.extend(i + 1).perm[i]]
 
 
-@dataclass(frozen=True)
+class OrderHead:
+    """One sorted head of an :class:`AccessOrder`: its first
+    ``len(perm)`` positions as the permutation (base positions) and the
+    gathered ``ranks``/``tids``/``vectors``/``scores`` columns.  Never
+    mutated once published."""
+
+    __slots__ = ("perm", "ranks", "tids", "vectors", "scores")
+
+    def __init__(self, perm, ranks, tids, vectors, scores) -> None:
+        self.perm = perm
+        self.ranks = ranks
+        self.tids = tids
+        self.vectors = vectors
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.perm)
+
+
 class AccessOrder:
-    """One shard's full access order (immutable, shareable).
+    """One shard's access order, sorted head first (shareable).
 
-    ``ranks`` holds the distance per position under distance access and
-    the score per position under score access.  ``vectors``/``scores``/
-    ``tids`` are the order's columnar arrays, shared by every stream and
-    cursor replaying it.  ``tuples`` is an :class:`OrderRows` view: row
-    objects are looked up only for positions a stream pulls.
-    ``positions`` is the sort permutation (base positions in access
-    order) — what the durable catalog persists for zero-re-sort
-    restarts.
+    The order keeps its shard's rank column (distance under kind A,
+    score under kind B; unsorted, computed once by :func:`rank_column`)
+    and a sorted *head*: the first :data:`HEAD_ROWS` positions (plus the
+    rows tied at the cut) by :func:`head_order`, gathered into columnar
+    arrays.  :meth:`extend` sorts a longer head when a read runs past
+    the current one — at least double its size and at least the rows
+    the read needs — and a head of ``total`` rows is the full order.
+
+    Orders are shared by concurrent streams and cursors.  An extension
+    runs under the order's lock and publishes the new head as one
+    :class:`OrderHead` object, so no reader sees a torn head, and every
+    head is a prefix of the next, so views taken from an older head stay
+    valid.  ``ranks``/``vectors``/``scores``/``tids`` are views of the
+    current head; ``tuples`` is an :class:`OrderRows` view resolving
+    positions through the current head's permutation.
     """
 
-    kind: AccessKind
-    tuples: Sequence[RankTuple]
-    ranks: np.ndarray
-    vectors: np.ndarray
-    scores: np.ndarray
-    tids: np.ndarray
-    sigma_max: float
-    positions: np.ndarray
+    __slots__ = ("kind", "sigma_max", "tuples", "_columns", "_ranks", "_lock", "_head")
 
-    @classmethod
-    def gather(
-        cls,
+    def __init__(
+        self,
         kind: AccessKind,
         rows: Sequence[RankTuple],
         vectors: np.ndarray,
         scores: np.ndarray,
         tids: np.ndarray,
         sigma_max: float,
-        perm: np.ndarray,
         ranks: np.ndarray,
-    ) -> "AccessOrder":
-        """The order ``(perm, ranks)`` over base columns and rows: one
-        gather per column, rows viewed through ``perm``."""
-        return cls(
-            kind=kind,
-            tuples=OrderRows(rows, perm),
-            ranks=ranks,
-            vectors=np.asarray(vectors[perm], dtype=float),
-            scores=np.asarray(scores[perm], dtype=float),
-            tids=np.asarray(tids[perm], dtype=np.int64),
-            sigma_max=float(sigma_max),
-            positions=perm,
-        )
+    ) -> None:
+        """The order of base ``rows`` (aligned with the base columns)
+        under the unsorted rank column ``ranks``; sorts the first head."""
+        self.kind = kind
+        self.sigma_max = float(sigma_max)
+        self.tuples = OrderRows(rows, self)
+        self._columns = (vectors, scores, tids)
+        self._ranks = ranks
+        self._lock = threading.Lock()
+        self._head = self._sort_head(HEAD_ROWS)
 
     @classmethod
     def sort(
@@ -293,52 +368,113 @@ class AccessOrder:
         *,
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
     ) -> "AccessOrder":
-        """Sort ``relation`` (one shard) into its kind-``kind`` order."""
-        vectors, scores, tids = relation.vectors, relation.scores, relation.tids
-        perm, ranks = sort_order(kind, vectors, scores, tids, query, metric=metric)
-        return cls.gather(
-            kind, relation, vectors, scores, tids, relation.sigma_max, perm, ranks
+        """The kind-``kind`` order of ``relation`` (one shard)."""
+        vectors, scores = relation.vectors, relation.scores
+        ranks = rank_column(kind, vectors, scores, query, metric=metric)
+        return cls(
+            kind, relation, vectors, scores, relation.tids, relation.sigma_max, ranks
+        )
+
+    def _sort_head(self, rows: int) -> OrderHead:
+        vectors, scores, tids = self._columns
+        perm = head_order(self.kind, self._ranks, tids, rows)
+        return OrderHead(
+            perm,
+            self._ranks[perm],
+            np.asarray(tids[perm], dtype=np.int64),
+            np.asarray(vectors[perm], dtype=float),
+            np.asarray(scores[perm], dtype=float),
         )
 
     @property
     def total(self) -> int:
-        """Rows in the order."""
-        return len(self.ranks)
+        """Rows in the order (the shard size, whatever the head)."""
+        return len(self._ranks)
+
+    @property
+    def head(self) -> OrderHead:
+        """The current head."""
+        return self._head
+
+    def extend(self, rows: int) -> OrderHead:
+        """A head covering the first ``min(rows, total)`` positions: the
+        current one, or a longer one sorted and published here."""
+        head = self._head
+        need = min(rows, self.total)
+        if len(head) >= need:
+            return head
+        with self._lock:
+            head = self._head
+            if len(head) < need:
+                head = self._sort_head(max(need, 2 * len(head)))
+                self._head = head
+        return head
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return self._head.ranks
+
+    @property
+    def tids(self) -> np.ndarray:
+        return self._head.tids
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._head.vectors
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self._head.scores
 
     def fetch_window(
         self, start: int, limit: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Rows ``[start, start + limit)`` clamped to the end, as
-        ``(ranks, tids, vectors, scores)`` views of the order's columns."""
+        ``(ranks, tids, vectors, scores)`` views of a head covering
+        them (extended as needed)."""
         if start < 0 or limit < 0:
             raise ValueError("start and limit must be non-negative")
+        head = self.extend(start + limit)
         rows = slice(start, start + limit)
-        return self.ranks[rows], self.tids[rows], self.vectors[rows], self.scores[rows]
+        return head.ranks[rows], head.tids[rows], head.vectors[rows], head.scores[rows]
 
 
 class OrderStream(_BaseStream):
     """Replays one :class:`AccessOrder` of ``relation`` through the
     engine's stream API.
 
-    The columnar ``prefix`` is a frozen cursor over the order's arrays,
-    so a pull is O(1) bookkeeping plus the row lookups of the pulled
-    positions; ``next_block`` slices the order directly — the engine's
-    block-pull fast path.  Many streams may replay one shared order.
+    The columnar ``prefix`` is a frozen cursor over the arrays of the
+    order head the stream is bound to, so a pull is O(1) bookkeeping
+    plus the row lookups of the pulled positions; ``next_block`` slices
+    the order directly — the engine's block-pull fast path.  A pull that
+    runs past the bound head extends the order first and rebinds the
+    prefix to the extended arrays (consumers re-read ``stream.prefix``
+    on every call).  Many streams may replay one shared order.
     """
 
     def __init__(self, order: AccessOrder, relation: Relation) -> None:
         super().__init__(relation)
         self.kind = order.kind
         self.order = order
+        self._bind(order.head)
+
+    def _bind(self, head: OrderHead) -> None:
+        self._head = head
         self.prefix = ColumnarPrefix.from_arrays(
-            order.vectors, order.scores, order.tids
+            head.vectors, head.scores, head.tids, length=len(self._seen)
         )
+
+    def _reach(self, rows: int) -> None:
+        """Bind a head covering the first ``rows`` positions."""
+        if len(self._head) < rows:
+            self._bind(self.order.extend(rows))
 
     def next(self) -> RankTuple | None:
         """Pull the next tuple; ``None`` once the relation is exhausted."""
         pos = len(self._seen)
-        if pos >= len(self.order.ranks):
+        if pos >= self.order.total:
             return None
+        self._reach(pos + 1)
         tup = self.order.tuples[pos]
         self._seen.append(tup)
         self.prefix.advance(1)
@@ -347,9 +483,10 @@ class OrderStream(_BaseStream):
     def next_block(self, limit: int) -> list[RankTuple]:
         """Slice the order: one row-view slice, one cursor move."""
         pos = len(self._seen)
-        take = min(limit, len(self.order.ranks) - pos)
+        take = min(limit, self.order.total - pos)
         if take <= 0:
             return []
+        self._reach(pos + take)
         block = self.order.tuples[pos : pos + take]
         self._seen.extend(block)
         self.prefix.advance(take)
@@ -358,29 +495,29 @@ class OrderStream(_BaseStream):
     @property
     def distances(self) -> np.ndarray:
         """Ranks of the seen prefix, aligned with access order."""
-        return self.order.ranks[: self.depth]
+        return self._head.ranks[: self.depth]
 
     @property
     def first_distance(self) -> float:
         """``delta(x(R_i[1]), q)``; 0 before any access (paper convention)."""
-        return float(self.order.ranks[0]) if self.depth else 0.0
+        return float(self._head.ranks[0]) if self.depth else 0.0
 
     @property
     def last_distance(self) -> float:
         """``delta_i = delta(x(R_i[p_i]), q)``; 0 before any access."""
         p = self.depth
-        return float(self.order.ranks[p - 1]) if p else 0.0
+        return float(self._head.ranks[p - 1]) if p else 0.0
 
     @property
     def first_score(self) -> float:
         """``sigma(R_i[1])``; ``sigma_max`` before any access."""
-        return float(self.order.ranks[0]) if self.depth else self.sigma_max
+        return float(self._head.ranks[0]) if self.depth else self.sigma_max
 
     @property
     def last_score(self) -> float:
         """``sigma(R_i[p_i])``; ``sigma_max`` before any access."""
         p = self.depth
-        return float(self.order.ranks[p - 1]) if p else self.sigma_max
+        return float(self._head.ranks[p - 1]) if p else self.sigma_max
 
 
 class DistanceAccess(OrderStream):
@@ -518,19 +655,22 @@ class ShardCursor:
     fetch quantum) and ``fetch_window(start, limit)``, which returns the
     ``(ranks, tids, vectors, scores)`` columns of rows ``[start, start +
     limit)`` clamped to the end.  Every tier is a source: a resident
-    :class:`AccessOrder` (viewed zero-copy, so there is nothing to
-    fetch), an evicted durable shard's persisted order (its windows are
-    gathered from the memmap) and a remote shard endpoint
-    (:class:`~repro.service.simulation.RemoteShardEndpoint`).
+    :class:`AccessOrder`, an evicted durable shard (its windows are
+    copied out of a head order over the memmap) and a remote shard
+    endpoint (:class:`~repro.service.simulation.RemoteShardEndpoint`).
 
-    The other sources' columns are allocated at full order size on the
-    first window and filled as windows land; ``filled`` is the
-    watermark.  :class:`MergeStream` calls :meth:`request` with the
-    cursor's share of a refill on every live cursor before it calls
-    :meth:`ensure` on any — for one row when other shards are live, for
-    the rows the pull takes when this is the last — then reads
-    :meth:`window` and advances ``pos``.  A blocking source therefore
-    fetches one page per multi-shard refill that finds it dry.
+    A resident order is viewed zero-copy: the cursor's columns are its
+    current head's, ``filled`` is the head's length, and :meth:`request`
+    or :meth:`ensure` extend the head and re-view it when the cursor
+    needs rows past it.  The other sources' columns are allocated at
+    full order size on the first window and filled as windows land;
+    ``filled`` is the watermark.  :class:`MergeStream` calls
+    :meth:`request` with the cursor's share of a refill on every live
+    cursor before it calls :meth:`ensure` on any — for one row when
+    other shards are live, for the rows the pull takes when this is the
+    last — then reads :meth:`window` and advances ``pos``.  A blocking
+    source therefore fetches one page per multi-shard refill that finds
+    it dry.
     """
 
     __slots__ = (
@@ -543,6 +683,7 @@ class ShardCursor:
         "tids",
         "pos",
         "filled",
+        "_resident",
     )
 
     def __init__(self, source) -> None:
@@ -550,27 +691,38 @@ class ShardCursor:
         self.total = source.total
         self.tuples = source.tuples
         self.pos = 0
-        if isinstance(source, AccessOrder):
-            self.ranks, self.tids = source.ranks, source.tids
-            self.vectors, self.scores = source.vectors, source.scores
-            self.filled = self.total
+        self._resident = isinstance(source, AccessOrder)
+        if self._resident:
+            self._view(source.head)
         else:
             self.ranks = self.tids = self.vectors = self.scores = None
             self.filled = 0
+
+    def _view(self, head: OrderHead) -> None:
+        self.ranks, self.tids = head.ranks, head.tids
+        self.vectors, self.scores = head.vectors, head.scores
+        self.filled = len(head)
 
     @property
     def remaining(self) -> int:
         return self.total - self.pos
 
     def request(self, n: int) -> None:
-        """Read-ahead hint for the next ``n`` rows.  A blocking source
-        reads nothing ahead: it fetches in :meth:`ensure` only."""
+        """Read-ahead hint for the next ``n`` rows: a resident order
+        extends its head to cover them.  A blocking source reads nothing
+        ahead: it fetches in :meth:`ensure` only."""
+        if self._resident and self.pos + n > self.filled < self.total:
+            self._view(self.source.extend(self.pos + n))
 
     def ensure(self, n: int) -> None:
-        """Make the next ``min(n, remaining)`` rows local, fetching the
-        deficit as one window of whole pages."""
+        """Make the next ``min(n, remaining)`` rows local: extend a
+        resident order's head, or fetch the deficit as one window of
+        whole pages."""
         need = min(self.pos + n, self.total)
         if self.filled < need:
+            if self._resident:
+                self._view(self.source.extend(need))
+                return
             page = self.source.page_size
             rows = -(-(need - self.filled) // page) * page
             self._fill(self.source.fetch_window(self.filled, rows))
@@ -635,9 +787,10 @@ class MergeStream:
     A shard whose local rows stop short of R may hold unseen rows, each
     sorting after its last local row, so the refill stages the
     candidates only up to the *frontier* — the earliest last local row
-    among the short shards — which is at least one row.  Resident
-    cursors hold their whole order, are never short, and stage exactly
-    the top R.
+    among the short shards — which is at least one row.  A resident
+    cursor holds its order's sorted head, so it is short only when its
+    head ends inside the span (it extends the head once a refill needs
+    rows past it); otherwise the refill stages exactly the top R.
 
     The merged prefix is a *growing* :class:`~repro.core.columnar.
     ColumnarPrefix` (like the k-d indexed path): rows are appended in
@@ -847,8 +1000,8 @@ class MergeStream:
         # rows, and each of them sorts after its last local row.  So the
         # candidates up to the earliest such last row are final (a shard
         # holding its whole span contributes no unseen row within it);
-        # that row itself is one, so the cut is never empty.  Resident
-        # cursors are never short and skip this.
+        # that row itself is one, so the cut is never empty.  A resident
+        # cursor is short only when its sorted head ends inside the span.
         ends = [
             offsets[s] + sizes[s] - 1
             for s, c in enumerate(live)

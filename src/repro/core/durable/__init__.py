@@ -2,9 +2,8 @@
 
 Columnar shard files served zero-copy through ``np.memmap``
 (:mod:`~repro.core.durable.shardfile`), a WAL-mode SQLite catalog for
-metadata and persisted access orders
-(:mod:`~repro.core.durable.catalog`), and the tier-managing storage
-backend that keeps the layers above unchanged
+relation and shard metadata (:mod:`~repro.core.durable.catalog`), and
+the tier-managing storage backend that keeps the layers above unchanged
 (:mod:`~repro.core.durable.backend`).
 """
 

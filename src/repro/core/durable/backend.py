@@ -16,11 +16,11 @@ one-monotone-stream-per-relation contract; this module adds the tier
 * :class:`DurableShardBackend` is the relation's storage backend *and*
   tier manager: a shard is **hot** (a lazy-tuple ``Relation`` over the
   memmap feeds the ordinary sorted-access path, bit-identical to
-  in-memory) or **evicted** (no whole-column access — its persisted
-  order is paged back window by window by the same
-  :class:`~repro.core.access.ShardCursor` every tier merges through:
-  each window gathers its rows' columns from the memmap through the
-  persisted permutation, and rows resolve through the shard's own
+  in-memory) or **evicted** (no ``Relation``: each stream scans the
+  shard's rank column from the memmap in bounded chunks and sorts the
+  same head order a hot shard gets, and the same
+  :class:`~repro.core.access.ShardCursor` every tier merges through
+  copies it out window by window; rows resolve through the shard's own
   :class:`~repro.core.access.OrderRows` view, as for hot orders, so the
   merge/engine layers run unchanged).  An optional ``memory_budget``
   evicts least-recently-touched shards as others are made hot.
@@ -29,8 +29,8 @@ Bit-identity across tiers rests on two facts: the shard files store the
 exact float64/int64 bytes of the in-memory columns, and every rank
 computation is row-local (chunked distance evaluation over the memmap
 produces the same per-row values as the one-shot in-memory evaluation),
-so the ``(rank, tid)`` lexsorts — and therefore every stream, bound and
-top-K — coincide bit for bit.
+so the ``(rank, tid)`` head sorts — and therefore every stream, bound
+and top-K — coincide bit for bit.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ import numpy as np
 from repro.core.access import (
     AccessOrder,
     MergeStream,
-    OrderRows,
     ShardCursor,
-    sort_order,
+    rank_column,
     sorted_stream,
 )
 from repro.core.durable.catalog import CATALOG_FILENAME, ShardCatalog
@@ -150,15 +149,6 @@ class ShardHandle:
             )
         return self._rows
 
-    def order(self, kind: "AccessKind", perm: np.ndarray, ranks: np.ndarray) -> AccessOrder:
-        """Replay the order ``(perm, ranks)`` over this shard: the ordered
-        columns gathered from the memmap, rows viewed through ``perm``."""
-        file = self.file
-        return AccessOrder.gather(
-            kind, self.rows, file.vectors, file.scores, file.tids,
-            file.sigma_max, perm, ranks,
-        )
-
 
 class DurableShardBackend:
     """Storage backend + tier manager over a persisted relation.
@@ -166,11 +156,10 @@ class DurableShardBackend:
     Implements the :class:`~repro.core.storage.StorageBackend` protocol
     (``shard_count``/``shards``/``open_stream``) and adds the durable
     tier's own surface: per-shard hot/evicted state under an optional
-    ``memory_budget``, catalog-backed order persistence
-    (:meth:`load_order` / :meth:`store_order`), and paged cursors for
-    evicted shards.  ``counters`` meters the tier's traffic
-    (catalog order hits/misses/writes, evictions, reloads, paged
-    windows) — the evidence the warm-start and eviction tests read.
+    ``memory_budget`` and paged cursors for evicted shards.
+    ``counters`` meters the tier's traffic (evicted-shard rank scans,
+    evictions, reloads, paged windows and rows) — the evidence the
+    eviction tests read.
     """
 
     is_durable = True
@@ -195,9 +184,6 @@ class DurableShardBackend:
         self._touch_clock = 0
         self._touched = [0] * len(self.handles)
         self.counters: dict[str, int] = {
-            "catalog_order_hits": 0,
-            "catalog_order_misses": 0,
-            "catalog_order_writes": 0,
             "order_scans": 0,
             "evictions": 0,
             "reloads": 0,
@@ -278,125 +264,45 @@ class DurableShardBackend:
         path: materialises — and un-evicts — all shards)."""
         return tuple(self.shard_relation(i) for i in range(len(self.handles)))
 
-    # -- persisted access orders -------------------------------------------
-
-    @staticmethod
-    def _kind_name(kind: "AccessKind") -> str:
-        return kind.value
-
-    def _probe(
-        self, shard_index: int, kind: "AccessKind", bucket: bytes
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Catalog probe for one persisted order's ``(perm, ranks)``,
-        counted as a catalog hit or miss."""
-        hit = self.catalog.get_order(
-            relation=self.relation.name,
-            generation=self.generation,
-            shard_index=shard_index,
-            kind=self._kind_name(kind),
-            bucket=bucket,
-        )
-        self.counters[
-            "catalog_order_misses" if hit is None else "catalog_order_hits"
-        ] += 1
-        return hit
-
-    def load_order(
-        self, shard_index: int, kind: "AccessKind", bucket: bytes
-    ) -> AccessOrder | None:
-        """Catalog probe for one persisted order; gathers the ordered
-        columnar arrays from the shard file on a hit (no sorting)."""
-        hit = self._probe(shard_index, kind, bucket)
-        return None if hit is None else self.handles[shard_index].order(kind, *hit)
-
-    def store_order(
-        self,
-        shard_index: int,
-        kind: "AccessKind",
-        bucket: bytes,
-        positions: np.ndarray,
-        ranks: np.ndarray,
-    ) -> bool:
-        """Write one computed order back to the catalog.
-
-        Returns ``True`` when the row landed; ``False`` on a read-only
-        catalog (worker processes keep their sorts in the local LRU and
-        never contend on the store's writer lock).
-        """
-        written = self.catalog.put_order(
-            relation=self.relation.name,
-            generation=self.generation,
-            shard_index=shard_index,
-            kind=self._kind_name(kind),
-            bucket=bucket,
-            perm=positions,
-            ranks=ranks,
-        )
-        if written:
-            self.counters["catalog_order_writes"] += 1
-        return written
-
-    def load_recent_orders(self, kind: "AccessKind", *, limit: int):
-        """Warm-start feed: the most recently used persisted orders of
-        this relation, gathered for replay — ``(shard_index, bucket,
-        AccessOrder)`` newest first."""
-        for shard_index, bucket, perm, ranks in self.catalog.iter_recent_orders(
-            relation=self.relation.name,
-            generation=self.generation,
-            kind=self._kind_name(kind),
-            limit=limit,
-        ):
-            if 0 <= shard_index < len(self.handles):
-                yield shard_index, bucket, self.handles[shard_index].order(
-                    kind, perm, ranks
-                )
+    # -- evicted shards -----------------------------------------------------
 
     def paged_cursor(
         self,
         shard_index: int,
         kind: "AccessKind",
-        bucket: bytes,
         query: np.ndarray | None,
     ) -> ShardCursor:
-        """A merge-ready cursor paging an evicted shard's persisted order
-        from the memmap.
+        """A merge-ready cursor paging an evicted shard's order from the
+        memmap.
 
-        The order's ``(perm, ranks)`` is a catalog hit, or one chunked
-        scan that is persisted at once for the next reader
-        (:func:`~repro.core.access.sort_order` reads the vectors in
-        bounded chunks, so only the rank, tid and permutation columns
-        become resident).  Each window gathers just its rows' columns
-        from the memmap through the permutation, in ``page_rows``
-        quanta; rows resolve through the shard's row view, as they do
-        for hot orders.
+        One chunked scan of the memmap computes the shard's rank column
+        (:func:`~repro.core.access.rank_column` reads the vectors in
+        bounded chunks, so only the rank column and the sorted head
+        become resident), and the order is the same head-first
+        :class:`~repro.core.access.AccessOrder` a hot shard gets, over
+        the memmap columns.  The cursor copies it out window by window,
+        in ``page_rows`` quanta; rows resolve through the shard's row
+        view, as they do for hot orders.
         """
         handle = self.handles[shard_index]
         file = handle.file
-        hit = self._probe(shard_index, kind, bucket)
-        if hit is None:
-            self.counters["order_scans"] += 1
-            hit = sort_order(kind, file.vectors, file.scores, file.tids, query)
-            self.store_order(shard_index, kind, bucket, *hit)
-        perm, ranks = hit
+        self.counters["order_scans"] += 1
+        order = AccessOrder(
+            kind, handle.rows, file.vectors, file.scores, file.tids,
+            file.sigma_max, rank_column(kind, file.vectors, file.scores, query),
+        )
         counters = self.counters
 
         def fetch_window(start: int, limit: int):
-            if start < 0 or limit < 0:
-                raise ValueError("start and limit must be non-negative")
-            rows = perm[start : start + limit]
+            window = order.fetch_window(start, limit)
             counters["paged_windows"] += 1
-            counters["paged_rows"] += len(rows)
-            return (
-                ranks[start : start + limit],
-                np.asarray(file.tids[rows], dtype=np.int64),
-                np.asarray(file.vectors[rows], dtype=float),
-                np.asarray(file.scores[rows], dtype=float),
-            )
+            counters["paged_rows"] += len(window[0])
+            return window
 
         return ShardCursor(
             SimpleNamespace(
-                total=len(perm),
-                tuples=OrderRows(handle.rows, perm),
+                total=order.total,
+                tuples=order.tuples,
                 page_size=self.page_rows,
                 fetch_window=fetch_window,
             )
@@ -418,7 +324,7 @@ class DurableShardBackend:
             raise ValueError("distance-based access requires a query vector")
         if metric is not None and self.evicted_count:
             raise ValueError(
-                "evicted shards serve persisted Euclidean/score orders only; "
+                "evicted shards serve Euclidean/score orders only; "
                 "reload the shard (shard_relation) before using a custom metric"
             )
         query_arr = None if query is None else np.asarray(query, dtype=float)
@@ -432,9 +338,8 @@ class DurableShardBackend:
                 metric=metric,
                 use_index=use_index,
             )
-        bucket = self._stream_bucket(kind, query_arr)
         cursors = [
-            self.paged_cursor(handle.index, kind, bucket, query_arr)
+            self.paged_cursor(handle.index, kind, query_arr)
             if handle.evicted
             else ShardCursor(
                 sorted_stream(
@@ -446,16 +351,6 @@ class DurableShardBackend:
         return MergeStream(
             self.relation, kind, cursors, sigma_max=self.relation.sigma_max
         )
-
-    @staticmethod
-    def _stream_bucket(kind: "AccessKind", query: np.ndarray | None) -> bytes:
-        """Catalog bucket key for engine-level (serviceless) streams:
-        the full-precision query bytes (score orders are query-free)."""
-        from repro.core.access import AccessKind
-
-        if kind is AccessKind.SCORE or query is None:
-            return b""
-        return np.ascontiguousarray(query, dtype=float).tobytes()
 
     def __repr__(self) -> str:
         tiers = "".join("E" if h.evicted else ("H" if h.relation else "-") for h in self.handles)
@@ -722,8 +617,8 @@ def open_relation(
     ``read_only=True`` opens the catalog without write access — the
     multi-process serving contract: any number of worker processes can
     map the same shard files (one physical copy in the page cache) and
-    probe persisted orders concurrently without ever taking the WAL
-    writer lock.
+    read the catalog concurrently without ever taking the WAL writer
+    lock.
     """
     return DurableRelation(
         path,

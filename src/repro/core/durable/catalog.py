@@ -9,12 +9,13 @@ about them that must be found, validated or flipped transactionally:
   and partition scheme;
 * ``shards`` — one row per shard file per generation: filename,
   per-shard metadata, tid range and checksum;
-* ``orders`` — persisted per-``(relation, shard, kind, query-bucket)``
-  access orders: the sort permutation and the rank column as raw
-  float64/int64 blobs, plus hit counters.  These are what let a
-  restarted service answer its first hot-bucket query with **zero
-  re-sorts** — the order bytes come back exactly as computed, so warm
-  runs are bit-identical to the runs that wrote them.
+* ``orders`` — a store of per-``(relation, shard, kind, query-bucket)``
+  access orders: a sort permutation and its rank column as raw
+  float64/int64 blobs, plus hit counters.  No serving path reads or
+  writes it: an order's sorted head costs less to compute than a
+  persisted order costs to replay.  ``get_order``/``put_order`` stay
+  because perfbench's tracer patches them by name; they go with a
+  change to the benchmark.
 
 Pragma discipline (the Paper-Scanner catalog idiom): ``journal_mode=
 WAL`` for concurrent readers during writes, ``synchronous=NORMAL``,
@@ -30,8 +31,8 @@ internal lock (the service submits from a thread pool).
 Read-only mode (``read_only=True``) is the multi-process serving
 contract: the connection is opened with the SQLite ``mode=ro`` URI (or,
 where URI opens are unavailable, falls back to ``PRAGMA query_only=ON``)
-so a fleet of worker processes can probe persisted orders concurrently
-under WAL without ever taking the writer lock.  In this mode
+so a fleet of worker processes can read the catalog concurrently under
+WAL without ever taking the writer lock.  In this mode
 ``get_order`` never bumps hit counters, ``put_order`` is a no-op that
 returns ``False``, and generation flips raise.
 """
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -344,10 +344,9 @@ class ShardCatalog:
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """``(perm, ranks)`` of one persisted order, or ``None``.
 
-        A hit bumps the row's ``hits`` counter and recency stamp — the
-        catalog-side proof that a warm query was served without a
-        re-sort.  Read-only catalogs skip the bump (concurrent worker
-        readers must never queue on the writer lock just to count).
+        A hit bumps the row's ``hits`` counter and recency stamp.
+        Read-only catalogs skip the bump (concurrent worker readers must
+        never queue on the writer lock just to count).
         """
         if self.read_only:
             count_hit = False
@@ -372,28 +371,8 @@ class ShardCatalog:
         ranks = np.frombuffer(row[1], dtype=np.float64)
         return perm, ranks
 
-    def iter_recent_orders(
-        self, *, relation: str, generation: int, kind: str, limit: int
-    ) -> Iterator[tuple[int, bytes, np.ndarray, np.ndarray]]:
-        """Most-recently-used persisted orders for warm-starting an LRU:
-        yields ``(shard_index, bucket, perm, ranks)`` newest first."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT shard_index, bucket, perm, ranks FROM orders "
-                "WHERE relation = ? AND generation = ? AND kind = ? "
-                "ORDER BY last_used DESC, shard_index LIMIT ?",
-                (relation, generation, kind, int(limit)),
-            ).fetchall()
-        for shard_index, bucket, perm, ranks in rows:
-            yield (
-                int(shard_index),
-                bytes(bucket),
-                np.frombuffer(perm, dtype=np.int64),
-                np.frombuffer(ranks, dtype=np.float64),
-            )
-
     def order_stats(self, relation: str | None = None) -> list[dict]:
-        """Per-order hit counters (the warm-start evidence trail)."""
+        """Per-order hit counters."""
         query = (
             "SELECT relation, generation, shard_index, kind, hits "
             "FROM orders {} ORDER BY relation, shard_index, kind"

@@ -17,8 +17,8 @@ Two implementations:
 * :class:`ShardedBackend`, owned by :class:`ShardedRelation` — tuples
   hash- or range-partitioned across ``S`` shard relations, each with its
   own columnar arrays and its own per-query sorted order.  Opening a
-  stream sorts every shard *independently* (no global sort ever exists)
-  and k-way-merges the per-shard cursors through
+  stream sorts every shard's order head *independently* (no global sort
+  ever exists) and k-way-merges the per-shard cursors through
   :class:`~repro.core.access.MergeStream`.
 
 A third, :class:`~repro.core.durable.DurableShardBackend`, lives with
@@ -169,8 +169,8 @@ class SingleShardBackend:
 class ShardedBackend:
     """Partitioned storage: per-shard sorted orders, merged on access.
 
-    Each shard is sorted independently at stream-open time (the global
-    order is never materialised anywhere), and the returned
+    Each shard's order head is sorted independently at stream-open time
+    (the global order is never materialised anywhere), and the returned
     :class:`~repro.core.access.MergeStream` k-way-merges the shard
     cursors lazily — only what the engine actually pulls is ever merged.
     ``use_index`` is accepted for interface compatibility but sharded

@@ -151,11 +151,11 @@ def load_problem_durable(
 
     Relations come back as memmap-backed
     :class:`~repro.core.durable.DurableRelation` objects, in the order
-    they were first persisted — ready to serve queries (or warm-start a
-    service) without loading the columns into RAM.  ``read_only=True``
-    opens every catalog connection without write access (the pool-worker
-    contract: shard memmaps shared through the page cache, no writer
-    lock ever taken).
+    they were first persisted — ready to serve queries (directly or
+    through a service) without loading the columns into RAM.
+    ``read_only=True`` opens every catalog connection without write
+    access (the pool-worker contract: shard memmaps shared through the
+    page cache, no writer lock ever taken).
     """
     path = Path(path)
     from repro.core.durable import CATALOG_FILENAME, ShardCatalog, open_relation

@@ -390,9 +390,8 @@ class AsyncRankJoinService(RankJoinService):
         (``max_tasks_per_worker``, ``mp_context``, ``store_path``, ...).
     """
 
-    #: The base constructor instantiates this, so warm-start counters
-    #: recorded during ``super().__init__`` land on the async stats
-    #: object instead of being discarded by a post-hoc replacement.
+    #: The base constructor instantiates this, so the one live stats
+    #: object carries the async counters from the start.
     _stats_cls = AsyncServiceStats
 
     def __init__(

@@ -143,9 +143,6 @@ class ProcPoolRankJoinService(RankJoinService):
         Serve from this existing durable store instead of spooling.
         The given relations are still used for result rehydration and
         must match the store's contents.
-    worker_warm_start:
-        Whether workers preload persisted orders from the (read-only)
-        catalog at spawn.
     """
 
     _stats_cls = ProcPoolServiceStats
@@ -164,7 +161,6 @@ class ProcPoolRankJoinService(RankJoinService):
         steal_threshold: int = 2,
         mp_context=None,
         store_path=None,
-        worker_warm_start: bool = True,
         kind: AccessKind = AccessKind.DISTANCE,
         algorithm: str = "TBPA",
         k: int = 10,
@@ -191,10 +187,9 @@ class ProcPoolRankJoinService(RankJoinService):
             bucket_decimals=bucket_decimals,
             max_workers=workers,
             max_pulls=max_pulls,
-            # The parent never runs engines: no shard pulls, no order
-            # warm start — those live in the workers.
+            # The parent never runs engines: no shard pulls — those live
+            # in the workers.
             shard_workers=0,
-            warm_start=False,
         )
         self.workers = workers
         self.max_tasks_per_worker = max_tasks_per_worker
@@ -218,7 +213,6 @@ class ProcPoolRankJoinService(RankJoinService):
             cache_size=cache_size,
             bucket_decimals=bucket_decimals,
             max_pulls=max_pulls,
-            warm_start=worker_warm_start,
         )
         self._seq = 0
         self._tid_indexes: dict = {}

@@ -3,11 +3,11 @@
 Each worker is a real OS process that opens the durable store
 **read-only** — the shard memmaps are shared with every sibling through
 the OS page cache (one physical copy of the data no matter how many
-workers map it) and the WAL catalog is probed without ever taking the
+workers map it) and the WAL catalog is read without ever taking the
 writer lock — and then runs queries *end-to-end in-process*: its own
-:class:`~repro.service.rankjoin.RankJoinService` (order LRU, catalog
-warm start, engine) with no threads, no shared Python state and
-therefore no GIL contention with its siblings.
+:class:`~repro.service.rankjoin.RankJoinService` (order LRU of sorted
+heads, engine) with no threads, no shared Python state and therefore no
+GIL contention with its siblings.
 
 The loop is a plain request/response pump over one pipe: the parent
 sends :data:`~repro.service.wire.OP_QUERY` payloads, the worker answers
@@ -54,7 +54,6 @@ class WorkerSpec:
     cache_size: int
     bucket_decimals: int
     max_pulls: int | None
-    warm_start: bool
     #: Test failpoint: SIGKILL self while handling the Nth query (1-based,
     #: before replying) — how the crash-recovery suite murders a worker
     #: mid-batch deterministically.
@@ -90,7 +89,6 @@ def _build_service(spec: WorkerSpec) -> RankJoinService:
         # shard-pull threads inside a worker would just re-introduce
         # GIL slicing.
         shard_workers=0,
-        warm_start=spec.warm_start,
         **spec.extra,
     )
 

@@ -12,16 +12,17 @@ module amortises that cost across queries:
   cached result.  The engine runs against the canonicalised query, so
   every answer is exact *for the query it executed*.
 * A thread-safe **LRU cache** maps ``(relation, query-bucket)`` to the
-  relation's full sorted access order (the limit of the "sorted
-  prefixes" a stream reveals), stored **columnar**: the order's
-  permutation and stacked vector/score/tid/rank arrays, with its rows a
+  relation's access order (:class:`~repro.core.access.AccessOrder`): its
+  rank column plus a sorted *head* — the order's first rows, which is
+  all a query typically reads — stored **columnar** (the head's
+  permutation and stacked vector/score/tid/rank arrays), with its rows a
   view that looks up the relation's own row objects only for pulled
-  positions (:class:`~repro.core.access.AccessOrder`).  A cache hit
-  turns stream opening into O(1) bookkeeping; :class:`CachedOrderStream`
-  replays the shared order as a frozen
-  :class:`~repro.core.columnar.ColumnarPrefix` cursor, so the engine's
-  columnar scorer runs over the cached arrays without re-materialising
-  or copying anything.
+  positions.  A query that reads past the head extends it in place for
+  every later query of the bucket.  A cache hit turns stream opening
+  into O(1) bookkeeping; :class:`CachedOrderStream` replays the shared
+  order as a frozen :class:`~repro.core.columnar.ColumnarPrefix` cursor,
+  so the engine's columnar scorer runs over the cached arrays without
+  re-materialising or copying anything.
 * :meth:`RankJoinService.submit` runs one query to completion and
   returns its :class:`~repro.core.template.RunResult`;
   :meth:`RankJoinService.submit_many` drives a batch through a thread
@@ -32,11 +33,11 @@ module amortises that cost across queries:
   ``(relation, shard, query-bucket)`` to that shard's sorted order, so a
   shard's order is computed once per bucket, evicted independently, and
   shared by every merge stream replaying it.  Queries over sharded
-  relations run against a :class:`~repro.core.access.MergeStream` whose
-  per-shard block pulls are fanned out to a dedicated shard pool (one
-  task per shard per pull, merged before scoring) — the shard-parallel
-  execution path that a distributed deployment would put network fetches
-  behind.
+  relations run against a :class:`~repro.core.access.MergeStream` over
+  one :class:`~repro.core.access.ShardCursor` per shard.  An optional
+  shard pool (``shard_workers``) maps each multi-shard refill's
+  per-shard window reads; the cursors make their rows local before the
+  pool sees the refill, so it parallelises slicing, not fetching.
 
 The service defaults to the engine's block-pull mode (``pull_block=8``),
 which is where the throughput benchmark shows the vectorised engine
@@ -69,12 +70,11 @@ from repro.core.template import RunResult
 __all__ = ["CachedOrder", "CachedOrderStream", "RankJoinService", "ServiceStats"]
 
 
-#: One relation shard's full access order for one query bucket: the
-#: service caches :class:`~repro.core.access.AccessOrder` values as they
-#: come out of a sort or the durable catalog.  ``tuples`` is always a
-#: view resolving rows on pull — a fresh sort views the shard relation's
-#: rows, a catalog replay the durable shard's lazily built rows — so
-#: neither materialises a row object the engine does not pull.
+#: One relation shard's access order for one query bucket: the service
+#: caches :class:`~repro.core.access.AccessOrder` values as they come out
+#: of the sorted-stream constructor.  ``tuples`` is a view resolving rows
+#: on pull — over the shard relation's rows, lazily built for a durable
+#: shard — so no row object the engine does not pull is materialised.
 CachedOrder = AccessOrder
 
 #: Replays a :class:`CachedOrder` through the engine's stream API: each
@@ -101,14 +101,9 @@ class ServiceStats:
     stream_cache_hits: int = 0
     stream_cache_misses: int = 0
     result_cache_hits: int = 0
-    #: Orders actually sorted by this process (LRU miss + catalog miss).
+    #: Orders this process built on an LRU miss (each sorts its first
+    #: head; extensions are not counted).
     order_sorts: int = 0
-    #: Orders served from the durable catalog instead of a re-sort.
-    catalog_order_hits: int = 0
-    #: Computed orders written back to the durable catalog.
-    catalog_order_writes: int = 0
-    #: Orders preloaded into the LRU at construction (warm start).
-    orders_warm_loaded: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -186,27 +181,18 @@ class RankJoinService:
         Optional per-query pull budget (admission control for hostile
         queries); cut-off runs report ``completed=False``.
     shard_workers:
-        Width of the dedicated pool that fans out per-shard block pulls
-        when any relation is sharded.  ``None`` (default) sizes it to the
-        widest relation (capped at 8); ``0`` disables the pool and merges
-        serially.  This pool is separate from the :meth:`submit_many`
-        pool on purpose — shard pulls are leaf tasks, so sharing a pool
-        with the query runners could deadlock under full load.
-    warm_start:
-        When any relation is durable
-        (:class:`~repro.core.durable.DurableRelation`), preload the
-        most-recently-used persisted access orders from its catalog into
-        the order LRU at construction (up to ``cache_size`` per
-        relation) and write every freshly computed order back.  A
-        restarted service then answers its first hot-bucket query with
-        **zero re-sorts** — ``stats.order_sorts`` stays 0 and the
-        catalog's hit counters record the replay.  On by default; orders
-        are still written back when disabled.
+        Width of the dedicated pool that maps a multi-shard refill's
+        per-shard ``window()`` reads when any relation is sharded (the
+        cursors' rows are made local serially before the pool sees the
+        refill).  ``None`` (default) sizes it to the widest relation
+        (capped at 8); ``0`` disables the pool and merges serially.
+        This pool is separate from the :meth:`submit_many` pool on
+        purpose — shard reads are leaf tasks, so sharing a pool with the
+        query runners could deadlock under full load.
     """
 
     #: Stats class instantiated by ``__init__``; subclasses override to
-    #: extend the counter set without replacing the live object (warm
-    #: start records counters *during* construction).
+    #: extend the counter set.
     _stats_cls = ServiceStats
 
     def __init__(
@@ -225,7 +211,6 @@ class RankJoinService:
         max_workers: int = 4,
         max_pulls: int | None = None,
         shard_workers: int | None = None,
-        warm_start: bool = True,
     ) -> None:
         if not relations:
             raise ValueError("need at least one relation")
@@ -277,9 +262,6 @@ class RankJoinService:
         # and tears down warm stacks between batches.
         self._query_pool: ThreadPoolExecutor | None = None
 
-        if warm_start and self._durable:
-            self._warm_start(cache_size)
-
     def _ensure_query_pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._query_pool is None:
@@ -321,33 +303,6 @@ class RankJoinService:
 
     # -- shared access orders ---------------------------------------------
 
-    def _warm_start(self, cache_size: int) -> None:
-        """Preload the order LRU from every durable relation's catalog.
-
-        Loads the most recently used persisted orders of this service's
-        access kind — up to ``cache_size`` per relation, newest last so
-        LRU recency mirrors catalog recency.  Nothing is sorted: the
-        permutation and rank column come back as the exact bytes a
-        previous process computed, and the columnar arrays are one
-        fancy-index gather from the shard memmaps.
-        """
-        loaded = 0
-        for backend in self._durable.values():
-            entries = list(
-                backend.load_recent_orders(self.kind, limit=cache_size)
-            )
-            for shard_index, bucket, order in reversed(entries):
-                key = (
-                    backend.relation.name,
-                    shard_index,
-                    bucket if self.kind is AccessKind.DISTANCE else b"",
-                )
-                with self._lock:
-                    self._orders.put(key, order)
-                loaded += 1
-        if loaded:
-            self.stats.record(orders_warm_loaded=loaded)
-
     def _order_for(
         self,
         shard: Relation,
@@ -355,7 +310,7 @@ class RankJoinService:
         bucket: bytes,
         canonical: np.ndarray,
     ) -> CachedOrder:
-        """One shard's full sorted order for one query bucket (cached).
+        """One shard's order for one query bucket (cached).
 
         The LRU key is ``(relation, shard, bucket)``: sharded relations
         get one independently evictable entry per shard, unsharded
@@ -369,37 +324,17 @@ class RankJoinService:
         if cached is not None:
             self.stats.record(stream_cache_hits=1)
             return cached
-        self.stats.record(stream_cache_misses=1)
-        backend = self._durable.get(shard.name)
-        if backend is not None:
-            # Durable relation: probe the catalog before sorting — a hit
-            # replays the exact persisted permutation (zero re-sorts).
-            order = backend.load_order(shard_idx, self.kind, key_bucket)
-            if order is not None:
-                self.stats.record(catalog_order_hits=1)
-                with self._lock:
-                    self._orders.put(key, order)
-                return order
+        self.stats.record(stream_cache_misses=1, order_sorts=1)
         # Sort outside the lock: concurrent misses may duplicate work but
         # never block each other; last writer wins with an equal order.
-        # The sorted stream's order is shared as-is: its columns are
-        # gathered once, its rows resolve only when pulled.  Sorting via
-        # the stream rather than AccessOrder.sort keeps the sort inside
-        # the DistanceAccess/ScoreAccess constructor span that tracers
-        # (perfbench's ``access.sort``) attribute sort time to.
-        self.stats.record(order_sorts=1)
+        # The sorted stream's order is shared as-is: its head's columns
+        # are gathered once, its rows resolve only when pulled.  Sorting
+        # via the stream rather than AccessOrder.sort keeps the sort
+        # inside the DistanceAccess/ScoreAccess constructor span that
+        # tracers (perfbench's ``access.sort``) attribute sort time to.
         order = sorted_stream(shard, self.kind, canonical).order
         with self._lock:
             self._orders.put(key, order)
-        if backend is not None:
-            # Write the computed order back so the next process warm
-            # starts from it (no-op on read-only stores: pool workers
-            # keep their sorts local rather than fight for the WAL
-            # writer lock).
-            if backend.store_order(
-                shard_idx, self.kind, key_bucket, order.positions, order.ranks
-            ):
-                self.stats.record(catalog_order_writes=1)
         return order
 
     def _open_cached_stream(
@@ -410,8 +345,8 @@ class RankJoinService:
         shard, a shard-parallel :class:`~repro.core.access.MergeStream`
         of one :class:`~repro.core.access.ShardCursor` per shard
         otherwise.  A durable relation's evicted shards stay on disk:
-        their cursors page the persisted order back window by window,
-        in the same merge as the hot shards' cached orders."""
+        their cursors page an order over the memmap back window by
+        window, in the same merge as the hot shards' cached orders."""
         backend = self._durable.get(relation.name)
         if backend is None:
             shards = relation.storage.shards
@@ -422,10 +357,7 @@ class RankJoinService:
         cursors = []
         for si in range(count):
             if backend is not None and backend.handles[si].evicted:
-                key_bucket = bucket if self.kind is AccessKind.DISTANCE else b""
-                cursors.append(
-                    backend.paged_cursor(si, self.kind, key_bucket, canonical)
-                )
+                cursors.append(backend.paged_cursor(si, self.kind, canonical))
                 continue
             shard = shards[si] if backend is None else backend.shard_relation(si)
             order = self._order_for(shard, si, bucket, canonical)

@@ -152,7 +152,8 @@ class RemoteShardEndpoint:
         latency: LatencyModel | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> "RemoteShardEndpoint":
-        """Sort ``relation`` once and expose the order as an endpoint."""
+        """Sort ``relation``'s order (head first) and expose it as an
+        endpoint; windows past the head extend it."""
         # Via the stream, like RankJoinService._order_for, so the sort is
         # traced under the sorted-stream constructor span.
         return cls(

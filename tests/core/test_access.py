@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AccessKind, Relation, ShardedRelation
-from repro.core.access import DistanceAccess, MergeStream, ScoreAccess, open_streams
+from repro.core.access import (
+    HEAD_ROWS,
+    AccessOrder,
+    DistanceAccess,
+    ScoreAccess,
+    open_streams,
+    sort_order,
+)
 
 
 def drain(stream):
@@ -208,3 +215,164 @@ class TestOpenStreams:
     def test_distance_requires_query(self):
         with pytest.raises(ValueError, match="query"):
             open_streams([random_relation(9)], AccessKind.DISTANCE)
+
+
+# -- head orders --------------------------------------------------------------
+
+HEAD_SIZES = (1, 255, 256, 257, 2000)
+KINDS = (AccessKind.DISTANCE, AccessKind.SCORE)
+
+
+def head_relation(n, ties, seed=0):
+    """Uniform data, or tie-heavy data (a 5x5 grid of vectors and a
+    four-rung score ladder, so long runs share one rank)."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        scores = rng.choice([0.25, 0.5, 0.75, 1.0], n)
+        vectors = rng.integers(-2, 3, (n, 2)).astype(float)
+    else:
+        scores = rng.uniform(0.05, 1.0, n)
+        vectors = rng.uniform(-3, 3, (n, 2))
+    return Relation("R", scores, vectors, sigma_max=1.0)
+
+
+def full_lexsort(rel, kind, query):
+    """The full ``(rank, tid)`` order, sorted whole: ``(perm, ranks)``."""
+    if kind is AccessKind.DISTANCE:
+        diff = rel.vectors - query
+        ranks = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        perm = np.lexsort((rel.tids, ranks))
+    else:
+        ranks = np.asarray(rel.scores, dtype=float)
+        perm = np.lexsort((rel.tids, -ranks))
+    return perm, ranks[perm]
+
+
+def assert_head_exact(order, rel, perm, ranks):
+    """The order's current head is the full order's leading rows, byte
+    for byte, in every column."""
+    head = order.head
+    m = len(head)
+    assert head.perm.tobytes() == perm[:m].astype(np.int64).tobytes()
+    assert head.ranks.tobytes() == ranks[:m].tobytes()
+    assert head.tids.tobytes() == rel.tids[perm[:m]].astype(np.int64).tobytes()
+    assert head.vectors.tobytes() == rel.vectors[perm[:m]].tobytes()
+    assert head.scores.tobytes() == rel.scores[perm[:m]].tobytes()
+    return m
+
+
+class TestHeadOrders:
+    @pytest.mark.parametrize("n", HEAD_SIZES)
+    @pytest.mark.parametrize("ties", [False, True], ids=["uniform", "ties"])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_every_head_is_the_full_orders_head(self, kind, ties, n):
+        rel = head_relation(n, ties, seed=n)
+        query = np.array([0.25, -0.5])
+        perm, ranks = full_lexsort(rel, kind, query)
+        order = AccessOrder.sort(rel, kind, query)
+        assert order.total == n
+        sizes = [assert_head_exact(order, rel, perm, ranks)]
+        assert sizes[0] >= min(n, HEAD_ROWS)
+        while sizes[-1] < n:
+            order.extend(sizes[-1] + 1)
+            sizes.append(assert_head_exact(order, rel, perm, ranks))
+            # Each extension at least doubles the head (or ends it).
+            assert sizes[-1] >= min(n, 2 * sizes[-2])
+        if not ties:
+            # Distinct ranks: no ties at any cut, so the heads double.
+            want = [min(n, HEAD_ROWS)]
+            while want[-1] < n:
+                want.append(min(n, 2 * want[-1]))
+            assert sizes == want
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_tie_straddling_the_first_cut(self, kind):
+        """Rows 250..269 of the full order share one rank: the first
+        head keeps all twenty, and so ends at row 270."""
+        n = 600
+        rng = np.random.default_rng(4)
+        levels = np.concatenate(
+            [np.arange(250), np.full(20, 250.0), 251 + np.arange(n - 270)]
+        )
+        shuffle = rng.permutation(n)
+        if kind is AccessKind.DISTANCE:
+            vectors = np.stack([levels[shuffle], np.zeros(n)], axis=1)
+            scores = np.full(n, 0.5)
+        else:
+            vectors = rng.uniform(-1, 1, (n, 2))
+            scores = (1.0 - levels / n)[shuffle]
+        rel = Relation("R", scores, vectors, sigma_max=1.0)
+        query = np.zeros(2)
+        perm, ranks = full_lexsort(rel, kind, query)
+        order = AccessOrder.sort(rel, kind, query)
+        assert assert_head_exact(order, rel, perm, ranks) == 270
+        tied = order.tids[250:270]
+        assert tied.tolist() == sorted(tied.tolist())
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_fetch_window_jumps_several_doublings(self, kind):
+        rel = head_relation(2000, ties=False, seed=9)
+        query = np.array([1.0, 1.0])
+        perm, ranks = full_lexsort(rel, kind, query)
+        order = AccessOrder.sort(rel, kind, query)
+        assert len(order.head) == HEAD_ROWS
+        w_ranks, w_tids, w_vecs, w_scores = order.fetch_window(1500, 100)
+        # One extension straight to the rows the read needs.
+        assert len(order.head) == 1600
+        assert assert_head_exact(order, rel, perm, ranks) == 1600
+        assert w_ranks.tobytes() == ranks[1500:1600].tobytes()
+        assert w_tids.tolist() == rel.tids[perm[1500:1600]].tolist()
+        assert w_vecs.tobytes() == rel.vectors[perm[1500:1600]].tobytes()
+        assert w_scores.tobytes() == rel.scores[perm[1500:1600]].tobytes()
+        # Past the end: clamped, and the head becomes the full order.
+        assert len(order.fetch_window(1990, 50)[0]) == 10
+        assert len(order.head) == 2000
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_rows_resolve_through_the_current_head(self, kind):
+        rel = head_relation(2000, ties=True, seed=2)
+        query = np.zeros(2)
+        perm, _ = full_lexsort(rel, kind, query)
+        order = AccessOrder.sort(rel, kind, query)
+        first = len(order.head)
+        # A position past the head extends it.
+        assert order.tuples[first + 5] is rel[perm[first + 5]]
+        assert len(order.head) > first
+        assert order.tuples[-1] is rel[perm[-1]]
+        assert len(order.head) == 2000
+        for i, p in enumerate(perm.tolist()):
+            assert order.tuples[i] is rel[p]
+        assert [t.tid for t in order.tuples[10:20]] == rel.tids[perm[10:20]].tolist()
+        with pytest.raises(IndexError):
+            order.tuples[2000]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_full_extension_equals_sort_order(self, kind):
+        rel = head_relation(1500, ties=True, seed=3)
+        query = np.array([0.5, 0.5])
+        perm, ranks = sort_order(kind, rel.vectors, rel.scores, rel.tids, query)
+        order = AccessOrder.sort(rel, kind, query)
+        order.extend(order.total)
+        assert order.head.perm.tobytes() == perm.tobytes()
+        assert order.ranks.tobytes() == ranks.tobytes()
+        ref_perm, ref_ranks = full_lexsort(rel, kind, query)
+        assert perm.tolist() == ref_perm.tolist()
+        assert ranks.tobytes() == ref_ranks.tobytes()
+
+    def test_custom_metric_called_once_per_row(self):
+        n = 1200
+        rel = head_relation(n, ties=True, seed=5)
+        calls = []
+
+        def manhattan(x, y):
+            calls.append(1)
+            return float(np.abs(x - y).sum())
+
+        stream = DistanceAccess(rel, np.zeros(2), metric=manhattan)
+        assert len(calls) == n
+        pulled = drain(stream)
+        assert len(pulled) == n
+        assert len(stream.order.head) == n  # the head was extended
+        assert len(calls) == n
+        dists = [float(np.abs(t.vector).sum()) for t in pulled]
+        assert dists == sorted(dists)

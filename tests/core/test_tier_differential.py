@@ -23,6 +23,11 @@ ranked ``(key, score)`` list, the depths and the bound.  Agreement with
 the brute-force oracle is the other suites' job.  A failure names the
 config's seed; ``pytest tests/core/test_tier_differential.py -k
 seed<N>`` reruns it alone.
+
+Most relations hold 12-80 tuples; some two-relation uniform
+score-access configs draw 400-1,000, so that some tier runs read past
+the first sorted head (``HEAD_ROWS``) of a shard order and extend it
+(``test_some_tier_runs_extend_a_head`` counts them).
 """
 
 import random
@@ -37,6 +42,7 @@ from repro.core import (
     ShardedRelation,
     make_algorithm,
 )
+from repro.core.access import AccessOrder
 from repro.core.durable import open_relation, persist_relation
 from repro.service import (
     AsyncRankJoinService,
@@ -60,7 +66,7 @@ SCORING = EuclideanLogScoring(1.0, 1.0, 1.0)
 
 def draw_config(seed):
     rnd = random.Random(seed)
-    return {
+    cfg = {
         "seed": seed,
         "tier": TIERS[seed % len(TIERS)],
         "n": rnd.choice((2, 3)),
@@ -76,6 +82,12 @@ def draw_config(seed):
         "page_size": rnd.choice((1, 3, 4, 10, 25)),
         "via_service": rnd.random() < 0.5,
     }
+    # Score access reads deepest: some such configs read past the first
+    # head of a shard order.
+    wide = cfg["kind"] is AccessKind.SCORE and cfg["n"] == 2 and not cfg["ties"]
+    if wide and rnd.random() < 0.6:
+        cfg["size"] = rnd.randint(400, 1000)
+    return cfg
 
 
 def make_problem(cfg):
@@ -199,3 +211,32 @@ def test_tier_matches_single_shard(seed, tmp_path):
     assert reference.completed, repro
     assert result.completed, repro
     assert ranked(result) == ranked(reference), repro
+
+
+def test_some_tier_runs_extend_a_head(monkeypatch, tmp_path):
+    """Re-runs the wide configs' tiers counting head extensions: some
+    engine runs must read past a shard order's first head."""
+    extensions = []
+    original = AccessOrder.extend
+
+    def counting(self, rows):
+        before = self.head
+        head = original(self, rows)
+        if head is not before:
+            extensions.append(self)
+        return head
+
+    monkeypatch.setattr(AccessOrder, "extend", counting)
+    wide = [
+        cfg
+        for cfg in map(draw_config, range(SEED_BASE, SEED_BASE + CONFIGS))
+        if cfg["size"] > 80
+    ]
+    extended = 0
+    for cfg in wide:
+        relations, query = make_problem(cfg)
+        del extensions[:]
+        run_tier(cfg, relations, query, tmp_path / f"seed{cfg['seed']}")
+        extended += bool(extensions)
+    print(f"{extended} of {len(wide)} wide configs extended a head")
+    assert extended >= 3

@@ -74,10 +74,9 @@ def make_problem(n_relations=2, size=150, seed=3, shards=1):
 
 
 def empty_endpoint(page_size=4):
-    empty = np.empty(0, dtype=np.int64)
-    order = AccessOrder.gather(
-        AccessKind.SCORE, [], np.empty((0, 2)), np.empty(0), empty, 1.0,
-        empty, np.empty(0),
+    order = AccessOrder(
+        AccessKind.SCORE, [], np.empty((0, 2)), np.empty(0),
+        np.empty(0, dtype=np.int64), 1.0, np.empty(0),
     )
     return RemoteShardEndpoint(
         "E",

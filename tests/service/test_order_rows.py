@@ -4,8 +4,8 @@ An order's row sequence is a permuted view over the relation's own rows:
 ``order.tuples[i] is relation[perm[i]]``, looked up only when a stream
 pulls (or a merge stages) position ``i``.  On durable hot shards, whose
 rows are ``LazyTuples``, a query must therefore materialise no row
-beyond those it pulled or staged — whether the order was freshly sorted
-or replayed from the catalog.
+beyond those it pulled or staged — in the first process over a store
+and in a restarted one alike.
 """
 
 import numpy as np
@@ -53,7 +53,7 @@ def result_sig(res):
 
 
 def assert_rows_are_relation_rows(order, shard):
-    for i, p in enumerate(order.positions.tolist()):
+    for i, p in enumerate(order.extend(order.total).perm.tolist()):
         assert order.tuples[i] is shard[p]
 
 
@@ -68,7 +68,8 @@ class TestOrderRows:
             assert_rows_are_relation_rows(order, rel)
             block = order.tuples[3:9]
             assert [t.tid for t in block] == order.tids[3:9].tolist()
-            assert [t.tid for t in order.tuples] == order.tids.tolist()
+            tids = order.fetch_window(0, order.total)[1]
+            assert [t.tid for t in order.tuples] == tids.tolist()
 
     def test_sort_order_is_the_rank_tid_order(self):
         relations, query = make_problem(n=1, size=300)
@@ -137,25 +138,24 @@ class TestDurableRowsBuiltOnPull:
             r.close()
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_catalog_replay_materialises_only_pulled_rows(self, tmp_path, kind):
+    def test_restarted_service_materialises_only_pulled_rows(self, tmp_path, kind):
         relations, durable, query = durable_problem(tmp_path, shards=1)
-        with RankJoinService(durable, SCORING, kind=kind, k=5) as cold:
-            want = result_sig(cold.submit(query))
-            assert cold.stats.catalog_order_writes == len(durable)
+        with RankJoinService(durable, SCORING, kind=kind, k=5) as first:
+            want = result_sig(first.submit(query))
         for r in durable:
             r.close()
-        # Restarted: orders come back from the catalog, no sort at all.
+        # Restarted: fresh relation objects, orders sorted anew.
         durable = [open_relation(tmp_path, r.name) for r in relations]
-        with RankJoinService(durable, SCORING, kind=kind, k=5) as warm:
-            res = warm.submit(query)
+        with RankJoinService(durable, SCORING, kind=kind, k=5) as again:
+            res = again.submit(query)
             assert result_sig(res) == want
-            assert warm.stats.order_sorts == 0
+            assert again.stats.order_sorts == len(durable)
             for rel, depth in zip(durable, res.depths):
                 assert materialised(rel) == [depth]
-            canonical = warm.canonical_query(query)
+            canonical = again.canonical_query(query)
             shard = durable[0].storage.shard_relation(0)
-            order = warm._order_for(shard, 0, warm._bucket_key(canonical), canonical)
-            assert warm.stats.order_sorts == 0
+            order = again._order_for(shard, 0, again._bucket_key(canonical), canonical)
+            assert again.stats.order_sorts == len(durable)
             assert_rows_are_relation_rows(order, shard)
         for r in durable:
             r.close()

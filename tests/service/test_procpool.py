@@ -47,9 +47,6 @@ WORKER_COUNTERS = (
     "stream_cache_hits",
     "stream_cache_misses",
     "order_sorts",
-    "catalog_order_hits",
-    "catalog_order_writes",
-    "orders_warm_loaded",
 )
 
 

@@ -369,9 +369,6 @@ class TestServiceStatsAtomicity:
             "stream_cache_misses": 0,
             "result_cache_hits": 1,
             "order_sorts": 0,
-            "catalog_order_hits": 0,
-            "catalog_order_writes": 0,
-            "orders_warm_loaded": 0,
         }
 
     def test_concurrent_submits_count_exactly(self):

@@ -92,9 +92,9 @@ class TestExamples:
     def test_durable_service(self, capsys):
         run_example("durable_service.py")
         out = capsys.readouterr().out
-        assert "zero re-sorts" in out
+        assert "restarted service" in out
         assert "bit-identical" in out
-        assert "catalog hit stats" in out
+        assert "paged back from disk" in out
 
     def test_bound_kernel(self, capsys):
         run_example("bound_kernel.py")
