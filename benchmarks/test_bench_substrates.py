@@ -1,12 +1,14 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Micro-benchmarks of this reproduction's building blocks.
 
-Not figures of the paper — these quantify the engineering decisions of
-this reproduction:
+Not figures of the paper.  Each case times one building block, most of
+them beside the simpler alternative on the same input:
 
-* incremental k-d access vs pre-sorting the whole relation;
+* opening a head-sorted distance stream and reading a short prefix;
 * the batched bound QP vs the scalar active-set solver;
-* the vectorised combination scorer vs naive per-tuple scoring;
-* the witness pre-pass inside the dominance test vs LP-for-everyone.
+* the columnar combination scorer vs naive per-tuple scoring;
+* the witness pre-pass inside the dominance test vs LP-for-everyone;
+* the anchor-and-probe extension vs TBPA on the same clustered data,
+  and TBPA on the Table 2 default cell.
 """
 
 import itertools
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 
 from repro.core import AccessKind, EuclideanLogScoring, Relation, TopKBuffer, tbpa
+from repro.core.access import DistanceAccess, open_streams
 from repro.core.batchscore import QuadraticBatchScorer
 from repro.core.bounds.dominance import dominated_mask
 from repro.optim.qp import solve_bound_qp, solve_bound_qp_batch, spread_matrix
-from repro.spatial import KDTree
 
 RNG = np.random.default_rng(123)
 
@@ -33,30 +35,14 @@ def _relation(size=2000, d=2, name="R"):
 
 
 class TestAccessPaths:
-    def test_kdtree_incremental_prefix(self, benchmark):
-        """Reading a 50-tuple prefix of a 2000-tuple relation through the
-        incremental index (the spatial-engine deployment)."""
-        rel = _relation()
-        query = np.zeros(2)
-
-        def prefix():
-            from repro.core.access import DistanceAccess
-
-            stream = DistanceAccess(rel, query, use_index=True)
-            return [stream.next() for _ in range(50)]
-
-        out = benchmark(prefix)
-        assert len(out) == 50
-
     def test_presorted_prefix(self, benchmark):
-        """The same prefix via full sorting (the simple baseline)."""
+        """Opening a 2000-tuple relation's distance stream (one rank pass,
+        a 256-row head sort) and reading a 50-tuple prefix."""
         rel = _relation()
         query = np.zeros(2)
 
         def prefix():
-            from repro.core.access import DistanceAccess
-
-            stream = DistanceAccess(rel, query, use_index=False)
+            stream = DistanceAccess(rel, query)
             return [stream.next() for _ in range(50)]
 
         out = benchmark(prefix)
@@ -106,14 +92,22 @@ class TestCombinationScoring:
         return pools
 
     def test_vectorised_scorer(self, benchmark):
+        """Two 60-tuple relations opened through ``open_streams`` and
+        pulled whole; a fresh scorer derives its slabs and scores the
+        full range cross product."""
         scoring = EuclideanLogScoring()
         query = np.zeros(2)
-        pools = self._pools()
+        relations = [_relation(60, name=f"P{i}") for i in range(2)]
+        streams = open_streams(relations, AccessKind.DISTANCE, query)
+        for stream in streams:
+            stream.next_block(60)
+        ranges = [(0, 0, 60), (1, 0, 60)]
 
         def run():
             scorer = QuadraticBatchScorer(scoring, query)
+            scorer.bind_streams(streams)
             buf = TopKBuffer(10)
-            scorer.add_cross_product(pools, buf)
+            scorer.add_cross_ranges(ranges, buf)
             return buf.ranked()
 
         top = benchmark(run)

@@ -1,8 +1,18 @@
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# ``repro.__version__`` is the one source of the version.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M,
+).group(1)
 
 setup(
     name="proxrj-repro",
-    version="0.6.0",
+    version=VERSION,
     description=(
         "Reproduction of proximity rank join (PVLDB 2010): ProxRJ template, "
         "CBRR/CBPA/TBRR/TBPA, sharded + durable tiered storage, services"

@@ -3,7 +3,8 @@
 A from-scratch reproduction of Martinenghi & Tagliasacchi, "Proximity
 Rank Join", PVLDB 3(1), 2010: top-K combinations of scored, vector-valued
 tuples from multiple ranked relations, close to a query point and to each
-other.  See README.md for a quickstart and DESIGN.md for the system map.
+other.  ``examples/quickstart.py`` is a quickstart, and ROADMAP.md's
+"Architecture" sections map the system.
 """
 
 from repro.core import (

@@ -30,12 +30,8 @@ slice instead of re-walking ``RankTuple`` lists.  :class:`OrderStream`
 cached order) freezes the prefix over the head arrays, so pulling just
 advances a cursor and ``next_block`` is one slice — the engine's
 block-pull fast path — and re-freezes it over the extended arrays when
-a pull runs past the head; the k-d indexed path appends row by row as
-the traversal produces tuples.
-
-``DistanceAccess`` can traverse a k-d tree incrementally (the realistic
-spatial-engine path) or pre-sort (simplest correct baseline); both produce
-identical streams and are property-tested against each other.
+a pull runs past the head; :class:`MergeStream` appends each merged
+block to a growing prefix.
 
 Streams are opened through the relation's storage backend
 (:mod:`repro.core.storage`): partitioned relations sort each shard
@@ -50,13 +46,12 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.columnar import ColumnarPrefix
 from repro.core.relation import RankTuple, Relation
-from repro.spatial.kdtree import KDTree
 
 __all__ = [
     "AccessKind",
@@ -98,10 +93,20 @@ class AccessKind(Enum):
 
 
 class AccessStream(Protocol):
-    """What the ProxRJ engine and the bounding schemes may observe."""
+    """What the ProxRJ engine and the bounding schemes may observe.
+
+    Every stream exposes its extracted prefix twice — ``seen`` as row
+    objects and ``prefix`` as a :class:`~repro.core.columnar.
+    ColumnarPrefix` in the same access order — and pulls in blocks:
+    the engine pulls through ``next_block`` only, and the batch scorer,
+    the candidate pruner and the tight bound read ``prefix``.
+    :class:`OrderStream` and :class:`MergeStream` are the
+    implementations.
+    """
 
     kind: AccessKind
     relation: Relation
+    prefix: ColumnarPrefix
 
     @property
     def depth(self) -> int: ...
@@ -109,64 +114,18 @@ class AccessStream(Protocol):
     @property
     def exhausted(self) -> bool: ...
 
-    def next(self) -> RankTuple | None: ...
+    @property
+    def seen(self) -> list[RankTuple]: ...
 
     @property
     def sigma_max(self) -> float: ...
 
+    def next(self) -> RankTuple | None: ...
+
     def next_block(self, limit: int) -> list[RankTuple]:
-        """Optional block pull; the engine falls back to repeated
-        :meth:`next` calls for streams that do not provide it."""
+        """Pull up to ``limit`` tuples in access order; fewer — possibly
+        none — once the stream runs out."""
         ...
-
-
-class _BaseStream:
-    """Shared depth/exhaustion bookkeeping plus the columnar prefix."""
-
-    kind: AccessKind
-
-    def __init__(self, relation: Relation) -> None:
-        self.relation = relation
-        self._seen: list[RankTuple] = []
-        #: Columnar view of the seen prefix, in access order.  Subclasses
-        #: that materialise their full order up-front replace this with a
-        #: frozen (cursor-mode) prefix over the order arrays.
-        self.prefix = ColumnarPrefix(relation.dim)
-
-    @property
-    def depth(self) -> int:
-        """Number of tuples pulled so far (``p_i`` in the paper)."""
-        return len(self._seen)
-
-    @property
-    def seen(self) -> list[RankTuple]:
-        """The extracted prefix ``P_i`` in access order (object view)."""
-        return self._seen
-
-    @property
-    def sigma_max(self) -> float:
-        return self.relation.sigma_max
-
-    @property
-    def exhausted(self) -> bool:
-        return self.depth >= len(self.relation)
-
-    def next_block(self, limit: int) -> list[RankTuple]:
-        """Pull up to ``limit`` tuples in access order (block pull).
-
-        Returns fewer than ``limit`` tuples — possibly none — once the
-        stream runs out.  Semantically identical to ``limit`` calls to
-        :meth:`next`; pre-sorted streams override this with direct order
-        slicing, and other implementations (e.g. the service simulator)
-        amortise per-pull work such as whole-page fetches.
-        """
-        block: list[RankTuple] = []
-        for _ in range(limit):
-            tup = self.next()
-            if tup is None:
-                break
-            block.append(tup)
-        return block
 
 
 #: Rows per chunk when evaluating distances: bounds the transient
@@ -439,7 +398,7 @@ class AccessOrder:
         return head.ranks[rows], head.tids[rows], head.vectors[rows], head.scores[rows]
 
 
-class OrderStream(_BaseStream):
+class OrderStream:
     """Replays one :class:`AccessOrder` of ``relation`` through the
     engine's stream API.
 
@@ -453,10 +412,29 @@ class OrderStream(_BaseStream):
     """
 
     def __init__(self, order: AccessOrder, relation: Relation) -> None:
-        super().__init__(relation)
+        self.relation = relation
         self.kind = order.kind
         self.order = order
+        self._seen: list[RankTuple] = []
         self._bind(order.head)
+
+    @property
+    def depth(self) -> int:
+        """Number of tuples pulled so far (``p_i`` in the paper)."""
+        return len(self._seen)
+
+    @property
+    def seen(self) -> list[RankTuple]:
+        """The extracted prefix ``P_i`` in access order (object view)."""
+        return self._seen
+
+    @property
+    def sigma_max(self) -> float:
+        return self.relation.sigma_max
+
+    @property
+    def exhausted(self) -> bool:
+        return self.depth >= len(self.relation)
 
     def _bind(self, head: OrderHead) -> None:
         self._head = head
@@ -531,13 +509,8 @@ class DistanceAccess(OrderStream):
     relation, query:
         The relation and the query vector ``q``.
     metric:
-        Distance function; Euclidean by default.  The incremental k-d
-        tree path is only valid for the Euclidean metric; other metrics
-        fall back to pre-sorting (each distance computed exactly once).
-    use_index:
-        Traverse a k-d tree incrementally instead of sorting everything
-        up-front.  Results are identical; this mirrors how a spatial
-        service would lazily produce its output.
+        Distance function; Euclidean by default.  A custom metric is
+        evaluated once per row when the stream opens.
     """
 
     kind = AccessKind.DISTANCE
@@ -548,7 +521,6 @@ class DistanceAccess(OrderStream):
         query: np.ndarray,
         *,
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        use_index: bool = False,
     ) -> None:
         self.query = np.asarray(query, dtype=float)
         if self.query.shape != (relation.dim,):
@@ -556,68 +528,10 @@ class DistanceAccess(OrderStream):
                 f"query shape {self.query.shape} does not match relation "
                 f"dimension {relation.dim}"
             )
-        self._indexed = bool(use_index and metric is None)
-        if not self._indexed:
-            super().__init__(
-                AccessOrder.sort(relation, self.kind, self.query, metric=metric),
-                relation,
-            )
-            return
-        _BaseStream.__init__(self, relation)
-        self._distances: list[float] = []
-        tree = KDTree(relation.vectors, payloads=list(relation))
-        self._iter = self._indexed_iter(tree)
-
-    def _indexed_iter(self, tree: KDTree) -> Iterator[tuple[float, RankTuple]]:
-        # The k-d stream is distance-sorted but breaks distance ties
-        # arbitrarily; buffer runs of equal distance and emit by tid so the
-        # indexed and sorted paths are bit-identical.
-        run: list[tuple[float, RankTuple]] = []
-        for dist, tup in tree.iter_nearest(self.query):
-            if run and dist > run[-1][0] + 1e-12:
-                yield from sorted(run, key=lambda p: p[1].tid)
-                run = []
-            run.append((dist, tup))
-        yield from sorted(run, key=lambda p: p[1].tid)
-
-    def next(self) -> RankTuple | None:
-        """Pull the next tuple; ``None`` once the relation is exhausted."""
-        if not self._indexed:
-            return super().next()
-        try:
-            dist, tup = next(self._iter)
-        except StopIteration:
-            return None
-        self._seen.append(tup)
-        self._distances.append(float(dist))
-        self.prefix.append(tup.vector, tup.score, tup.tid)
-        return tup
-
-    def next_block(self, limit: int) -> list[RankTuple]:
-        if not self._indexed:
-            return super().next_block(limit)
-        return _BaseStream.next_block(self, limit)
-
-    @property
-    def distances(self) -> np.ndarray:
-        """Distances of the seen prefix, aligned with access order."""
-        if self._indexed:
-            return np.asarray(self._distances, dtype=float)
-        return super().distances
-
-    @property
-    def first_distance(self) -> float:
-        """``delta(x(R_i[1]), q)``; 0 before any access (paper convention)."""
-        if not self._indexed:
-            return super().first_distance
-        return float(self._distances[0]) if self.depth else 0.0
-
-    @property
-    def last_distance(self) -> float:
-        """``delta_i = delta(x(R_i[p_i]), q)``; 0 before any access."""
-        if not self._indexed:
-            return super().last_distance
-        return float(self._distances[-1]) if self.depth else 0.0
+        super().__init__(
+            AccessOrder.sort(relation, self.kind, self.query, metric=metric),
+            relation,
+        )
 
 
 class ScoreAccess(OrderStream):
@@ -635,14 +549,13 @@ def sorted_stream(
     query: np.ndarray | None = None,
     *,
     metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-    use_index: bool = False,
 ) -> OrderStream:
     """Open kind-``kind`` sorted access over one in-memory relation (or
     shard): a :class:`DistanceAccess` or a :class:`ScoreAccess`."""
     if kind is AccessKind.DISTANCE:
         if query is None:
             raise ValueError("distance-based access requires a query vector")
-        return DistanceAccess(relation, query, metric=metric, use_index=use_index)
+        return DistanceAccess(relation, query, metric=metric)
     return ScoreAccess(relation)
 
 
@@ -793,9 +706,9 @@ class MergeStream:
     rows past it); otherwise the refill stages exactly the top R.
 
     The merged prefix is a *growing* :class:`~repro.core.columnar.
-    ColumnarPrefix` (like the k-d indexed path): rows are appended in
-    merged order, one block-sized ``extend`` per pull, so the columnar
-    batch scorer and the tight bound run over sharded streams unchanged.
+    ColumnarPrefix`: rows are appended in merged order, one block-sized
+    ``extend`` per pull, so the columnar batch scorer and the tight
+    bound run over sharded streams unchanged.
     """
 
     #: Minimum rows merged per refill; amortises the vectorised merge
@@ -1105,9 +1018,7 @@ def open_streams(
     relations: list[Relation],
     kind: AccessKind,
     query: np.ndarray | None = None,
-    *,
-    use_index: bool = False,
-) -> list[_BaseStream]:
+) -> list[AccessStream]:
     """Open one access stream per relation with the given kind.
 
     Streams are opened through each relation's
@@ -1118,6 +1029,4 @@ def open_streams(
     """
     if kind is AccessKind.DISTANCE and query is None:
         raise ValueError("distance-based access requires a query vector")
-    return [
-        r.storage.open_stream(kind, query, use_index=use_index) for r in relations
-    ]
+    return [r.storage.open_stream(kind, query) for r in relations]

@@ -44,7 +44,6 @@ def _build(
     batch_kernel: bool,
     bound_period: int,
     pull_block: int,
-    use_index: bool,
     vectorise: bool,
     stream_factory,
     max_pulls: int | None,
@@ -66,7 +65,6 @@ def _build(
         k=k,
         bound_period=bound_period,
         pull_block=pull_block,
-        use_index=use_index,
         vectorise=vectorise,
         stream_factory=stream_factory,
         max_pulls=max_pulls,
@@ -83,7 +81,6 @@ def cbrr(
     kind: AccessKind = AccessKind.DISTANCE,
     bound_period: int = 1,
     pull_block: int = 1,
-    use_index: bool = False,
     vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
@@ -94,8 +91,7 @@ def cbrr(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=False,
         dominance_period=None, batch_kernel=True,
-        bound_period=bound_period, pull_block=pull_block,
-        use_index=use_index, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )
@@ -110,7 +106,6 @@ def cbpa(
     kind: AccessKind = AccessKind.DISTANCE,
     bound_period: int = 1,
     pull_block: int = 1,
-    use_index: bool = False,
     vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
@@ -121,8 +116,7 @@ def cbpa(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=True,
         dominance_period=None, batch_kernel=True,
-        bound_period=bound_period, pull_block=pull_block,
-        use_index=use_index, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )
@@ -139,7 +133,6 @@ def tbrr(
     batch_kernel: bool = True,
     bound_period: int = 1,
     pull_block: int = 1,
-    use_index: bool = False,
     vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
@@ -155,8 +148,7 @@ def tbrr(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=False,
         dominance_period=dominance_period, batch_kernel=batch_kernel,
-        bound_period=bound_period,
-        pull_block=pull_block, use_index=use_index, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )
@@ -173,7 +165,6 @@ def tbpa(
     batch_kernel: bool = True,
     bound_period: int = 1,
     pull_block: int = 1,
-    use_index: bool = False,
     vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
@@ -189,8 +180,7 @@ def tbpa(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=True,
         dominance_period=dominance_period, batch_kernel=batch_kernel,
-        bound_period=bound_period,
-        pull_block=pull_block, use_index=use_index, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )

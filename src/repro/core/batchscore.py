@@ -13,7 +13,7 @@ using ``sum_i ||x_i - mu||^2 = sum_i ||x_i||^2 - (1/n) ||sum_i x_i||^2``
 for the mean centroid.  Both terms are outer sums over the pools, so a
 whole batch is scored with broadcasting.
 
-The hot path is **columnar**: :meth:`QuadraticBatchScorer.bind_streams`
+The scorer is **columnar**: :meth:`QuadraticBatchScorer.bind_streams`
 attaches one :class:`_PrefixSlab` per access stream — a derived
 structure-of-arrays cache, aligned with the stream's
 :class:`~repro.core.columnar.ColumnarPrefix`, holding the centred vectors
@@ -34,22 +34,13 @@ everything downstream indexes by **access position**:
   scores recomputed by the canonical scalar path, so downstream ordering
   is bit-identical to the object-per-tuple engine) and admits them via
   :meth:`~repro.core.buffers.TopKBuffer.add_many`.
-
-The tuple-list entry points (:meth:`~QuadraticBatchScorer.score_pools`,
-:meth:`~QuadraticBatchScorer.add_cross_product`,
-:meth:`~QuadraticBatchScorer.pools_upper_bound`) remain for arbitrary
-pools — tests, user code and duck-typed streams without a columnar
-prefix — backed by the original per-tuple cache.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.buffers import TopKBuffer
-from repro.core.relation import Combination, RankTuple
 from repro.core.scoring import QuadraticFormScoring
 
 __all__ = ["QuadraticBatchScorer", "CandidatePruner"]
@@ -150,9 +141,8 @@ class QuadraticBatchScorer:
     """Batch scorer bound to one (scoring, query) pair.
 
     Per-tuple statistics (utility-minus-distance scalar and the centred
-    feature vector) are cached across calls: columnar slabs indexed by
-    access position for bound streams, a ``(relation, tid)`` dict for the
-    generic tuple-list path.
+    feature vector) are cached across calls in columnar slabs indexed by
+    the bound streams' access positions.
     """
 
     def __init__(
@@ -169,9 +159,6 @@ class QuadraticBatchScorer:
         #: per-block temporaries come from its grow-only scratch slabs
         #: instead of fresh allocations.
         self.workspace = workspace
-        self._scalar: dict[tuple[str, int], float] = {}
-        self._vector: dict[tuple[str, int], np.ndarray] = {}
-        self._norm: dict[tuple[str, int], float] = {}
         self._streams: list | None = None
         self._slabs: list[_PrefixSlab] = []
 
@@ -181,20 +168,11 @@ class QuadraticBatchScorer:
             return self.workspace.array(name, shape, zero=True)
         return np.zeros(shape)
 
-    # -- columnar path -----------------------------------------------------
-
-    def bind_streams(self, streams: list) -> bool:
-        """Attach one prefix slab per stream; True when every stream
-        exposes a columnar prefix (the engine's condition for taking the
-        range-based path).  Duck-typed streams without ``prefix`` keep
-        the tuple-list path."""
-        if not all(getattr(s, "prefix", None) is not None for s in streams):
-            self._streams = None
-            self._slabs = []
-            return False
+    def bind_streams(self, streams: list) -> None:
+        """Attach one prefix slab per stream; ranges index these streams'
+        columnar prefixes."""
         self._streams = streams
         self._slabs = [_PrefixSlab(self.scoring, self.query) for _ in streams]
-        return True
 
     def _slab(self, j: int, hi: int) -> _PrefixSlab:
         slab = self._slabs[j]
@@ -295,7 +273,10 @@ class QuadraticBatchScorer:
             return total
         # Same viable cut as the dense path (the sieve keeps a superset
         # of every candidate above the floor, so the floor — and the
-        # selected cohort — matches dense scoring exactly).
+        # selected cohort — matches dense scoring exactly).  The cut
+        # keeps every candidate tied with the boundary, not an arbitrary
+        # ``keep`` of them, so the buffer applies the tuple-id tie-break
+        # over the whole tied cohort, as the sequential engine does.
         m = idx.size
         keep = min(m, output.k + _SLACK)
         if keep < m:
@@ -327,8 +308,26 @@ class QuadraticBatchScorer:
         """Upper bound on the best score in the cross product of
         ``ranges`` — O(1) per full prefix via the slabs' running maxima
         (a suffix range, i.e. the pulled block, reduces over its own
-        (small) slice).  Same two relaxations as
-        :meth:`pools_upper_bound`."""
+        (small) slice).
+
+        Uses the separated form of the quadratic family: with
+        ``scalar(t) = w_s u(sigma) - (w_q + w_mu) ||x - q||^2`` and
+        ``v(t) = x - q``, two correct relaxations of
+
+            S = sum_i scalar(t_i) + (w_mu / n) || sum_i v(t_i) ||^2
+
+        are combined:
+
+        * triangle inequality:
+          ``S <= sum_i max scalar + (w_mu / n) (sum_i max ||v||)^2``
+        * dropping the centroid coupling via ``||sum v||^2 <= n sum
+          ||v||^2``, which cancels the ``w_mu`` distance charge per tuple:
+          ``S <= sum_i max [w_s u(sigma) - w_q ||x - q||^2]``
+
+        The second is what bites for far-away blocks (their ``- w_q
+        ||x - q||^2`` term sinks the sum); the first wins when ``w_q`` is
+        tiny.
+        """
         w_mu = self.scoring.w_mu
         sum_scalar = 0.0
         norm_sum = 0.0
@@ -349,135 +348,6 @@ class QuadraticBatchScorer:
         triangle = sum_scalar + (w_mu / len(ranges)) * norm_sum * norm_sum
         return float(min(triangle, sum_cheap))
 
-    # -- shared candidate selection ----------------------------------------
-
-    def _viable(self, scores: np.ndarray, output: TopKBuffer) -> np.ndarray:
-        """Flat indices of the candidates worth materialising, sorted
-        best-first by batched score (stable, so downstream tie-breaking
-        stays deterministic)."""
-        total = scores.size
-        flat = scores.ravel()
-        keep = min(total, output.k + _SLACK)
-        if keep < total:
-            # The partition picks *some* keep candidates; with more than
-            # ``keep`` candidates tied at the boundary score it would pick
-            # an arbitrary subset of the ties, while the sequential engine
-            # resolves ties by the deterministic tuple-id key.  Widen the
-            # cut to every candidate tied with the boundary (and drop the
-            # ones that cannot beat the current K-th score even before
-            # materialisation); the buffer then applies the canonical
-            # tie-break over the full tied cohort.  Small epsilons guard
-            # float drift between the batched and the canonical scores.
-            boundary = np.argpartition(flat, total - keep)[total - keep :]
-            floor = max(float(flat[boundary].min()), output.kth_score) - 1e-9
-            idx = np.nonzero(flat >= floor)[0]
-        else:
-            idx = np.arange(total)
-        # Best-first insertion keeps the buffer's tie-breaking identical
-        # to the sequential engine.
-        return idx[np.argsort(-flat[idx], kind="stable")]
-
-    # -- generic tuple-list path -------------------------------------------
-
-    def _stats(self, tup: RankTuple) -> tuple[float, np.ndarray]:
-        key = (tup.relation, tup.tid)
-        scalar = self._scalar.get(key)
-        if scalar is None:
-            centred = np.asarray(tup.vector, dtype=float) - self.query
-            sq = float(centred @ centred)
-            scalar = self.scoring.w_s * self.scoring.score_utility(tup.score) - (
-                self.scoring.w_q + self.scoring.w_mu
-            ) * sq
-            self._scalar[key] = scalar
-            self._vector[key] = centred
-            self._norm[key] = math.sqrt(sq)
-        return scalar, self._vector[key]
-
-    def score_pools(self, pools: list[list[RankTuple]]) -> np.ndarray:
-        """Aggregate scores of the full cross product of ``pools``.
-
-        Returns an n-dimensional array indexed like the pools.  Generic
-        path for explicit tuple lists; the engine's stream pools go
-        through :meth:`score_ranges` instead.
-        """
-        n = len(pools)
-        d = len(self.query)
-        acc_scalar = np.zeros(())
-        acc_vec = np.zeros((d,))
-        for pool in pools:
-            stats = [self._stats(t) for t in pool]
-            a = np.array([s for s, _ in stats])
-            v = np.array([vec for _, vec in stats]).reshape(len(pool), d)
-            acc_scalar = acc_scalar[..., None] + a
-            acc_vec = acc_vec[..., None, :] + v
-        spread = np.einsum("...d,...d->...", acc_vec, acc_vec)
-        return acc_scalar + (self.scoring.w_mu / n) * spread
-
-    def add_cross_product(
-        self, pools: list[list[RankTuple]], output: TopKBuffer
-    ) -> int:
-        """Score ``prod(pools)`` and offer the viable candidates to the
-        top-K buffer.  Returns the number of combinations scored."""
-        if any(not pool for pool in pools):
-            return 0
-        scores = self.score_pools(pools)
-        idx = self._viable(scores, output)
-        shape = scores.shape
-        combos: list[Combination] = []
-        for flat_pos in idx:
-            coords = np.unravel_index(int(flat_pos), shape)
-            tuples = tuple(pool[c] for pool, c in zip(pools, coords))
-            combos.append(self.scoring.make_combination(tuples, self.query))
-        output.add_many(combos)
-        return scores.size
-
-    def pools_upper_bound(self, pools: list[list[RankTuple]]) -> float:
-        """Cheap upper bound on the best score in ``prod(pools)``.
-
-        Uses the separated form of the quadratic family: with
-        ``scalar(t) = w_s u(sigma) - (w_q + w_mu) ||x - q||^2`` and
-        ``v(t) = x - q``, two correct relaxations of
-
-            S = sum_i scalar(t_i) + (w_mu / n) || sum_i v(t_i) ||^2
-
-        are combined:
-
-        * triangle inequality:
-          ``S <= sum_i max scalar + (w_mu / n) (sum_i max ||v||)^2``
-        * dropping the centroid coupling via ``||sum v||^2 <= n sum
-          ||v||^2``, which cancels the ``w_mu`` distance charge per tuple:
-          ``S <= sum_i max [w_s u(sigma) - w_q ||x - q||^2]``
-
-        The second is what bites for far-away blocks (their ``- w_q
-        ||x - q||^2`` term sinks the sum); the first wins when ``w_q`` is
-        tiny.  Costs one cached-dict lookup per pool tuple — the
-        columnar :meth:`ranges_upper_bound` replaces even that with O(1)
-        running-maxima reads.
-        """
-        w_mu = self.scoring.w_mu
-        sum_scalar = 0.0
-        norm_sum = 0.0
-        sum_cheap = 0.0
-        for pool in pools:
-            pool_scalar = -np.inf
-            pool_norm = 0.0
-            pool_cheap = -np.inf
-            for tup in pool:
-                scalar, _ = self._stats(tup)
-                norm = self._norm[(tup.relation, tup.tid)]
-                if scalar > pool_scalar:
-                    pool_scalar = scalar
-                if norm > pool_norm:
-                    pool_norm = norm
-                cheap = scalar + w_mu * norm * norm
-                if cheap > pool_cheap:
-                    pool_cheap = cheap
-            sum_scalar += pool_scalar
-            norm_sum += pool_norm
-            sum_cheap += pool_cheap
-        triangle = sum_scalar + (w_mu / len(pools)) * norm_sum * norm_sum
-        return min(triangle, sum_cheap)
-
 
 class CandidatePruner:
     """Engine-level admission test for candidate blocks.
@@ -486,9 +356,9 @@ class CandidatePruner:
     achievable aggregate score is compared against the current K-th
     score.  A block that provably cannot place a combination into the
     top-K buffer is skipped without scoring or materialising anything.
-    On the columnar path (:meth:`admit_ranges`) the bound reads the
-    slabs' running per-prefix maxima, so admission costs O(1) per block
-    instead of a rescan of every pool tuple.
+    The bound (:meth:`admit_ranges`) reads the slabs' running per-prefix
+    maxima, so admission costs O(1) per block instead of a rescan of
+    every pool tuple.
 
     The bound overestimates, and ties at the K-th score survive the
     epsilon guard, so pruning never changes the engine's ranked top-K —
@@ -513,23 +383,6 @@ class CandidatePruner:
             size = 1
             for _, lo, hi in ranges:
                 size *= hi - lo
-            self.combinations_pruned += size
-            return False
-        self.blocks_scored += 1
-        return True
-
-    def admit(self, pools: list[list[RankTuple]], kth_score: float) -> bool:
-        """Tuple-list variant of :meth:`admit_ranges`."""
-        if any(not pool for pool in pools):
-            return False  # nothing to form; not counted as a pruned block
-        if kth_score == -np.inf:
-            self.blocks_scored += 1
-            return True
-        if self.scorer.pools_upper_bound(pools) < kth_score - 1e-9:
-            self.blocks_pruned += 1
-            size = 1
-            for pool in pools:
-                size *= len(pool)
             self.combinations_pruned += size
             return False
         self.blocks_scored += 1

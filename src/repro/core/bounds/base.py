@@ -23,7 +23,7 @@ from repro.core.relation import RankTuple
 from repro.core.scoring import Scoring
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.access import _BaseStream
+    from repro.core.access import AccessStream
 
 __all__ = ["EngineState", "BoundingScheme", "BoundCounters"]
 
@@ -43,7 +43,7 @@ class EngineState:
     scoring: Scoring
     kind: AccessKind
     query: np.ndarray
-    streams: list["_BaseStream"]
+    streams: list["AccessStream"]
     k: int
     output: TopKBuffer
     #: Per-run scratch arena + memoisation shared by the bound stack
@@ -61,26 +61,12 @@ class EngineState:
         self, i: int, lo: int = 0, hi: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar ``(vectors, scores, tids)`` of stream ``i``'s seen
-        prefix rows ``[lo, hi)``, in access order.
-
-        Zero-copy slices of the stream's
-        :class:`~repro.core.columnar.ColumnarPrefix` when it has one;
-        duck-typed streams without a columnar prefix fall back to
-        materialising the arrays from their ``seen`` list.  Bounding
-        schemes build their partial-combination batches from these
-        instead of walking ``RankTuple`` objects.
+        prefix rows ``[lo, hi)``, in access order: zero-copy slices of
+        the stream's :class:`~repro.core.columnar.ColumnarPrefix`.
+        Bounding schemes build their partial-combination batches from
+        these instead of walking ``RankTuple`` objects.
         """
-        stream = self.streams[i]
-        prefix = getattr(stream, "prefix", None)
-        if prefix is not None:
-            return prefix.arrays(lo, hi)
-        seen = stream.seen[lo : len(stream.seen) if hi is None else hi]
-        d = len(self.query)
-        return (
-            np.array([t.vector for t in seen], dtype=float).reshape(len(seen), d),
-            np.array([t.score for t in seen], dtype=float),
-            np.array([t.tid for t in seen], dtype=np.int64),
-        )
+        return self.streams[i].prefix.arrays(lo, hi)
 
     def depths(self) -> list[int]:
         """Current depth ``p_i`` per relation."""

@@ -54,8 +54,9 @@ class CornerBound(BoundingScheme):
             return NEG_INFINITY
         scoring = state.scoring
         weighted = []
-        # Streams are duck-typed (local sorted access, k-d access or the
-        # service simulator); only the paper-visible statistics are used.
+        # Streams are duck-typed (local sorted access, merged shards or
+        # the service simulator); only the paper-visible statistics are
+        # used.
         for j, stream in enumerate(state.streams):
             if state.kind is AccessKind.DISTANCE:
                 dist = stream.last_distance if j == i else stream.first_distance

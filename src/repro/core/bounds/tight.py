@@ -9,7 +9,7 @@ materialised as an actual continuation (Theorem 3.2), which is what buys
 instance-optimality (Theorem 3.3).
 
 Bookkeeping follows Algorithm 2 (distance access) and Algorithm 3 (score
-access), with the engineering refinements called out in DESIGN.md:
+access), with these engineering refinements:
 
 * ``PC(M)`` is stored **columnar**: one aligned set of growing arrays per
   subset (member scores ``(E, m)``, member vectors ``(E, m, d)``, bound

@@ -9,11 +9,12 @@ depth.  This module provides the contiguous-array layer underneath:
   access order as three aligned numpy arrays (``vectors (p, d)``,
   ``scores (p,)``, ``tids (p,)``).  Two backing modes share the API:
 
-  - **growing** (k-d / remote streams): rows are appended as tuples
-    arrive, with doubling reallocation, so a pull costs amortised O(1);
-  - **frozen** (pre-sorted local streams, cached service orders): the
-    full access order is already materialised as arrays, and the prefix
-    is just a cursor into it — ``advance`` is O(1) and nothing is ever
+  - **growing** (the merged streams of sharded, durable and remote
+    relations): each pulled block is appended with one ``extend``, with
+    doubling reallocation, so a pull costs amortised O(1);
+  - **frozen** (sorted single-shard streams, cached service orders): the
+    order head is already materialised as arrays, and the prefix is
+    just a cursor into it — ``advance`` is O(1) and nothing is ever
     copied, which is what makes an LRU hit on a cached order free.
 
 Consumers index by *access position*, never by ``(relation, tid)`` dict
@@ -40,15 +41,14 @@ class ColumnarPrefix:
 
     __slots__ = ("dim", "length", "_vecs", "_scores", "_tids", "_frozen")
 
-    def __init__(self, dim: int, capacity: int = _MIN_CAPACITY) -> None:
+    def __init__(self, dim: int) -> None:
         if dim < 0:
             raise ValueError("dim must be >= 0")
-        capacity = max(int(capacity), _MIN_CAPACITY)
         self.dim = int(dim)
         self.length = 0
-        self._vecs = np.empty((capacity, self.dim), dtype=float)
-        self._scores = np.empty(capacity, dtype=float)
-        self._tids = np.empty(capacity, dtype=np.int64)
+        self._vecs = np.empty((_MIN_CAPACITY, self.dim), dtype=float)
+        self._scores = np.empty(_MIN_CAPACITY, dtype=float)
+        self._tids = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._frozen = False
 
     @classmethod
@@ -110,18 +110,6 @@ class ColumnarPrefix:
         tids[:p] = self._tids[:p]
         self._vecs, self._scores, self._tids = vecs, scores, tids
 
-    def append(self, vector: np.ndarray, score: float, tid: int) -> None:
-        """Record one pulled tuple (amortised O(1))."""
-        if self._frozen:
-            raise ValueError("frozen prefix: use advance(), not append()")
-        p = self.length
-        if p + 1 > self.capacity:
-            self._grow(p + 1)
-        self._vecs[p] = vector
-        self._scores[p] = score
-        self._tids[p] = tid
-        self.length = p + 1
-
     def extend(
         self, vectors: np.ndarray, scores: np.ndarray, tids: np.ndarray
     ) -> None:
@@ -139,22 +127,10 @@ class ColumnarPrefix:
         self._tids[p : p + b] = tids
         self.length = p + b
 
-    def extend_tuples(self, block) -> None:
-        """Record a block of :class:`~repro.core.relation.RankTuple`."""
-        if not block:
-            return
-        self.extend(
-            np.array([t.vector for t in block], dtype=float).reshape(
-                len(block), self.dim
-            ),
-            np.array([t.score for t in block], dtype=float),
-            np.array([t.tid for t in block], dtype=np.int64),
-        )
-
     def advance(self, count: int) -> None:
         """Move the cursor of a frozen prefix past ``count`` pulled rows."""
         if not self._frozen:
-            raise ValueError("growing prefix: rows arrive via append/extend")
+            raise ValueError("growing prefix: rows arrive via extend()")
         new_len = self.length + int(count)
         if not 0 <= new_len <= len(self._scores):
             raise ValueError(

@@ -316,7 +316,6 @@ class DurableShardBackend:
         query: np.ndarray | None = None,
         *,
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        use_index: bool = False,
     ):
         from repro.core.access import AccessKind
 
@@ -332,11 +331,7 @@ class DurableShardBackend:
             # Single hot shard: the plain sorted-access fast path, exactly
             # like SingleShardBackend over in-memory columns.
             return sorted_stream(
-                self.shard_relation(0),
-                kind,
-                query_arr,
-                metric=metric,
-                use_index=use_index,
+                self.shard_relation(0), kind, query_arr, metric=metric
             )
         cursors = [
             self.paged_cursor(handle.index, kind, query_arr)

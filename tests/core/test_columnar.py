@@ -2,6 +2,8 @@
 frozen-cursor mode, the scorer's derived slabs (running maxima,
 range-based scoring/bounding) and ``TopKBuffer.add_many``."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,14 +29,14 @@ def random_relation(seed, size=20, d=3, name="R"):
 
 
 class TestColumnarPrefixGrowth:
-    def test_append_grows_amortised(self):
+    def test_extend_grows_amortised(self):
         prefix = ColumnarPrefix(dim=2)
         start_cap = prefix.capacity
         for i in range(100):
-            prefix.append(np.array([i, -i], dtype=float), float(i), i)
+            prefix.extend(np.array([[i, -i]], dtype=float), [float(i)], [i])
         assert len(prefix) == 100
         # Doubling growth: capacity is a power-of-two multiple of the
-        # start, not 1-per-append reallocations.
+        # start, not 1-per-extend reallocations.
         assert prefix.capacity >= 100
         assert prefix.capacity / start_cap in {2.0**k for k in range(10)}
         vecs, scores, tids = prefix.arrays()
@@ -42,14 +44,14 @@ class TestColumnarPrefixGrowth:
         np.testing.assert_array_equal(scores, np.arange(100.0))
         np.testing.assert_array_equal(tids, np.arange(100))
 
-    def test_extend_matches_appends(self):
+    def test_block_extends_match_row_extends(self):
         rng = np.random.default_rng(0)
         vecs = rng.normal(size=(37, 4))
         scores = rng.uniform(size=37)
         tids = np.arange(37)
         one = ColumnarPrefix(dim=4)
         for i in range(37):
-            one.append(vecs[i], scores[i], i)
+            one.extend(vecs[i : i + 1], scores[i : i + 1], tids[i : i + 1])
         other = ColumnarPrefix(dim=4)
         other.extend(vecs[:20], scores[:20], tids[:20])
         other.extend(vecs[20:], scores[20:], tids[20:])
@@ -58,7 +60,7 @@ class TestColumnarPrefixGrowth:
 
     def test_arrays_slice_bounds_checked(self):
         prefix = ColumnarPrefix(dim=1)
-        prefix.append(np.zeros(1), 1.0, 0)
+        prefix.extend(np.zeros((1, 1)), [1.0], [0])
         with pytest.raises(ValueError, match="outside the filled prefix"):
             prefix.arrays(0, 2)
         with pytest.raises(ValueError, match="outside the filled prefix"):
@@ -68,10 +70,10 @@ class TestColumnarPrefixGrowth:
         """Growth reallocates, but previously returned views keep their
         (append-only, hence immutable) prefix data."""
         prefix = ColumnarPrefix(dim=1)
-        prefix.append(np.array([7.0]), 0.5, 3)
+        prefix.extend(np.array([[7.0]]), [0.5], [3])
         vecs_before, scores_before, _ = prefix.arrays()
-        for i in range(64):  # force at least one reallocation
-            prefix.append(np.array([float(i)]), float(i), i)
+        # Force at least one reallocation.
+        prefix.extend(np.arange(64.0)[:, None], np.arange(64.0), np.arange(64))
         assert vecs_before[0, 0] == 7.0 and scores_before[0] == 0.5
 
     def test_misaligned_columns_rejected(self):
@@ -94,10 +96,10 @@ class TestFrozenPrefix:
         with pytest.raises(ValueError, match="advance"):
             prefix.advance(3)
 
-    def test_append_on_frozen_rejected(self):
+    def test_extend_on_frozen_rejected(self):
         prefix = ColumnarPrefix.from_arrays(np.zeros((2, 1)), np.zeros(2), np.arange(2))
         with pytest.raises(ValueError, match="frozen"):
-            prefix.append(np.zeros(1), 0.0, 0)
+            prefix.extend(np.zeros((1, 1)), [0.0], [0])
 
     def test_advance_on_growing_rejected(self):
         with pytest.raises(ValueError, match="growing"):
@@ -116,16 +118,6 @@ class TestStreamPrefixes:
             np.testing.assert_array_equal(vecs[row], tup.vector)
             assert scores[row] == tup.score
             assert tids[row] == tup.tid
-
-    def test_indexed_stream_prefix_matches_sorted(self):
-        rel = random_relation(2)
-        q = np.zeros(3)
-        sorted_stream = DistanceAccess(rel, q)
-        indexed = DistanceAccess(rel, q, use_index=True)
-        sorted_stream.next_block(len(rel))
-        indexed.next_block(len(rel))
-        for a, b in zip(sorted_stream.prefix.arrays(), indexed.prefix.arrays()):
-            np.testing.assert_array_equal(a, b)
 
     def test_score_stream_prefix_is_score_ordered(self):
         rel = random_relation(3)
@@ -172,7 +164,25 @@ class TestStreamPrefixes:
         assert stream.last_distance == pytest.approx(4.0)
 
 
+def exhaustive_scores(scoring, query, pools):
+    """Canonical scores of every combination of ``pools``."""
+    return [
+        scoring.make_combination(tuples, query).score
+        for tuples in itertools.product(*pools)
+    ]
+
+
+def exhaustive_topk(scoring, query, pools, k):
+    """The canonical top-K: every combination inserted one by one."""
+    buf = TopKBuffer(k)
+    for tuples in itertools.product(*pools):
+        buf.add(scoring.make_combination(tuples, query))
+    return buf
+
+
 class TestPrefixSlabs:
+    SCORING = EuclideanLogScoring(1.3, 0.7, 2.1)
+
     def _bound_scorer(self, seed=0, n=2, d=3):
         rng = np.random.default_rng(seed)
         relations = [
@@ -180,11 +190,11 @@ class TestPrefixSlabs:
         ]
         query = rng.uniform(-1, 1, d)
         streams = open_streams(relations, AccessKind.DISTANCE, query)
-        scorer = QuadraticBatchScorer(EuclideanLogScoring(1.3, 0.7, 2.1), query)
-        assert scorer.bind_streams(streams)
+        scorer = QuadraticBatchScorer(self.SCORING, query)
+        scorer.bind_streams(streams)
         return scorer, streams
 
-    def test_score_ranges_matches_score_pools(self):
+    def test_score_ranges_matches_exhaustive_scores(self):
         scorer, streams = self._bound_scorer()
         for s in streams:
             s.next_block(9)
@@ -192,7 +202,10 @@ class TestPrefixSlabs:
         pools = [streams[0].seen[0:9], streams[1].seen[2:9]]
         batch = scorer.score_ranges(ranges)
         np.testing.assert_allclose(
-            batch, scorer.score_pools(pools), rtol=0, atol=1e-12
+            batch.ravel(),
+            exhaustive_scores(self.SCORING, scorer.query, pools),
+            rtol=0,
+            atol=1e-12,
         )
 
     def test_slab_syncs_incrementally_after_block_pulls(self):
@@ -205,15 +218,16 @@ class TestPrefixSlabs:
         # The old rows must be byte-stable across slab growth.
         np.testing.assert_array_equal(second[:4, :], first)
 
-    def test_ranges_upper_bound_matches_pools_upper_bound(self):
+    def test_ranges_upper_bound_dominates_exhaustive_scores(self):
+        """Over a full prefix (running maxima) against a suffix range
+        (the pulled block), the bound is at least every canonical score."""
         scorer, streams = self._bound_scorer(seed=7)
         for s in streams:
             s.next_block(12)
         ranges = [(0, 0, 12), (1, 5, 12)]
         pools = [streams[0].seen[0:12], streams[1].seen[5:12]]
-        assert scorer.ranges_upper_bound(ranges) == pytest.approx(
-            scorer.pools_upper_bound(pools), rel=1e-12
-        )
+        bound = scorer.ranges_upper_bound(ranges)
+        assert bound >= max(exhaustive_scores(self.SCORING, scorer.query, pools))
 
     def test_ranges_upper_bound_dominates_batch(self):
         scorer, streams = self._bound_scorer(seed=11)
@@ -223,14 +237,7 @@ class TestPrefixSlabs:
         bound = scorer.ranges_upper_bound(ranges)
         assert bound >= scorer.score_ranges(ranges).max() - 1e-9
 
-    def test_bind_streams_rejects_prefixless_streams(self):
-        class Bare:
-            prefix = None
-
-        scorer = QuadraticBatchScorer(EuclideanLogScoring(), np.zeros(2))
-        assert not scorer.bind_streams([Bare()])
-
-    def test_add_cross_ranges_matches_add_cross_product(self):
+    def test_add_cross_ranges_matches_exhaustive_insertion(self):
         for k in (1, 3, 10):
             scorer, streams = self._bound_scorer(seed=13)
             for s in streams:
@@ -238,34 +245,28 @@ class TestPrefixSlabs:
             ranges = [(0, 0, 14), (1, 0, 14)]
             pools = [streams[0].seen, streams[1].seen]
             via_ranges = TopKBuffer(k)
-            count_r = scorer.add_cross_ranges(ranges, via_ranges)
-            via_pools = TopKBuffer(k)
-            count_p = scorer.add_cross_product(pools, via_pools)
-            assert count_r == count_p
+            assert scorer.add_cross_ranges(ranges, via_ranges) == 14 * 14
+            slow = exhaustive_topk(self.SCORING, scorer.query, pools, k)
             assert [c.key for c in via_ranges.ranked()] == [
-                c.key for c in via_pools.ranked()
+                c.key for c in slow.ranked()
             ]
             assert [c.score for c in via_ranges.ranked()] == [
-                c.score for c in via_pools.ranked()
+                c.score for c in slow.ranked()
             ]
 
     def test_add_cross_ranges_sieve_with_full_buffer(self):
         """Once the buffer is full the staged sieve kicks in; retained
-        sets must stay identical to dense pool scoring."""
+        sets must stay identical to exhaustive insertion."""
         scorer, streams = self._bound_scorer(seed=17)
         streams[0].next_block(6)
         streams[1].next_block(6)
         sieved = TopKBuffer(3)
-        dense = TopKBuffer(3)
         scorer.add_cross_ranges([(0, 0, 6), (1, 0, 6)], sieved)
-        scorer.add_cross_product(
-            [streams[0].seen[:6], streams[1].seen[:6]], dense
-        )
         # Grow and rescore: kth is now finite, exercising every stage.
         streams[0].next_block(8)
         scorer.add_cross_ranges([(0, 6, 14), (1, 0, 6)], sieved)
-        scorer.add_cross_product(
-            [streams[0].seen[6:14], streams[1].seen[:6]], dense
+        dense = exhaustive_topk(
+            self.SCORING, scorer.query, [streams[0].seen, streams[1].seen], 3
         )
         assert [c.key for c in sieved.ranked()] == [c.key for c in dense.ranked()]
 

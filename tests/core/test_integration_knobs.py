@@ -1,5 +1,5 @@
 """Integration tests combining engine knobs that interact: dominance +
-bound period + k-d index + service streams, on both access kinds."""
+bound period + service streams, on both access kinds."""
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ class TestKnobCombinations:
             kind=AccessKind.DISTANCE,
             dominance_period=2,
             bound_period=3,
-            use_index=True,
         )
         result = engine.run()
         assert [c.key for c in result.combinations] == [c.key for c in expected]
@@ -81,6 +80,5 @@ class TestKnobCombinations:
         result = tbpa(
             relations, scoring, query, 5,
             kind=AccessKind.DISTANCE, dominance_period=3, bound_period=2,
-            use_index=True,
         ).run()
         assert [c.key for c in result.combinations] == [c.key for c in expected]

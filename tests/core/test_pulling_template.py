@@ -181,6 +181,39 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="stream_factory"):
             engine.run()
 
+    @pytest.mark.parametrize("missing", ["prefix", "next_block"])
+    def test_stream_factory_stream_without_columnar_api_rejected(self, missing):
+        """A factory stream must carry a columnar prefix and block pulls;
+        the engine names the stream and the attribute instead of falling
+        back to another path."""
+        relations, query = tiny_relations()
+
+        class Hidden:
+            """A working stream with one attribute hidden."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                if name == missing:
+                    raise AttributeError(name)
+                return getattr(self._inner, name)
+
+            def __repr__(self):
+                return f"Hidden({self._inner.relation.name})"
+
+        engine = ProxRJ(
+            relations, EuclideanLogScoring(), kind=AccessKind.DISTANCE,
+            query=query, bound=TightBound(), pull=RoundRobin(), k=2,
+            stream_factory=lambda: [
+                Hidden(s)
+                for s in open_streams(relations, AccessKind.DISTANCE, query)
+            ],
+        )
+        pattern = rf"stream 0 \(Hidden\(R0\)\) has no '{missing}'"
+        with pytest.raises(TypeError, match=pattern):
+            engine.run()
+
 
 class TestEngineBehaviour:
     def test_max_pulls_flags_incomplete(self):

@@ -66,8 +66,10 @@ class TestBoundQP:
             solve_bound_qp(np.eye(2), fixed={5: 1.0}, lower={})
 
     def test_paper_empty_set_example(self):
-        # Table 3, M = {} row: n=3, w_q = w_mu = 1, bounds 1, 2sqrt2, 2sqrt2;
-        # optimal value of the quadratic part is ~19.199 (see DESIGN.md).
+        # Table 3, M = {} row: n=3, w_q = w_mu = 1, bounds 1, 2sqrt2, 2sqrt2.
+        # The last two coordinates stay at their bounds; the first leaves
+        # its bound at 4x = (2/3)(x + 4sqrt2), x = 0.8sqrt2, so the
+        # quadratic part's optimum is 2(1.28 + 16) - (4.8sqrt2)^2 / 3 = 19.2.
         h = spread_matrix(3, 1.0, 1.0)
         res = solve_bound_qp(
             h, fixed={}, lower={0: 1.0, 1: 2 * np.sqrt(2), 2: 2 * np.sqrt(2)}

@@ -105,6 +105,33 @@ class TestOrderingProperty:
         brute = sorted(np.linalg.norm(pts - q, axis=1))[:k]
         np.testing.assert_allclose([d for d, _ in got], brute, atol=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda d: st.tuples(
+                arrays(
+                    np.float64, st.tuples(st.integers(1, 50), st.just(d)),
+                    elements=coords,
+                ),
+                arrays(np.float64, (d,), elements=coords),
+            )
+        ),
+        st.floats(min_value=0.0, max_value=40.0),
+    )
+    def test_range_query_matches_brute_force_filter(self, data, radius):
+        """The probe join's region probe: exactly the points within the
+        radius (distances computed as the traversal does), nearest
+        first."""
+        pts, q = data
+        tree = KDTree(pts, leaf_size=4)
+        got = tree.range_query(q, radius)
+        diff = pts - q
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        assert sorted(p for _, p in got) == np.flatnonzero(dists <= radius).tolist()
+        assert [d for d, _ in got] == sorted(d for d, _ in got)
+        for d, p in got:
+            assert d == dists[p]
+
     def test_laziness_partial_consumption(self):
         # Consuming one element must not require distances to everything:
         # we only verify the generator protocol here (cheap smoke check).

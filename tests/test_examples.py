@@ -62,7 +62,6 @@ class TestExamples:
         assert "latency hidden by pipelined prefetch" in out
         assert "completed / expired" in out
 
-    @pytest.mark.slow
     def test_cosine_extension(self, capsys):
         pytest.importorskip("scipy")
         run_example("cosine_extension.py")
