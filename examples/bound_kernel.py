@@ -4,16 +4,19 @@ CPU time actually goes.
 The tight bound solves one tiny QP per stale partial combination and one
 feasibility LP per dominance candidate.  The paper already warns that
 "solving the LP might be too costly".  The bound kernel stops solving
-the QPs one at a time: each refresh gathers every subset's QPs into a
-single masked batch call.  The dominance pass, the same on both paths,
+the QPs one at a time: every subset's partial combinations live in one
+columnar store, and each refresh gathers every subset's stale QPs into a
+single masked batch call (the scalar reference makes one call per
+subset on the same rows).  The dominance pass, the same on both paths,
 is lazy: the tight bound is a max, and a dominated partial combination
 can never carry it, so a subset's pass tests only the candidates whose
-completion bound could set the subset's max — most passes end after
+completion bound could set the subset's max — most subsets end after
 certifying the top row at its cached witness or its own optimum,
 without an LP, and the few LPs left take one dense simplex call each.
 In front of that, an equal-slope screen flags a partial combination
 whose ``b`` row repeats another's with a larger ``c``: it loses
-everywhere, no LP needed.
+everywhere, no LP needed.  One sort screens every subset that gained
+rows since the last pass.
 
 This example runs the same dominance-heavy n=3 workload — quantised to a
 coarse grid so streams stall on ties and repeated member vectors occur,
@@ -97,7 +100,7 @@ scalar, off = results["scalar loops"], results["dominance off"]
 print(f"\nidentical top-{len(batched.combinations)}, depths and bound "
       f"across all three runs; "
       f"batched {scalar.total_seconds / batched.total_seconds:.1f}x "
-      f"vs scalar, "
+      f"faster than scalar; dominance on costs "
       f"{batched.total_seconds / off.total_seconds:.1f}x dominance off")
 c = batched.counters
 print("dominance:",

@@ -8,7 +8,7 @@ from repro.core.bounds.dominance import dominated_mask
 from repro.core.bounds.geometry import (
     CompletionResult,
     PartialGeometry,
-    completion_geometry,
+    completion_terms,
     dominance_coefficients,
     partial_geometry,
     score_access_completion,
@@ -29,7 +29,7 @@ __all__ = [
     "TightBound",
     "CompletionResult",
     "PartialGeometry",
-    "completion_geometry",
+    "completion_terms",
     "dominance_coefficients",
     "dominated_mask",
     "partial_geometry",

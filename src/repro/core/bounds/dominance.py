@@ -18,7 +18,7 @@ the number of candidates and the number of constraints (the paper remarks
 that "solving the LP might be too costly"), three *sound* accelerations
 wrap it:
 
-1. **Equal-slope screen** (one grouped sweep): live rows with
+1. **Equal-slope screen** (one grouped sort): live rows with
    byte-identical ``b`` differ only in ``c``, so against the group's
    smallest live ``c`` every other row's half-space has an all-zero
    normal and right-hand side ``c_min - c_alpha``.  The simplex's
@@ -28,7 +28,11 @@ wrap it:
    flagged row is also a useless competitor (the minimum's half-space
    has the same normal and a tighter right-hand side), so the steps
    below run on the unflagged rows only.  Tie-heavy streams (repeated
-   member vectors) produce most of their LPs in this form.
+   member vectors) produce most of their LPs in this form.  One sort
+   keyed by (subset, ``b`` bytes) screens many subsets at once, and a
+   subset needs screening only when it gained rows: after a screen
+   every live row of a group lies within the tolerance of the group's
+   live minimum, and later flags only remove rows.
 2. **Witness pre-pass** (vectorised): if alpha beats every competitor at
    its own unconstrained optimum ``y_alpha = -b_alpha / a``, that point
    witnesses ``D(alpha) != {}`` — no LP needed.  Most live combinations
@@ -40,7 +44,7 @@ wrap it:
    while "non-empty" is treated as inconclusive and the candidate is
    conservatively kept.
 
-The engine's passes are also **lazy**: given the subset's completion
+The engine's pass is also **lazy**: given the subset's completion
 bounds ``t``, a pass tests only candidates that could set the subset's
 maximum.  All rows share the quadratic term, so a row with an empty
 region is beaten at every point by another row and its bound never
@@ -52,13 +56,18 @@ only the walked rows above it go to an LP.  The rows below stay live
 and unflagged: later passes test them again, and as competitors they
 only shrink other rows' regions, which stays sound.
 
-:func:`prepare_dominance_pass` runs the screen and the witness tests
-and identifies the surviving LPs; each is then one dense
-:func:`~repro.optim.polyhedron_feasible_point` call.  The engine's
-pass (:class:`~repro.core.bounds.tight.TightBound`, both execution
-strategies) and the public :func:`dominated_mask` share that front end
-and that solver; :func:`dominated_mask` runs the eager full pass (no
-``t``): the reference the soundness suites pin.
+The building blocks are :func:`equal_slope_screen`,
+:func:`walk_by_bound` and :func:`pending_lps` (the capped competitor
+rows of the pending candidates, as a :class:`DominancePrep`); each
+pending LP is one dense :func:`~repro.optim.polyhedron_feasible_point`
+call.  The engine's pass (:class:`~repro.core.bounds.tight.TightBound`,
+both execution strategies) screens the subsets that gained rows in
+one call, then walks each subset's live rows straight from its
+columnar store, building a :class:`DominancePrep` only when an LP is
+pending.  :func:`prepare_dominance_pass` runs the same steps on one
+subset's rows; without ``t`` it runs the eager full pass, which the
+public :func:`dominated_mask` solves: the reference the soundness
+suites pin.
 
 All directions preserve the invariant correctness depends on: a live
 partial combination is never flagged dominated.
@@ -76,54 +85,70 @@ from repro.optim.simplex import polyhedron_feasible_point
 __all__ = [
     "dominated_mask",
     "DominancePrep",
+    "equal_slope_screen",
+    "pending_lps",
     "prepare_dominance_pass",
+    "walk_by_bound",
 ]
 
 _MAX_LP_CONSTRAINTS = 64
 _WITNESS_TOL = 1e-9
 
 
-def _byte_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the float64 ``rows`` by their bytes: a stable permutation
-    that makes byte-identical rows adjacent, and the start of each run
-    in it (so ``order[starts]`` is each group's first row)."""
+def _byte_runs(
+    rows: np.ndarray, groups: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the float64 ``rows`` by their bytes, within each of
+    ``groups`` (one integer id per row) when given: a stable permutation
+    that makes rows with identical bytes and group adjacent, and the
+    start of each run in it (so ``order[starts]`` is each run's first
+    row)."""
     bits = np.ascontiguousarray(rows).view(np.int64)
+    if groups is not None:
+        bits = np.concatenate((groups.astype(np.int64)[:, None], bits), axis=1)
     order = np.lexsort(bits.T[::-1])
     ranked = bits[order]
-    starts = np.flatnonzero(
-        np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
-    )
+    changed = np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.concatenate(([True], changed)).nonzero()[0]
     return order, starts
 
 
-def _equal_slope_screen(
-    bs: np.ndarray, cs: np.ndarray, out: np.ndarray
+def equal_slope_screen(
+    bs: np.ndarray,
+    cs: np.ndarray,
+    live: np.ndarray,
+    out: np.ndarray,
+    groups: np.ndarray | None = None,
 ) -> int:
-    """Flag (in ``out``, in place) every live row whose ``c`` exceeds the
-    smallest live ``c`` among the rows with byte-identical ``b`` by more
-    than the simplex zero-row tolerance; returns the number flagged.
+    """Flag (in ``out``, in place) every row of ``live`` whose ``c``
+    exceeds the smallest ``c`` among the ``live`` rows with byte-identical
+    ``b`` by more than the simplex zero-row tolerance; returns the number
+    flagged.  ``groups`` (one subset id per ``live`` row) screens many
+    subsets in one sort: rows of different subsets never share a group.
 
     Against that minimum ``beta``, row ``alpha``'s half-space
     ``2 (b_alpha - b_beta)' y <= c_beta - c_alpha`` has an all-zero
     normal, and its right-hand side is computed exactly as the LP
     assembly computes it, so the flag is the verdict the simplex's
     zero-row rule would return for any system holding that row.
+
+    A re-run on rows that have only lost members since flags nothing:
+    after a screen every live row of a group is within the tolerance of
+    the group's live minimum, and removing rows only raises that minimum.
+    So the engine screens only the subsets that gained rows.
     """
-    live = np.flatnonzero(~out)
     if live.size < 2:
         return 0
-    order, starts = _byte_runs(bs[live])
+    order, starts = _byte_runs(bs[live], groups)
     if starts.size == live.size:
         return 0
     ranked = live[order]
     c_ranked = cs[ranked]
-    c_min = np.repeat(
-        np.minimum.reduceat(c_ranked, starts),
-        np.diff(starts, append=live.size),
-    )
+    runs = np.concatenate((starts[1:], [live.size])) - starts
+    c_min = np.minimum.reduceat(c_ranked, starts).repeat(runs)
     flag = c_min - c_ranked < -_ZERO_ROW_TOL
     out[ranked[flag]] = True
-    return int(flag.sum())
+    return int(np.count_nonzero(flag))
 
 
 def _witness_prepass(
@@ -188,7 +213,7 @@ def _witness_prepass(
     return survivors, vals, witness_hits
 
 
-def _walk_by_bound(
+def walk_by_bound(
     bs: np.ndarray,
     cs: np.ndarray,
     live: np.ndarray,
@@ -211,7 +236,7 @@ def _walk_by_bound(
     walked: list[int] = []
     probe_rows: list[np.ndarray] = []
     t_live = t[live]
-    for pos in np.argsort(-t_live, kind="stable"):
+    for pos in (-t_live).argsort(kind="stable"):
         row = live[pos]
         cached = witnesses is not None and not np.isnan(witnesses[row, 0])
         probes = [witnesses[row]] if cached else []
@@ -219,7 +244,7 @@ def _walk_by_bound(
             probes.append(-bs[row] / quad_coeff)
         for k, y in enumerate(probes):
             vals = 2.0 * y @ b_live.T + c_live
-            if vals[pos] <= vals.min() + _WITNESS_TOL:
+            if vals[pos] <= np.minimum.reduce(vals) + _WITNESS_TOL:
                 hit = cached and k == 0
                 if not hit and witnesses is not None:
                     witnesses[row] = y
@@ -251,8 +276,9 @@ class DominancePrep:
     solves every pending LP.
     """
 
-    #: Copied dominated mask, with the equal-slope screen's flags added
-    #: (the pre-pass adds none).
+    #: The dominated mask :meth:`solve` flags into: a copy with the
+    #: screen's flags added from :func:`prepare_dominance_pass`, the
+    #: bound store's own column in the engine's pass.
     out: np.ndarray
     #: Global candidate index per pending LP, shape ``(P,)``.
     alpha: np.ndarray = field(default_factory=lambda: _empty_i64((0,)))
@@ -287,6 +313,42 @@ class DominancePrep:
         return self.out
 
 
+def pending_lps(
+    bs: np.ndarray,
+    cs: np.ndarray,
+    out: np.ndarray,
+    live: np.ndarray,
+    pend: np.ndarray,
+    at_opt: np.ndarray | None,
+    max_lp_constraints: int = _MAX_LP_CONSTRAINTS,
+) -> DominancePrep:
+    """The feasibility LPs of candidates ``live[pend]`` as a
+    :class:`DominancePrep` whose :meth:`~DominancePrep.solve` flags into
+    ``out``.
+
+    Each candidate's competitors are the other ``live`` rows in strength
+    order (its probe row ``at_opt`` at its own optimum; the ``c``
+    fallback when that is ``None``), capped: one stable row-wise argsort
+    over all pending candidates.
+    """
+    prep = DominancePrep(out=out, _bs=bs, _cs=cs)
+    if pend.size == 0:
+        return prep
+    num_live = len(live)
+    if at_opt is None:
+        at_opt = np.broadcast_to(cs[live], (pend.size, num_live))
+    order = np.argsort(at_opt, axis=1, kind="stable")
+    cand = live[order]  # (P, num_live) global indices, strength order
+    alpha = live[pend]
+    self_col = (cand == alpha[:, None]).argmax(axis=1)
+    width = min(num_live - 1, max_lp_constraints)
+    cols = np.arange(width)
+    take = cols[None, :] + (cols[None, :] >= self_col[:, None])
+    prep.alpha = alpha
+    prep.comp = np.take_along_axis(cand, take, axis=1)
+    return prep
+
+
 def prepare_dominance_pass(
     bs: np.ndarray,
     cs: np.ndarray,
@@ -301,54 +363,38 @@ def prepare_dominance_pass(
     without assembling — the pending feasibility LPs of one subset (see
     :class:`DominancePrep`).
 
-    :func:`dominated_mask` and the engine's pass both start here, so
-    they flag identically.  The screen's flags join the dominated mask
-    before the pre-pass, which, like the competitor extraction, then
-    runs on the unflagged rows only (``witnesses`` updated in place as
-    in :func:`dominated_mask`).  The competitor extraction is one stable
-    row-wise argsort over all pending candidates.
+    The screen's flags join a copy of the dominated mask before the
+    pre-pass, which, like the competitor extraction (:func:`pending_lps`),
+    then runs on the unflagged rows only (``witnesses`` updated in place
+    as in :func:`dominated_mask`).
 
     ``t``, the subset's completion bounds, makes the pass lazy (see the
-    module docstring): :func:`_walk_by_bound` replaces the pre-pass and
-    leaves pending only the uncertified rows above the first certified
-    one in descending ``t``.  Without ``t`` every candidate the pre-pass
-    leaves uncertified is pending (the eager pass).
+    module docstring): :func:`walk_by_bound` — the walk the engine's pass
+    runs on every subset — replaces the pre-pass and leaves pending only
+    the uncertified rows above the first certified one in descending
+    ``t``.  Without ``t`` every candidate the pre-pass leaves uncertified
+    is pending (the eager pass).
     """
     bs = np.atleast_2d(np.asarray(bs, dtype=float))
     cs = np.asarray(cs, dtype=float)
     out = np.asarray(already_dominated, dtype=bool).copy()
-    screened = _equal_slope_screen(bs, cs, out)
-    prep = DominancePrep(out=out, screened=screened, _bs=bs, _cs=cs)
+    screened = equal_slope_screen(bs, cs, np.flatnonzero(~out), out)
     live = np.flatnonzero(~out)
-    num_live = len(live)
-    if num_live < 2:
-        return prep
+    if len(live) < 2:
+        return DominancePrep(out=out, screened=screened, _bs=bs, _cs=cs)
     if t is None:
-        survivors, vals, prep.witness_hits = _witness_prepass(
+        survivors, vals, hits = _witness_prepass(
             bs, cs, live, quad_coeff, witnesses
         )
         pend = np.flatnonzero(~survivors)
         at_opt = None if vals is None else vals[pend]
     else:
-        pend, at_opt, prep.witness_hits = _walk_by_bound(
+        pend, at_opt, hits = walk_by_bound(
             bs, cs, live, t, quad_coeff, witnesses
         )
-    if pend.size == 0:
-        return prep
-    # Strength ordering per pending candidate (its probe row at its own
-    # optimum; the c fallback when the pre-pass is disabled), self
-    # removed, capped.
-    if at_opt is None:
-        at_opt = np.broadcast_to(cs[live], (pend.size, num_live))
-    order = np.argsort(at_opt, axis=1, kind="stable")
-    cand = live[order]  # (P, num_live) global indices, strength order
-    alpha = live[pend]
-    self_col = (cand == alpha[:, None]).argmax(axis=1)
-    width = min(num_live - 1, max_lp_constraints)
-    cols = np.arange(width)
-    take = cols[None, :] + (cols[None, :] >= self_col[:, None])
-    prep.alpha = alpha
-    prep.comp = np.take_along_axis(cand, take, axis=1)
+    prep = pending_lps(bs, cs, out, live, pend, at_opt, max_lp_constraints)
+    prep.screened = screened
+    prep.witness_hits = hits
     return prep
 
 

@@ -27,6 +27,8 @@ The module exposes:
 * :func:`unconstrained_optimum` — closed form (11)/(29).
 * :func:`dominance_coefficients` — the ``(b, c)`` of Section 3.2.2 whose
   half-spaces define dominance regions.
+* :func:`completion_terms` — the batched per-entry geometry, score term
+  and ``(b, c)`` the tight bound caches for every partial combination.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ __all__ = [
     "CompletionResult",
     "partial_geometry",
     "unconstrained_optimum",
-    "completion_geometry",
+    "completion_terms",
     "solve_completion",
     "solve_completion_batch",
     "score_access_completion",
     "score_access_completion_batch",
     "dominance_coefficients",
-    "dominance_coefficients_batch",
 ]
 
 _EPS = 1e-12
@@ -218,53 +219,76 @@ def solve_completion(
     return CompletionResult(value=value, theta=qp.x, positions=positions)
 
 
-def completion_geometry(
+def completion_terms(
     scoring: QuadraticFormScoring,
+    n: int,
     query: np.ndarray,
     scores: np.ndarray,
     vectors: np.ndarray,
-    unseen_sigma: dict[int, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pre-QP half of :func:`solve_completion_batch`: per-entry ray
-    geometry and score constants for one subset ``M``.
+    unseen_utility: float | np.ndarray,
+    *,
+    dominance: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Per-entry completion terms of partial combinations with ``m``
+    members each: the pre-QP half of :func:`solve_completion_batch` and,
+    with ``dominance``, the batched :func:`dominance_coefficients`.
 
-    Returns ``(proj, residual_sq, score_term)`` — the seen projections
-    ``(E, m)`` (the QP's equality values, columns in member order), the
-    orthogonal residuals ``(E,)`` and the summed score-utility term
-    ``(E,)``.  Split out so the batched bound kernel can gather many
-    subsets' QP problems (each with its own fixed/lower pattern) before
-    a single :func:`~repro.optim.solve_bound_qp_masked` call.
+    ``scores`` has shape ``(E, m)`` and ``vectors`` ``(E, m, d)``, columns
+    in member order; rows may belong to different subsets of the same
+    size.  ``unseen_utility`` is the summed score utility
+    ``sum_j u(sigma_j)`` of the unseen relations, shared or per entry.
+
+    Returns ``(proj, residual_sq, score_term, b, c)``: the seen
+    projections ``(E, m)`` (the QP's equality values), the orthogonal
+    residuals ``(E,)``, the summed score-utility term ``(E,)``, and the
+    dominance coefficients ``b (E, d)`` and ``c (E,)`` (``None`` without
+    ``dominance``).  Every entry's terms depend only on its own row (for
+    a fixed ``(m, d)``), so the tight bound computes them once per subset
+    size and refresh, and gathers them for every later solve.
     """
-    query = np.asarray(query, dtype=float)
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    vectors = np.asarray(vectors, dtype=float)
+    scores = np.asarray(scores, dtype=float)
+    xs = np.asarray(vectors, dtype=float) - query  # (E, m, d)
     num_entries, m = scores.shape
-    centred = vectors - query  # (E, m, d)
+    w_s, w_q, w_mu = scoring.w_s, scoring.w_q, scoring.w_mu
 
     if m > 0:
-        nu = centred.mean(axis=1)  # (E, d)
-        norms = np.linalg.norm(nu, axis=1)
-        direction = np.zeros_like(nu)
+        # The reductions are spelled out as the ufunc calls that
+        # ``mean`` and ``np.linalg.norm`` make (same floats, fewer calls).
+        utility = np.add.reduce(scoring.score_utility_array(scores), axis=1)
+        nu = np.add.reduce(xs, axis=1) / m  # (E, d)
+        norms = np.sqrt(np.add.reduce(nu * nu, axis=1))
         good = norms > _EPS
-        direction[good] = nu[good] / norms[good, None]
-        direction[~good, 0] = 1.0  # rotation-invariant case: any axis
-        proj = np.einsum("emd,ed->em", centred, direction)  # (E, m)
-        residual_sq = np.einsum("emd,emd->e", centred, centred) - np.einsum(
-            "em,em->e", proj, proj
-        )
+        direction = nu / np.where(good, norms, 1.0)[:, None]
+        if not good.all():
+            # nu == q: the bound is rotation-invariant, so any axis.
+            direction[~good] = 0.0
+            direction[~good, 0] = 1.0
+        proj = np.einsum("emd,ed->em", xs, direction)  # (E, m)
+        norm_sq = np.einsum("emd,emd->e", xs, xs)
+        residual_sq = norm_sq - np.einsum("em,em->e", proj, proj)
     else:
+        utility = np.zeros(num_entries)
         proj = np.zeros((num_entries, 0))
         residual_sq = np.zeros(num_entries)
+    score_term = w_s * (utility + unseen_utility)
+    if not dominance:
+        return proj, residual_sq, score_term, None, None
 
-    score_term = scoring.w_s * (
-        (
-            scoring.score_utility_array(scores).sum(axis=1)
-            if m
-            else np.zeros(num_entries)
-        )
-        + sum(scoring.score_utility(unseen_sigma[j]) for j in sorted(unseen_sigma))
+    if m == 0:
+        # Single empty partial combination per M = {}: nothing to compare.
+        b = np.zeros((num_entries, xs.shape[2]))
+        c = -w_s * (utility + unseen_utility)
+        return proj, residual_sq, score_term, b, c
+    b = -w_mu * (n - m) * (m / n) * nu
+    shifted = xs - (m / n) * nu[:, None, :]
+    c = (
+        w_mu * (n - m) * (m * m) / (n * n) * np.einsum("ed,ed->e", nu, nu)
+        + w_mu * np.einsum("emd,emd->e", shifted, shifted)
+        + w_q * norm_sq
+        - w_s * utility
+        - w_s * unseen_utility
     )
-    return proj, residual_sq, score_term
+    return proj, residual_sq, score_term, b, c
 
 
 def solve_completion_batch(
@@ -295,8 +319,11 @@ def solve_completion_batch(
     (values, thetas):
         ``t(tau)`` per entry and the optimal theta vectors ``(E, n)``.
     """
-    proj, residual_sq, score_term = completion_geometry(
-        scoring, query, scores, vectors, unseen_sigma
+    unseen_utility = sum(
+        scoring.score_utility(unseen_sigma[j]) for j in sorted(unseen_sigma)
+    )
+    proj, residual_sq, score_term, _, _ = completion_terms(
+        scoring, n, query, scores, vectors, unseen_utility, dominance=False
     )
     lower_idx = sorted(unseen_delta)
     lower_vals = np.array([unseen_delta[j] for j in lower_idx])
@@ -466,37 +493,3 @@ def dominance_coefficients(
         - w_s * sum(scoring.score_utility(unseen_sigma[j]) for j in unseen_sigma)
     )
     return b, float(c)
-
-
-def dominance_coefficients_batch(
-    scoring: QuadraticFormScoring,
-    n: int,
-    query: np.ndarray,
-    scores: np.ndarray,
-    vectors: np.ndarray,
-    unseen_sigma: dict[int, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`dominance_coefficients` for one subset ``M``.
-
-    ``scores`` has shape ``(E, m)`` and ``vectors`` ``(E, m, d)``.
-    Returns ``(b, c)`` with shapes ``(E, d)`` and ``(E,)``.
-    """
-    query = np.asarray(query, dtype=float)
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    xs = np.asarray(vectors, dtype=float) - query  # (E, m, d)
-    num_entries, m = scores.shape
-    w_s, w_q, w_mu = scoring.w_s, scoring.w_q, scoring.w_mu
-    if m == 0:
-        c0 = -w_s * sum(scoring.score_utility(unseen_sigma[j]) for j in unseen_sigma)
-        return np.zeros((num_entries, len(query))), np.full(num_entries, c0)
-    nu = xs.mean(axis=1)  # (E, d)
-    b = -w_mu * (n - m) * (m / n) * nu
-    shifted = xs - (m / n) * nu[:, None, :]
-    c = (
-        w_mu * (n - m) * (m * m) / (n * n) * np.einsum("ed,ed->e", nu, nu)
-        + w_mu * np.einsum("emd,emd->e", shifted, shifted)
-        + w_q * np.einsum("emd,emd->e", xs, xs)
-        - w_s * scoring.score_utility_array(scores).sum(axis=1)
-        - w_s * sum(scoring.score_utility(unseen_sigma[j]) for j in unseen_sigma)
-    )
-    return b, c

@@ -11,34 +11,38 @@ instance-optimality (Theorem 3.3).
 Bookkeeping follows Algorithm 2 (distance access) and Algorithm 3 (score
 access), with these engineering refinements:
 
-* ``PC(M)`` is stored **columnar**: one aligned set of growing arrays per
-  subset (member scores ``(E, m)``, member vectors ``(E, m, d)``, bound
-  values ``t``, cached optima ``theta``, dominance flags/coefficients).
-  New partial combinations are gathered straight from the streams'
-  columnar prefix arrays (via :meth:`EngineState.prefix_arrays`) as
-  position-grid batches, QP-solved in one vectorised call, and appended
-  in amortised O(1) per entry; staleness scans and per-subset maxima are
-  array reductions instead of per-entry Python loops.
-* **Batched bound kernel** (default, ``batch_kernel=True``): instead of
-  one QP call per subset, a refresh *gathers* every stale subset's
-  completion problems into the run's
-  :class:`~repro.core.bounds.workspace.BoundWorkspace` slabs and makes a
-  single :func:`~repro.optim.solve_bound_qp_masked` call (mixed
+* **One columnar store** holds ``PC(M)`` for every subset: one set of
+  growing arrays (bound values ``t``, cached optima ``theta``, dominance
+  flags, coefficients and witnesses, completion geometry) with a
+  subset-id column, rows appended in creation order, plus per-subset
+  tables indexed by subset id (member and unseen masks, ``dead``, the
+  subset maxima).  A distance-access refresh therefore costs a fixed
+  number of array calls whatever ``2^n - 1`` is: one cross product
+  builds every subset's new partial combinations from the streams'
+  columnar prefixes; one fused
+  :func:`~repro.core.bounds.geometry.completion_terms` call per subset
+  *size* computes their QP geometry (fixed values, residual, score term)
+  and dominance coefficients, once, at append; one staleness mask picks
+  the cached optima to re-solve; one gather, one QP solve and one
+  scatter refresh ``t``; one segmented max gives the subset maxima the
+  bound and the potentials read.
+* **Batched bound kernel** (default, ``batch_kernel=True``): the gathered
+  completion problems of every subset go to a single
+  :func:`~repro.optim.solve_bound_qp_masked` call in the run's
+  :class:`~repro.core.bounds.workspace.BoundWorkspace` slabs (mixed
   fixed/lower patterns, closed-form water-level rows; the
   ``qp_enumerated`` counter reports the rows it hands to its active-set
-  enumeration).  The kernel's row-stable arithmetic makes completed
-  runs bit-identical to the scalar path (``batch_kernel=False``, the
-  per-subset reference kept for the differential suite).
-* Each entry's completion geometry (its QP's fixed values, residual and
-  score term) depends only on its own tuples, the query and the
-  streams' constant ``sigma_max``: the batched kernel computes it once
-  at append and every later solve of the entry gathers it from the
-  subset's columns.
-* Both execution strategies run one dominance pass, lazy: a subset's
-  pass tests only the candidates whose completion bound could set
-  ``t_M`` (see :mod:`repro.core.bounds.dominance`), so flags never move
-  the bound and most passes end after one certified row, without an
-  LP.  The few LPs left are solved one dense
+  enumeration).  ``batch_kernel=False`` differs only in that call: one
+  :func:`~repro.optim.solve_bound_qp_batch` per subset on the same
+  gathered rows, the reference the differential suite pins the kernel
+  against (the kernel's row-stable arithmetic makes completed runs
+  bit-identical).
+* Both execution strategies run one dominance pass, lazy: it screens the
+  subsets that gained rows since the last pass in one sort, then walks
+  each subset's live rows and tests only the candidates whose completion
+  bound could set ``t_M`` (see :mod:`repro.core.bounds.dominance`), so
+  flags never move the bound and most subsets end after one certified
+  row, without an LP.  The few LPs left are solved one dense
   :func:`~repro.optim.polyhedron_feasible_point` call each.
 * The scheme synchronises against the streams' seen prefixes, so the
   engine may invoke it only every ``bound_period`` pulls (the paper's
@@ -51,9 +55,7 @@ access), with these engineering refinements:
   remains optimal.  Subsets none of whose relevant streams advanced are
   not re-solved at all — results are cached incrementally across blocks.
 * Subsets missing an exhausted relation are dead — no continuation can
-  complete them — and are dropped permanently (their ``t_M = -inf``).
-* Dominated partial combinations (Sec. 3.2.2) are flagged periodically
-  and skipped forever; see :mod:`repro.core.bounds.dominance`.
+  complete them — and their rows leave the store (their ``t_M = -inf``).
 * Per-relation potentials are memoised per bound version in the
   workspace: ``pot_i`` reads only the subsets' cached maxima, which
   change exactly when :meth:`update` runs, so the potential-adaptive
@@ -68,16 +70,18 @@ access), with these engineering refinements:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.access import AccessKind
 from repro.core.bounds.base import NEG_INFINITY, BoundingScheme, EngineState
-from repro.core.bounds.dominance import prepare_dominance_pass
+from repro.core.bounds.dominance import (
+    equal_slope_screen,
+    pending_lps,
+    walk_by_bound,
+)
 from repro.core.bounds.geometry import (
-    completion_geometry,
-    dominance_coefficients_batch,
+    completion_terms,
     score_access_completion,
     score_access_completion_batch,
 )
@@ -94,137 +98,110 @@ __all__ = ["TightBound"]
 
 _EPS = 1e-9
 _MAX_RELATIONS = 10
-_MIN_CAPACITY = 8
+_MIN_CAPACITY = 256
 
 
-class _SubsetState:
-    """All bookkeeping for one proper subset ``M``, stored columnar.
+class _Store:
+    """Every subset's partial combinations in one set of columns.
 
-    ``count`` entries live in creation order across aligned arrays;
-    ``dominated`` rows are skipped by maxima and revalidation but remain
-    as dominance competitors.  ``theta`` rows of ``-inf`` mark optima
-    that have never been solved (the ``M = {}`` seed), forcing a first
-    solve through the staleness scan.
+    Subset ``s`` is the bitmask of its member relations (``0`` is the
+    empty subset, ``2^n - 2`` the largest proper one).  Rows live in
+    creation order, ``sid`` naming each row's subset, so a subset's rows
+    keep their relative order.  ``dominated`` rows are skipped by the
+    maxima and the staleness scan but stay as dominance competitors;
+    rows of dead subsets are dropped.  ``proj`` holds the QP's fixed
+    values zero-padded to ``n`` columns, read under the row's member
+    mask; ``residual_sq`` and ``score_term`` complete the geometry, and
+    ``b``/``c`` are the dominance coefficients.  A ``theta`` row of
+    ``-inf`` marks an optimum never solved (the ``M = {}`` seed), forcing
+    a first solve through the staleness scan.
+
+    Per-subset tables, indexed by subset id: the ``members`` and
+    ``others`` masks ``(S, n)`` (also as index lists), ``size``, the
+    shared quadratic coefficient ``quad`` of eq. (24), the unseen
+    relations' summed score utility at ``sigma_max``, ``dead``, the
+    subset maxima ``t_max`` and ``fresh`` (gained rows since the last
+    dominance pass).
     """
 
-    __slots__ = (
-        "mask",
-        "members",
-        "others",
-        "dead",
-        "t_max",
-        "count",
-        "scores",
-        "vecs",
-        "t",
-        "theta",
-        "dominated",
-        "b",
-        "c",
-        "witness",
-        "proj",
-        "residual_sq",
-        "score_term",
+    _COLUMNS = (
+        "sid", "t", "theta", "dominated", "b", "c", "witness",
+        "proj", "residual_sq", "score_term",
     )
 
-    def __init__(self, mask: int, n: int, d: int):
-        self.mask = mask
-        self.members = tuple(i for i in range(n) if mask >> i & 1)
-        self.others = tuple(i for i in range(n) if not mask >> i & 1)
-        self.dead = False
-        self.t_max = NEG_INFINITY
+    def __init__(
+        self, scoring: QuadraticFormScoring, n: int, d: int, sigma_max: list[float]
+    ) -> None:
+        subsets = (1 << n) - 1
+        self.members = (np.arange(subsets)[:, None] >> np.arange(n)) & 1 == 1
+        self.others = ~self.members
+        self.member_idx = [np.flatnonzero(row).tolist() for row in self.members]
+        self.other_idx = [np.flatnonzero(row).tolist() for row in self.others]
+        self.size = self.members.sum(axis=1)
+        # Cross-product span tables: [j, l] is l == j, and l <= j.
+        cols = np.arange(n)
+        self.diag = cols == cols[:, None]
+        self.upto = cols <= cols[:, None]
+        self.quad = [
+            scoring.w_q * (n - m) + scoring.w_mu * (m / n) * (n - m)
+            for m in self.size.tolist()
+        ]
+        self.unseen_utility = np.array([
+            sum(scoring.score_utility(sigma_max[j]) for j in others)
+            for others in self.other_idx
+        ])
+        self.h = spread_matrix(n, scoring.w_q, scoring.w_mu)
+        self.dead = np.zeros(subsets, dtype=bool)
+        self.t_max = np.full(subsets, NEG_INFINITY)
+        self.fresh = np.zeros(subsets, dtype=bool)
         self.count = 0
-        m = len(self.members)
         cap = _MIN_CAPACITY
-        self.scores = np.empty((cap, m))
-        self.vecs = np.empty((cap, m, d))
+        self.sid = np.zeros(cap, dtype=np.int16)
         self.t = np.full(cap, NEG_INFINITY)
         self.theta = np.full((cap, n), NEG_INFINITY)
         self.dominated = np.zeros(cap, dtype=bool)
         self.b = np.empty((cap, d))
         self.c = np.empty(cap)
         self.witness = np.full((cap, d), np.nan)
-        # Batched-kernel state (see TightBound's docstring): the entry's
-        # completion geometry (its QP's fixed values, residual and score
-        # term, fixed at append).
-        self.proj = np.empty((cap, m))
+        self.proj = np.zeros((cap, n))
         self.residual_sq = np.empty(cap)
         self.score_term = np.empty(cap)
 
-    def _grow(self, needed: int) -> None:
-        cap = len(self.t)
-        while cap < needed:
-            cap *= 2
-        p = self.count
-        for name, fill in (
-            ("scores", None),
-            ("vecs", None),
-            ("t", NEG_INFINITY),
-            ("theta", NEG_INFINITY),
-            ("dominated", False),
-            ("b", None),
-            ("c", None),
-            ("witness", np.nan),
-            ("proj", None),
-            ("residual_sq", None),
-            ("score_term", None),
-        ):
-            old = getattr(self, name)
-            fresh = (
-                np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                if fill is None
-                else np.full((cap,) + old.shape[1:], fill, dtype=old.dtype)
-            )
-            fresh[:p] = old[:p]
-            setattr(self, name, fresh)
-
-    def append(
-        self,
-        scores: np.ndarray,
-        vecs: np.ndarray,
-        geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ) -> int:
-        """Append an entry batch; returns the first new row index.
-
-        ``geometry`` is the batch's :func:`completion_geometry` (the
-        batched kernel caches it; the scalar path passes none)."""
-        e = len(scores)
+    def reserve(self, e: int) -> int:
+        """Make room for ``e`` new rows; returns the first one's index.
+        Rows may be reused after :meth:`drop_dead`, so stale flags and
+        witnesses are reset."""
         lo = self.count
         if lo + e > len(self.t):
-            self._grow(lo + e)
-        self.scores[lo : lo + e] = scores
-        self.vecs[lo : lo + e] = vecs
-        # Rows may be reused after clear(): stale flags and witnesses
-        # must not leak into new entries.
+            cap = len(self.t)
+            while cap < lo + e:
+                cap *= 2
+            for name in self._COLUMNS:
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:lo] = old[:lo]
+                setattr(self, name, grown)
+        self.count = lo + e
         self.dominated[lo : lo + e] = False
         self.witness[lo : lo + e] = np.nan
-        if geometry is not None:
-            proj, residual_sq, score_term = geometry
-            self.proj[lo : lo + e] = proj
-            self.residual_sq[lo : lo + e] = residual_sq
-            self.score_term[lo : lo + e] = score_term
-        self.count = lo + e
         return lo
 
-    def clear(self) -> None:
-        self.count = 0
-        self.t_max = NEG_INFINITY
+    def drop_dead(self) -> None:
+        """Drop the rows of dead subsets, keeping the others' order."""
+        keep = ~self.dead[self.sid[: self.count]]
+        kept = int(keep.sum())
+        for name in self._COLUMNS:
+            col = getattr(self, name)
+            col[:kept] = col[: self.count][keep]
+        self.count = kept
 
-    def recompute_max(self) -> None:
+    def refresh_max(self) -> None:
+        """Every subset's max ``t`` over its live rows, in one segmented
+        max (``-inf`` for a subset without live rows)."""
         cnt = self.count
-        live = self.t[:cnt][~self.dominated[:cnt]]
-        self.t_max = float(live.max()) if live.size else NEG_INFINITY
-
-
-@dataclass
-class _QPChunk:
-    """One subset's pending completion problems within a gathered refresh:
-    ``rows`` of ``sub``'s columnar arrays whose QP inputs occupy
-    ``span`` of the workspace slabs."""
-
-    sub: _SubsetState
-    rows: np.ndarray
-    span: slice
+        live_t = np.where(self.dominated[:cnt], NEG_INFINITY, self.t[:cnt])
+        self.t_max[:] = NEG_INFINITY
+        np.maximum.at(self.t_max, self.sid[:cnt], live_t)
 
 
 class TightBound(BoundingScheme):
@@ -248,10 +225,11 @@ class TightBound(BoundingScheme):
         ``True`` (default) routes each refresh's bound QPs through the
         batched kernel: one gathered
         :func:`~repro.optim.solve_bound_qp_masked` call for every stale
-        subset.  ``False`` keeps the per-subset scalar QP path — the
+        subset.  ``False`` solves the same gathered rows with one
+        :func:`~repro.optim.solve_bound_qp_batch` call per subset — the
         reference the differential suite pins the kernel against
-        (completed runs are bit-identical either way).  The dominance
-        pass is the same on both.
+        (completed runs are bit-identical either way).  Everything else,
+        the dominance pass included, is shared.
     """
 
     def __init__(
@@ -265,7 +243,13 @@ class TightBound(BoundingScheme):
             raise ValueError("dominance_period must be >= 1 (or None)")
         self.dominance_period = dominance_period
         self.batch_kernel = batch_kernel
-        self._subsets: list[_SubsetState] | None = None
+        self._store: _Store | None = None
+        #: Score access: each subset's incumbent ``(scores, vectors)``.
+        self._incumbents: list[tuple[np.ndarray, np.ndarray] | None] = []
+        #: Every stream's seen rows, ``(n, cap, d)`` vectors and
+        #: ``(n, cap)`` scores, so the cross product gathers in one call.
+        self._seen_vecs = np.empty((0, 0, 0))
+        self._seen_scores = np.empty((0, 0))
         self._synced: list[int] = []
         self._accesses = 0
         self._version = 0
@@ -284,8 +268,8 @@ class TightBound(BoundingScheme):
             self._own_workspace = BoundWorkspace()
         return self._own_workspace
 
-    def _init_subsets(self, state: EngineState) -> list[_SubsetState]:
-        if self._subsets is None:
+    def _init_store(self, state: EngineState) -> _Store:
+        if self._store is None:
             n = state.n
             if n > _MAX_RELATIONS:
                 raise ValueError(
@@ -299,41 +283,45 @@ class TightBound(BoundingScheme):
                     "repro.core.bounds.numeric"
                 )
             d = len(state.query)
-            self._subsets = [
-                _SubsetState(mask, n, d) for mask in range((1 << n) - 1)
-            ]
+            store = _Store(
+                state.scoring, n, d, [s.sigma_max for s in state.streams]
+            )
+            self._store = store
+            self._seen_vecs = np.empty((n, _MIN_CAPACITY, d))
+            self._seen_scores = np.empty((n, _MIN_CAPACITY))
+            self._synced = [0] * n
             # Seed M = {} with its single "empty tuple" partial combination
             # (Appendix B.1): it bounds combinations unseen in every slot.
-            # Its -inf theta row forces a solve on first use.
-            seed_scores, seed_vecs = np.zeros((1, 0)), np.zeros((1, 0, d))
-            geometry = None
-            if self.batch_kernel and state.kind is AccessKind.DISTANCE:
-                geometry = completion_geometry(
-                    state.scoring, state.query, seed_scores, seed_vecs,
-                    {j: s.sigma_max for j, s in enumerate(state.streams)},
-                )
-            self._subsets[0].append(seed_scores, seed_vecs, geometry)
-            self._synced = [0] * n
-        return self._subsets
+            seed = (np.zeros((1, 0)), np.zeros((1, 0, d)))
+            if state.kind is AccessKind.DISTANCE:
+                # Its -inf theta row forces a solve on first use.
+                self._append(state, store, np.zeros(1, dtype=np.int16), *seed)
+                store.t[0] = NEG_INFINITY
+                store.theta[0] = NEG_INFINITY
+            else:
+                self._incumbents = [None] * len(store.dead)
+                self._incumbents[0] = (seed[0][0], seed[1][0])
+        return self._store
 
     def update(self, state: EngineState, i: int, tau: RankTuple) -> float:
         start = time.perf_counter()
         dominance_before = self.counters.dominance_seconds
         self.counters.updates += 1
-        subsets = self._init_subsets(state)
-        new_counts = [s.depth - p for s, p in zip(state.streams, self._synced)]
+        store = self._init_store(state)
+        depths = [s.depth for s in state.streams]
+        self._mark_dead(state, store)
         if state.kind is AccessKind.DISTANCE:
-            t = self._update_distance(state, subsets, new_counts)
+            self._update_distance(state, store, depths)
         else:
-            t = self._update_score(state, subsets, new_counts)
-        self._synced = [s.depth for s in state.streams]
+            self._update_score(state, store, depths)
+        self._synced = depths
         self._version += 1
         # Keep the two stacked-bar shares disjoint (Figure 3(m)/(n)): the
         # dominance pass runs inside this call but reports its own share.
         elapsed = time.perf_counter() - start
         dominance_delta = self.counters.dominance_seconds - dominance_before
         self.counters.bound_seconds += elapsed - dominance_delta
-        return t
+        return float(store.t_max.max())
 
     def potentials(self, state: EngineState) -> list[float]:
         self.counters.potential_consults += 1
@@ -341,379 +329,319 @@ class TightBound(BoundingScheme):
         cached = ws.potentials_if_fresh(self._version)
         if cached is not None:
             return list(cached)
-        subsets = self._init_subsets(state)
+        store = self._init_store(state)
         self.counters.potential_evals += 1
-        pots = [NEG_INFINITY] * state.n
-        for sub in subsets:
-            if sub.dead:
-                continue
-            for i in sub.others:
-                if sub.t_max > pots[i]:
-                    pots[i] = sub.t_max
+        pots = np.where(store.others, store.t_max[:, None], NEG_INFINITY)
+        pots = pots.max(axis=0).tolist()
         ws.cache_potentials(self._version, pots)
         return list(pots)
 
-    def _mark_dead_subsets(self, state: EngineState, subsets: list[_SubsetState]) -> None:
-        for sub in subsets:
-            if sub.dead:
-                continue
-            if any(state.streams[j].exhausted for j in sub.others):
-                sub.dead = True
-                sub.clear()
+    def _mark_dead(self, state: EngineState, store: _Store) -> None:
+        exhausted = np.array([s.exhausted for s in state.streams])
+        if not exhausted.any():
+            return
+        dying = ~store.dead & (store.others & exhausted).any(axis=1)
+        if dying.any():
+            store.dead |= dying
+            store.t_max[dying] = NEG_INFINITY
+            store.drop_dead()
+            if self._incumbents:
+                for s in np.flatnonzero(dying).tolist():
+                    self._incumbents[s] = None
 
-    def _new_member_batch(
-        self, state: EngineState, sub: _SubsetState, new_counts: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather the partial combinations of ``M`` that use at least one
-        tuple pulled since the last sync, each exactly once, as stacked
-        ``(E, m)`` scores and ``(E, m, d)`` vectors.
+    def _new_entries(
+        self, state: EngineState, store: _Store, depths: list[int]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every live subset's partial combinations that use at least one
+        tuple pulled since the last sync, each exactly once, as one
+        ``(sids, scores (E, m), vectors (E, m, d))`` batch per subset size
+        ``m`` (ascending); a subset's rows are contiguous within its batch.
 
-        Standard incremental cross-product: for the ``r``-th member
-        relation, combine its *new* access positions with the full
-        current prefixes of earlier members and the old prefixes of later
-        members.  Position index grids are fancy-indexed against the
-        streams' columnar prefix arrays, so no ``RankTuple`` is touched;
-        chunks keep the canonical row-major creation order.
+        Standard incremental cross-product: the chunk of member ``j``
+        combines ``R_j``'s *new* access positions with the full current
+        prefixes of earlier members and the old prefixes of later
+        members.  All chunks of all subsets are laid out in one pass,
+        each row-major over its members, a subset's chunks in member
+        order; positions are gathered from the bound's mirror of the
+        streams' seen rows, so no ``RankTuple`` is touched.
         """
-        members = sub.members
-        pos_chunks: list[np.ndarray] = []
-        for r, j in enumerate(members):
-            if new_counts[j] == 0:
-                continue
-            spans = []
-            for r2, l in enumerate(members):
-                if r2 < r:
-                    spans.append((0, state.streams[l].depth))
-                elif r2 == r:
-                    spans.append((self._synced[l], state.streams[l].depth))
-                else:
-                    spans.append((0, self._synced[l]))
-            if any(hi <= lo for lo, hi in spans):
-                continue
-            grids = np.meshgrid(
-                *[np.arange(lo, hi) for lo, hi in spans], indexing="ij"
-            )
-            pos_chunks.append(np.stack([g.ravel() for g in grids], axis=1))
-        m = len(members)
-        d = len(state.query)
-        if not pos_chunks:
-            return np.zeros((0, m)), np.zeros((0, m, d))
-        pos = np.concatenate(pos_chunks, axis=0)
-        per_member = [state.prefix_arrays(l) for l in members]
-        scores = np.stack(
-            [col[1][pos[:, c]] for c, col in enumerate(per_member)], axis=1
+        depth = np.array(depths)
+        synced = np.array(self._synced)
+        self._mirror_seen(state, depths)
+        # Chunk (s, j): member j of live subset s pulled new tuples.
+        cs, cj = np.nonzero(
+            store.members & (depth > synced) & ~store.dead[:, None]
         )
-        vecs = np.stack(
-            [col[0][pos[:, c]] for c, col in enumerate(per_member)], axis=1
-        )
-        return scores, vecs
+        if not cs.size:
+            return []
+        # Spans per relation l of the chunk of member j: new rows of R_j,
+        # full prefixes of earlier members, old prefixes of later ones;
+        # non-members get the one-position span [0, 1).
+        lo_of = np.where(store.diag, synced, 0)[cj]
+        hi_of = np.where(store.upto, depth, synced)[cj]
+        mem = store.members[cs]
+        lo = np.where(mem, lo_of, 0)
+        lens = np.where(mem, hi_of - lo_of, 1)
+        sizes = np.multiply.reduce(lens, axis=1)
+        # Keep non-empty chunks, ordered by subset size (stably, so each
+        # subset's chunks stay together and in member order).
+        keep = sizes.nonzero()[0]
+        if not keep.size:
+            return []
+        keep = keep[store.size[cs[keep]].argsort(kind="stable")]
+        cs, lo, lens, sizes = cs[keep], lo[keep], lens[keep], sizes[keep]
+        chunk = np.arange(len(sizes)).repeat(sizes)
+        ends = sizes.cumsum()
+        k = np.arange(ends[-1]) - (ends - sizes).repeat(sizes)
+        stride = lens[:, ::-1].cumprod(axis=1)[:, ::-1] // lens
+        pos = lo[chunk] + k[:, None] // stride[chunk] % lens[chunk]
+        sids = cs[chunk]
+        chunk_size = store.size[cs]
+        last = np.concatenate((chunk_size[1:] != chunk_size[:-1], [True]))
+        last = last.nonzero()[0]
+        batches = []
+        a = 0
+        for e, m in zip(ends[last].tolist(), chunk_size[last].tolist()):
+            mask = store.members[sids[a:e]]
+            rel, at = np.nonzero(mask)[1], pos[a:e][mask]
+            batches.append((
+                sids[a:e],
+                self._seen_scores[rel, at].reshape(e - a, m),
+                self._seen_vecs[rel, at].reshape(e - a, m, -1),
+            ))
+            a = e
+        return batches
+
+    def _mirror_seen(self, state: EngineState, depth: list[int]) -> None:
+        """Copy the rows each stream pulled since the last sync into the
+        ``_seen_*`` mirror."""
+        cap = self._seen_scores.shape[1]
+        if max(depth) > cap:
+            while cap < max(depth):
+                cap *= 2
+            n, old, d = self._seen_vecs.shape
+            vecs, scores = np.empty((n, cap, d)), np.empty((n, cap))
+            vecs[:, :old] = self._seen_vecs
+            scores[:, :old] = self._seen_scores
+            self._seen_vecs, self._seen_scores = vecs, scores
+        for j, (lo, hi) in enumerate(zip(self._synced, depth)):
+            if hi > lo:
+                vecs, scores, _ = state.prefix_arrays(j, lo, hi)
+                self._seen_vecs[j, lo:hi] = vecs
+                self._seen_scores[j, lo:hi] = scores
 
     # -- distance access (Algorithm 2) ---------------------------------------
 
-    def _update_distance(
+    def _append(
         self,
         state: EngineState,
-        subsets: list[_SubsetState],
-        new_counts: list[int],
-    ) -> float:
-        scoring = state.scoring
-        assert isinstance(scoring, QuadraticFormScoring)
-        n = state.n
-        deltas = [s.last_distance for s in state.streams]
-        sigma_max = [s.sigma_max for s in state.streams]
+        store: _Store,
+        sids: np.ndarray,
+        scores: np.ndarray,
+        vecs: np.ndarray,
+    ) -> None:
+        """Append one subset size's new entries with their completion
+        geometry and dominance coefficients (one fused call)."""
+        proj, residual_sq, score_term, bs, cs = completion_terms(
+            state.scoring, state.n, state.query, scores, vecs,
+            store.unseen_utility[sids],
+            dominance=self.dominance_period is not None,
+        )
+        lo = store.reserve(len(sids))
+        hi = store.count
+        store.sid[lo:hi] = sids
+        padded = store.proj[lo:hi]
+        padded[...] = 0.0
+        padded[store.members[sids]] = proj.ravel()
+        store.residual_sq[lo:hi] = residual_sq
+        store.score_term[lo:hi] = score_term
+        if bs is not None:
+            store.b[lo:hi] = bs
+            store.c[lo:hi] = cs
+        store.fresh[sids] = True
 
-        self._mark_dead_subsets(state, subsets)
-        track_dominance = self.dominance_period is not None
-        gathered = self.batch_kernel
+    def _update_distance(
+        self, state: EngineState, store: _Store, depths: list[int]
+    ) -> None:
+        deltas = np.array([s.last_distance for s in state.streams])
+        grown = np.array(depths) > self._synced
         accesses_before = self._accesses
-        self._accesses += sum(new_counts)
+        self._accesses += sum(depths) - sum(self._synced)
 
-        # Gather phase (batch kernel) / solve phase (scalar reference).
-        # ``pending`` collects every subset's stale completion problems
-        # so the flush makes exactly one masked-QP kernel call.
-        pending: list[tuple[_SubsetState, np.ndarray]] = []
-        for sub in subsets:
-            if sub.dead:
-                continue
-            members = list(sub.members)
-            unseen_delta = {j: deltas[j] for j in sub.others}
-            unseen_sigma = {j: sigma_max[j] for j in sub.others}
-
-            # New partial combinations (subsets intersecting the new
-            # pulls), gathered columnar; the staleness scan below covers
-            # only the pre-existing rows — fresh rows are solved with the
-            # current deltas, so they can never be stale in this refresh.
-            pre_count = sub.count
-            new_scores, new_vecs = self._new_member_batch(state, sub, new_counts)
-            e_new = len(new_scores)
-            if e_new:
-                # The kernel computes each entry's geometry once, here;
-                # every later solve of the entry gathers it.
-                geometry = (
-                    completion_geometry(
-                        scoring, state.query, new_scores, new_vecs, unseen_sigma
-                    )
-                    if gathered
-                    else None
-                )
-                lo = sub.append(new_scores, new_vecs, geometry)
-                rows = np.arange(lo, lo + e_new)
-                if gathered:
-                    pending.append((sub, rows))
-                else:
-                    values, thetas = self._solve_subset_scalar(
-                        scoring, n, state.query, members, new_scores,
-                        new_vecs, unseen_delta, unseen_sigma,
-                    )
-                    sub.t[rows] = values
-                    sub.theta[rows] = thetas
-                if track_dominance:
-                    bs, cs = dominance_coefficients_batch(
-                        scoring, n, state.query, new_scores, new_vecs,
-                        unseen_sigma,
-                    )
-                    sub.b[lo : lo + e_new] = bs
-                    sub.c[lo : lo + e_new] = cs
-                self.counters.qp_solves += e_new
-                self.counters.entries_created += e_new
-
-            # Revalidate cached optima where an unseen delta grew
-            # (Algorithm 2's "i not in M" branch, feasibility fast path:
-            # a cached optimum that still satisfies the new, tighter
-            # constraints remains optimal).  One array reduction over the
-            # subset's theta columns replaces the per-entry scan.
-            grown = [j for j in sub.others if new_counts[j] > 0]
-            if grown and pre_count:
-                lows = np.array([deltas[j] for j in grown]) - _EPS
-                stale = ~sub.dominated[:pre_count] & (
-                    sub.theta[:pre_count][:, grown] < lows
-                ).any(axis=1)
-                idx = np.flatnonzero(stale)
-                if idx.size:
-                    if gathered:
-                        pending.append((sub, idx))
-                    else:
-                        values, thetas = self._solve_subset_scalar(
-                            scoring, n, state.query, members,
-                            sub.scores[idx], sub.vecs[idx],
-                            unseen_delta, unseen_sigma,
-                        )
-                        sub.t[idx] = values
-                        sub.theta[idx] = thetas
-                    self.counters.qp_solves += idx.size
-                    self.counters.entries_revalidated += idx.size
-            if not gathered:
-                sub.recompute_max()
-
-        if gathered:
-            self._flush_qp_gather(state, pending, deltas)
-            for sub in subsets:
-                if not sub.dead:
-                    sub.recompute_max()
+        # Revalidate cached optima where an unseen delta grew (Algorithm
+        # 2's "i not in M" branch, feasibility fast path: a cached optimum
+        # that still satisfies the new, tighter constraints remains
+        # optimal).  One mask over the pre-existing live rows; fresh rows
+        # are solved with the current deltas, so they are never stale in
+        # this refresh.
+        pre = store.count
+        stale = (
+            np.logical_or.reduce(
+                store.others[store.sid[:pre]]
+                & grown
+                & (store.theta[:pre] < deltas - _EPS),
+                axis=1,
+            )
+            & ~store.dominated[:pre]
+        ).nonzero()[0]
+        for sids, scores, vecs in self._new_entries(state, store, depths):
+            self._append(state, store, sids, scores, vecs)
+        created = store.count - pre
+        self.counters.entries_created += created
+        self.counters.entries_revalidated += stale.size
+        self.counters.qp_solves += created + stale.size
+        rows = np.concatenate((stale, np.arange(pre, store.count)))
+        self._solve(state, store, rows, deltas)
 
         # A refresh advances the access count by whole blocks (or by
         # ``bound_period`` pulls) and may skip over a multiple of the
         # period, so the pass runs whenever the count crosses one.
-        if track_dominance:
-            period = self.dominance_period
-            if accesses_before // period < self._accesses // period:
-                self._dominance_pass(scoring, n, subsets)
-                for sub in subsets:
-                    sub.recompute_max()
+        period = self.dominance_period
+        if period is not None and accesses_before // period < self._accesses // period:
+            self._dominance_pass(store)
+        store.refresh_max()
 
-        return max((sub.t_max for sub in subsets if not sub.dead), default=NEG_INFINITY)
-
-    def _solve_subset_scalar(
-        self,
-        scoring: QuadraticFormScoring,
-        n: int,
-        query: np.ndarray,
-        members: list[int],
-        scores: np.ndarray,
-        vecs: np.ndarray,
-        unseen_delta: dict[int, float],
-        unseen_sigma: dict[int, float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar-path :func:`solve_completion_batch` with the QP kernel
-        time split out, so ``solver_seconds`` draws the bookkeeping /
-        solver line in the same place for both execution strategies."""
-        proj, residual_sq, score_term = completion_geometry(
-            scoring, query, scores, vecs, unseen_sigma
-        )
-        lower_idx = sorted(unseen_delta)
-        lower_vals = np.array([unseen_delta[j] for j in lower_idx])
-        h = spread_matrix(n, scoring.w_q, scoring.w_mu)
-        started = time.perf_counter()
-        qp_vals, thetas = solve_bound_qp_batch(
-            h, members, proj, lower_idx, lower_vals
-        )
-        self.counters.solver_seconds += time.perf_counter() - started
-        values = score_term - qp_vals - (scoring.w_q + scoring.w_mu) * residual_sq
-        return values, thetas
-
-    def _flush_qp_gather(
-        self,
-        state: EngineState,
-        pending: list[tuple[_SubsetState, np.ndarray]],
-        deltas: list[float],
+    def _solve(
+        self, state: EngineState, store: _Store, rows: np.ndarray, deltas: np.ndarray
     ) -> None:
-        """Solve every gathered completion problem of one refresh with a
-        single masked batch-QP kernel call and scatter the results back
-        into the subsets' columnar arrays.  The QP inputs are gathered
-        from each entry's cached geometry columns."""
-        if not pending:
+        """Solve the completion problems of ``rows`` from their cached
+        geometry and scatter ``t`` and ``theta`` back; ``solver_seconds``
+        times the QP calls alone."""
+        if not rows.size:
             return
         scoring = state.scoring
-        assert isinstance(scoring, QuadraticFormScoring)
-        n = state.n
-        total = sum(len(rows) for _, rows in pending)
-        ws = self._workspace(state)
-        fixed_mask, fixed_vals, lower_mask, lower_vals = ws.qp_slabs(total, n)
-        score_term = ws.array("qp_score_term", (total,))
-        residual_sq = ws.array("qp_residual_sq", (total,))
-
-        chunks: list[_QPChunk] = []
-        offset = 0
-        for sub, rows in pending:
-            e = len(rows)
-            span = slice(offset, offset + e)
-            members = list(sub.members)
-            others = list(sub.others)
-            if members:
-                fixed_mask[span, members] = True
-                fixed_vals[span, members] = sub.proj[rows]
-            if others:
-                lower_mask[span, others] = True
-                lower_vals[span, others] = [deltas[j] for j in others]
-            score_term[span] = sub.score_term[rows]
-            residual_sq[span] = sub.residual_sq[rows]
-            chunks.append(_QPChunk(sub, rows, span))
-            offset += e
-
-        h = spread_matrix(n, scoring.w_q, scoring.w_mu)
-        started = time.perf_counter()
-        qp_vals, thetas, enumerated = solve_bound_qp_masked(
-            h, fixed_mask, fixed_vals, lower_mask, lower_vals
+        sids = store.sid[rows]
+        if self.batch_kernel:
+            fixed_mask, fixed_vals, lower_mask, lower_vals = self._workspace(
+                state
+            ).qp_slabs(rows.size, state.n)
+            fixed_mask[...] = store.members[sids]
+            fixed_vals[...] = store.proj[rows]
+            lower_mask[...] = store.others[sids]
+            lower_vals[...] = deltas
+            started = time.perf_counter()
+            qp_vals, thetas, enumerated = solve_bound_qp_masked(
+                store.h, fixed_mask, fixed_vals, lower_mask, lower_vals
+            )
+            self.counters.solver_seconds += time.perf_counter() - started
+            self.counters.qp_enumerated += int(enumerated.sum())
+        else:
+            qp_vals, thetas = np.empty(rows.size), np.empty((rows.size, state.n))
+            for s in np.unique(sids).tolist():
+                at = (sids == s).nonzero()[0]
+                members, others = store.member_idx[s], store.other_idx[s]
+                started = time.perf_counter()
+                qp_vals[at], thetas[at] = solve_bound_qp_batch(
+                    store.h, members, store.proj[rows[at]][:, members],
+                    others, deltas[others],
+                )
+                self.counters.solver_seconds += time.perf_counter() - started
+        store.t[rows] = (
+            store.score_term[rows]
+            - qp_vals
+            - (scoring.w_q + scoring.w_mu) * store.residual_sq[rows]
         )
-        self.counters.solver_seconds += time.perf_counter() - started
-        self.counters.qp_enumerated += int(enumerated.sum())
-        values = score_term - qp_vals - (scoring.w_q + scoring.w_mu) * residual_sq
-        for chunk in chunks:
-            chunk.sub.t[chunk.rows] = values[chunk.span]
-            chunk.sub.theta[chunk.rows] = thetas[chunk.span]
+        store.theta[rows] = thetas
 
-    def _dominance_pass(
-        self, scoring: QuadraticFormScoring, n: int, subsets: list[_SubsetState]
-    ) -> None:
-        """The dominance pass: one dense feasibility LP per pending
-        candidate.
+    def _dominance_pass(self, store: _Store) -> None:
+        """The dominance pass over the store (see
+        :mod:`repro.core.bounds.dominance`).
 
-        Structured as gather (the screen, the lazy walk and the
-        constraint assembly of
-        :func:`~repro.core.bounds.dominance.prepare_dominance_pass`)
-        followed by the per-candidate LP loop
-        (:meth:`~repro.core.bounds.dominance.DominancePrep.solve`), so
-        ``solver_seconds`` times exactly the feasibility solves.
+        One equal-slope screen over the live rows of every subset that
+        gained rows since the last pass; then, per subset with members
+        and at least two live rows, the lazy walk down its live rows in
+        creation order, and one dense feasibility LP per candidate it
+        leaves pending.  ``solver_seconds`` times exactly the LPs.
         """
         start = time.perf_counter()
-        for sub in subsets:
-            if sub.dead or not sub.members:
-                continue
-            cnt = sub.count
-            if cnt - int(sub.dominated[:cnt].sum()) < 2:
-                continue
-            m = len(sub.members)
-            # Shared quadratic coefficient of eq. (24) for this subset.
-            quad = scoring.w_q * (n - m) + scoring.w_mu * (m / n) * (n - m)
-            # The pre-pass updates the witness rows in place, so cached
-            # non-emptiness certificates persist across passes.
-            prep = prepare_dominance_pass(
-                sub.b[:cnt], sub.c[:cnt], sub.dominated[:cnt],
-                quad_coeff=quad, witnesses=sub.witness[:cnt], t=sub.t[:cnt],
+        counters = self.counters
+        cnt = store.count
+        sid = store.sid[:cnt]
+        fresh = (store.fresh[sid] & ~store.dominated[:cnt]).nonzero()[0]
+        screened = equal_slope_screen(
+            store.b, store.c, fresh, store.dominated, sid[fresh]
+        )
+        store.fresh[:] = False
+        counters.dominance_screened += screened
+        counters.entries_dominated += screened
+
+        live = (~store.dominated[:cnt]).nonzero()[0]
+        live_sid = sid[live]
+        grouped = live[live_sid.argsort(kind="stable")]
+        counts = np.bincount(live_sid, minlength=len(store.dead))
+        ends = counts.cumsum().tolist()
+        for s in ((counts >= 2) & (store.size > 0)).nonzero()[0].tolist():
+            rows = grouped[ends[s] - counts[s] : ends[s]]
+            pend, at_opt, hits = walk_by_bound(
+                store.b, store.c, rows, store.t, store.quad[s], store.witness
             )
-            self.counters.dominance_witness_hits += prep.witness_hits
-            self.counters.dominance_screened += prep.screened
+            counters.dominance_witness_hits += hits
+            if not pend.size:
+                continue
+            prep = pending_lps(
+                store.b, store.c, store.dominated, rows, pend, at_opt
+            )
             lp_started = time.perf_counter()
-            out = prep.solve(sub.witness[:cnt])
-            self.counters.solver_seconds += time.perf_counter() - lp_started
-            self.counters.lp_solves += prep.alpha.size
-            newly = out & ~sub.dominated[:cnt]
-            self.counters.entries_dominated += int(newly.sum())
-            sub.dominated[:cnt] = out
-        self.counters.dominance_seconds += time.perf_counter() - start
+            prep.solve(store.witness)
+            counters.solver_seconds += time.perf_counter() - lp_started
+            counters.lp_solves += pend.size
+            counters.entries_dominated += int(store.dominated[prep.alpha].sum())
+        counters.dominance_seconds += time.perf_counter() - start
 
     # -- score access (Algorithm 3) -------------------------------------------
 
     def _update_score(
-        self,
-        state: EngineState,
-        subsets: list[_SubsetState],
-        new_counts: list[int],
-    ) -> float:
+        self, state: EngineState, store: _Store, depths: list[int]
+    ) -> None:
         scoring = state.scoring
         assert isinstance(scoring, QuadraticFormScoring)
         n = state.n
         last_scores = [s.last_score for s in state.streams]
+        grown = [d > p for d, p in zip(depths, self._synced)]
+        incumbents = self._incumbents
 
-        self._mark_dead_subsets(state, subsets)
-
-        for sub in subsets:
-            if sub.dead:
+        # Refresh each incumbent first (an unseen last-score may have
+        # dropped), then challenge it with every new partial combination;
+        # Algorithm 3 retains only the best entry per subset.  Relative
+        # order inside PC(M) is unaffected by the refresh (Appendix C),
+        # so a single incumbent is safe.
+        for s, incumbent in enumerate(incumbents):
+            others = store.other_idx[s]
+            if incumbent is None or not any(grown[j] for j in others):
                 continue
-            members = list(sub.members)
-            unseen_sigma = {j: last_scores[j] for j in sub.others}
+            scores, vecs = incumbent
+            result = score_access_completion(
+                scoring, n, state.query,
+                {j: (float(scores[r]), vecs[r])
+                 for r, j in enumerate(store.member_idx[s])},
+                {j: last_scores[j] for j in others},
+            )
+            store.t_max[s] = result.value
+            self.counters.closed_form_evals += 1
 
-            # Refresh the incumbent first (an unseen last-score may have
-            # dropped), then challenge it with every new partial
-            # combination; Algorithm 3 retains only the best entry per
-            # subset (row 0).  Relative order inside PC(M) is unaffected
-            # by the refresh (Appendix C), so a single incumbent is safe.
-            if sub.count and any(new_counts[j] > 0 for j in sub.others):
-                result = score_access_completion(
-                    scoring, n, state.query,
-                    self._row_dict(sub, 0), unseen_sigma,
-                )
-                sub.t[0] = result.value
-                self.counters.closed_form_evals += 1
-            # Challenge the incumbent with every new partial combination
-            # in one vectorised closed-form evaluation (values only — the
-            # single survivor per subset never needs the maximiser
-            # geometry).  The sequential scalar loop kept the *first*
-            # entry attaining the running maximum (strict-> replacement),
-            # which is exactly ``argmax``; all other challengers are
-            # immediately dominated, as is a beaten incumbent.
-            new_scores, new_vecs = self._new_member_batch(state, sub, new_counts)
-            e_new = len(new_scores)
-            if e_new:
+        # Challenge the incumbents with every new partial combination in
+        # one vectorised closed-form evaluation per subset (values only —
+        # the single survivor per subset never needs the maximiser
+        # geometry).  The sequential scalar loop kept the *first* entry
+        # attaining the running maximum (strict-> replacement), which is
+        # exactly ``argmax``; all other challengers are immediately
+        # dominated, as is a beaten incumbent.
+        for sids, scores, vecs in self._new_entries(state, store, depths):
+            cuts = np.concatenate(([True], sids[1:] != sids[:-1], [True]))
+            cuts = cuts.nonzero()[0]
+            for a, e in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                s = int(sids[a])
                 values = score_access_completion_batch(
-                    scoring, n, state.query, new_scores, new_vecs, unseen_sigma
+                    scoring, n, state.query, scores[a:e], vecs[a:e],
+                    {j: last_scores[j] for j in store.other_idx[s]},
                 )
-                self.counters.closed_form_evals += e_new
-                self.counters.entries_created += e_new
+                self.counters.closed_form_evals += e - a
+                self.counters.entries_created += e - a
                 best = int(np.argmax(values))
-                if sub.count == 0:
-                    sub.append(
-                        new_scores[best : best + 1], new_vecs[best : best + 1]
+                first = incumbents[s] is None
+                self.counters.entries_dominated += e - a - int(first)
+                if first or values[best] > store.t_max[s]:
+                    incumbents[s] = (
+                        scores[a + best].copy(), vecs[a + best].copy()
                     )
-                    sub.t[0] = float(values[best])
-                    self.counters.entries_dominated += e_new - 1
-                else:
-                    if values[best] > sub.t[0]:
-                        sub.scores[0] = new_scores[best]
-                        sub.vecs[0] = new_vecs[best]
-                        sub.t[0] = float(values[best])
-                    self.counters.entries_dominated += e_new
-            sub.count = min(sub.count, 1)
-            sub.recompute_max()
-
-        return max((sub.t_max for sub in subsets if not sub.dead), default=NEG_INFINITY)
-
-    @staticmethod
-    def _row_dict(
-        sub: _SubsetState, row: int
-    ) -> dict[int, tuple[float, np.ndarray]]:
-        """Entry row as the mapping the scalar geometry helpers expect."""
-        return {
-            j: (float(sub.scores[row, r]), sub.vecs[row, r])
-            for r, j in enumerate(sub.members)
-        }
+                    store.t_max[s] = float(values[best])

@@ -6,10 +6,10 @@ One :class:`BoundWorkspace` lives for the duration of an engine run
 slab the batched bound stack fills on each refresh:
 
 * the stacked QP coefficient blocks — fixed/lower pattern masks and
-  value arrays, per-entry score terms and residuals — that
-  :class:`~repro.core.bounds.tight.TightBound` gathers across *all*
-  stale subsets (from each entry's cached completion geometry) before
-  its single :func:`~repro.optim.solve_bound_qp_masked` call;
+  value arrays — that :class:`~repro.core.bounds.tight.TightBound`
+  gathers across *all* stale subsets (from its store's cached
+  completion geometry) before its single
+  :func:`~repro.optim.solve_bound_qp_masked` call;
 * generic named scratch buffers (grow-only, doubling) that the batch
   scorer's candidate sieve borrows for its per-block temporaries;
 * the per-relation potentials memo: ``pot_i`` depends only on the

@@ -6,8 +6,10 @@ workspace's slab reuse, and the potentials memo.
   *identical* ranked top-K, depths and bound as ``batch_kernel=False``
   (the pre-refactor per-subset / per-candidate path) — bit for bit,
   dominance on and off, per-tuple and block-pull.
-* The kernel computes each entry's completion geometry once, at append,
-  and gathers it from the subset's columns on every later solve.
+* Both execution strategies compute each entry's completion geometry
+  once, at append, in one call per subset size, and gather it from the
+  store on every later solve; the geometry of a row does not depend on
+  the batch it was computed in.
 * ``PotentialAdaptive`` consults the bound once per block; the memo must
   collapse repeat consultations of an unchanged bound version into cache
   hits (``potential_evals`` vs ``potential_consults``) without touching
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import AccessKind, EuclideanLogScoring, make_algorithm
-from repro.core.bounds import BoundWorkspace
+from repro.core.bounds import BoundWorkspace, completion_terms
 from repro.data import SyntheticConfig, generate_problem
 
 
@@ -118,25 +120,99 @@ class TestSolverSecondsSplit:
 
 
 class TestGeometryCache:
-    def test_geometry_computed_once_per_entry(self, monkeypatch):
-        # The kernel computes an entry's completion geometry at append
-        # (the M = {} seed row included) and gathers it from the cache on
-        # every later solve, so revalidations add no geometry rows.
+    @staticmethod
+    def spy_terms(monkeypatch, sink):
+        """Record the member count of every ``completion_terms`` call the
+        tight bound makes (``sink(m, rows)``)."""
         import repro.core.bounds.tight as tight
 
+        real = tight.completion_terms
+
+        def spy(scoring, n, query, scores, *args, **kwargs):
+            sink(scores.shape[1], len(scores))
+            return real(scoring, n, query, scores, *args, **kwargs)
+
+        monkeypatch.setattr(tight, "completion_terms", spy)
+
+    def geometry_rows(self, monkeypatch, batch_kernel):
         rows = []
-        real = tight.completion_geometry
-
-        def spy(scoring, query, scores, vectors, unseen_sigma):
-            rows.append(len(scores))
-            return real(scoring, query, scores, vectors, unseen_sigma)
-
-        monkeypatch.setattr(tight, "completion_geometry", spy)
+        self.spy_terms(monkeypatch, lambda m, e: rows.append(e))
         relations, query = problem(1)
         result = run(relations=relations, query=query, algo="TBPA",
-                     batch_kernel=True, dominance_period=4, pull_block=4)
+                     batch_kernel=batch_kernel, dominance_period=4,
+                     pull_block=4)
         assert result.counters["entries_revalidated"] > 1
-        assert sum(rows) == result.counters["entries_created"] + 1
+        return sum(rows), result.counters["entries_created"]
+
+    def test_geometry_computed_once_per_entry(self, monkeypatch):
+        # The kernel computes an entry's completion geometry at append
+        # (the M = {} seed row included) and gathers it from the store on
+        # every later solve, so revalidations add no geometry rows.
+        rows, created = self.geometry_rows(monkeypatch, batch_kernel=True)
+        assert rows == created + 1
+
+    def test_scalar_path_reads_cached_geometry(self, monkeypatch):
+        # The scalar reference differs only in its QP call: it gathers
+        # the same cached geometry instead of recomputing it.
+        rows, created = self.geometry_rows(monkeypatch, batch_kernel=False)
+        assert rows == created + 1
+
+    def test_one_geometry_call_per_subset_size(self, monkeypatch):
+        # n = 4 has subset sizes 0-3; a refresh computes the geometry of
+        # every subset of one size in one call, so no refresh makes more
+        # calls than there are sizes that gained rows.
+        import repro.core.bounds.tight as tight
+
+        per_refresh = [[]]
+        self.spy_terms(monkeypatch, lambda m, e: per_refresh[-1].append(m))
+        real_update = tight.TightBound.update
+
+        def update(self, state, i, tau):
+            per_refresh.append([])
+            return real_update(self, state, i, tau)
+
+        monkeypatch.setattr(tight.TightBound, "update", update)
+        relations, query = problem(3, n_relations=4, n_tuples=16)
+        result = run(relations=relations, query=query, algo="TBRR",
+                     batch_kernel=True, dominance_period=4, pull_block=4)
+        assert result.completed
+        for sizes in per_refresh:
+            assert len(sizes) == len(set(sizes)), sizes
+        assert max(len(sizes) for sizes in per_refresh) == 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_terms_independent_of_batch(self, n, d):
+        # Rows of several same-size subsets in one call give the same
+        # bytes as each subset's rows alone (with its unseen utility
+        # passed as a scalar), centroids on the query point included.
+        rng = np.random.default_rng(100 * n + d)
+        scoring = EuclideanLogScoring(0.8, 1.2, 0.6)
+        query = rng.normal(size=d)
+        for m in range(1, n):
+            groups = []
+            for rows in (1, 3, 7):
+                scores = rng.uniform(0.1, 1.0, size=(rows, m))
+                offsets = rng.normal(size=(rows, m, d))
+                # Row 0's members balance around the query: its centroid
+                # is the query point (the direction-free branch).
+                offsets[0, -1] = -offsets[0, :-1].sum(axis=0)
+                groups.append((scores, query + offsets, float(rng.normal())))
+            joint = completion_terms(
+                scoring, n, query,
+                np.concatenate([g[0] for g in groups]),
+                np.concatenate([g[1] for g in groups]),
+                np.concatenate([np.full(len(g[0]), g[2]) for g in groups]),
+            )
+            start = 0
+            for scores, vectors, utility in groups:
+                alone = completion_terms(
+                    scoring, n, query, scores, vectors, utility
+                )
+                part = slice(start, start + len(scores))
+                for got, want in zip(joint, alone):
+                    assert got[part].tobytes() == want.tobytes(), (m, d)
+                start += len(scores)
 
 
 class TestPotentialsMemo:

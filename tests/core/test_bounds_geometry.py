@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core import EuclideanLogScoring, LinearScoring
 from repro.core.bounds.geometry import (
+    completion_terms,
     dominance_coefficients,
-    dominance_coefficients_batch,
     partial_geometry,
     score_access_completion,
     solve_completion,
@@ -245,8 +245,11 @@ class TestBatchConsistency:
         scores = rng.uniform(0.1, 1.0, size=(entries, m))
         vectors = rng.normal(size=(entries, m, 2))
 
-        bs, cs = dominance_coefficients_batch(
-            scoring, n, query, scores, vectors, unseen_sigma
+        unseen_utility = sum(
+            scoring.score_utility(unseen_sigma[j]) for j in sorted(unseen_sigma)
+        )
+        *_, bs, cs = completion_terms(
+            scoring, n, query, scores, vectors, unseen_utility
         )
         for e in range(entries):
             seen = {

@@ -309,8 +309,16 @@ class TestScoreAccessAlgorithm3:
         state = make_state(relations, AccessKind.SCORE, query)
         bound = TightBound()
         round_robin_updates(state, bound, rounds=5)
-        for sub in bound._subsets:
-            assert sub.count <= 1
+        store = bound._store
+        # Score access keeps no rows in the distance path's store, only
+        # one incumbent (a single member row) per subset.
+        assert store.count == 0
+        assert len(bound._incumbents) == 2**2 - 1
+        for s, incumbent in enumerate(bound._incumbents):
+            if incumbent is not None:
+                scores, vecs = incumbent
+                assert scores.shape == (store.size[s],)
+                assert vecs.shape == (store.size[s], len(query))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 300))

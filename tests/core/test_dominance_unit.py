@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds.dominance import dominated_mask
+from repro.core.bounds.dominance import dominated_mask, equal_slope_screen
 
 
 class TestDominatedMask:
@@ -89,3 +89,74 @@ class TestDominatedMask:
                 y = rng.normal(size=2) * 4
                 g = 2.0 * bs @ y + cs
                 assert g[live].min() <= g[alpha] + 1e-6
+
+
+def tie_heavy_rows(rng, rows, d=2):
+    """``b`` rows from a 3-level grid (so byte-identical rows repeat) and
+    ``c`` values whose gaps straddle the 1e-9 zero-row tolerance."""
+    bs = rng.choice((-1.0, 0.0, 1.0), size=(rows, d))
+    cs = rng.choice((0.0, 1.0), size=rows) + rng.choice(
+        (0.0, 4e-10, 8e-10, 3e-9), size=rows
+    )
+    return bs, cs
+
+
+def screen(bs, cs, out, groups=None):
+    live = (~out).nonzero()[0]
+    return equal_slope_screen(
+        bs, cs, live, out, None if groups is None else groups[live]
+    )
+
+
+class TestEqualSlopeScreen:
+    """Why the engine screens only the subsets that gained rows: a
+    screen leaves every live row of a group within the tolerance of the
+    group's live minimum, later flags only remove rows, so re-screening
+    an unchanged subset flags nothing, while a new row that undercuts a
+    group's minimum is caught by the next screen."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rerun_after_more_flags_flags_nothing(self, seed):
+        rng = np.random.default_rng(seed)
+        bs, cs = tie_heavy_rows(rng, 60)
+        out = np.zeros(60, dtype=bool)
+        assert screen(bs, cs, out) > 0
+        # Arbitrary extra flags, standing in for the LPs' verdicts.
+        out |= rng.random(60) < 0.3
+        settled = out.copy()
+        assert screen(bs, cs, out) == 0
+        assert (out == settled).all()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_undercutting_row_flags_the_older_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        bs, cs = tie_heavy_rows(rng, 60)
+        out = np.zeros(60, dtype=bool)
+        screen(bs, cs, out)
+        row = int(rng.choice((~out).nonzero()[0]))
+        group = (~out & (bs == bs[row]).all(axis=1)).nonzero()[0]
+        bs = np.vstack([bs, bs[row]])
+        cs = np.append(cs, cs[group].min() - 1.0)
+        out = np.append(out, False)
+        assert screen(bs, cs, out) == group.size
+        assert out[group].all() and not out[-1]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_many_subsets_in_one_sort(self, seed):
+        # Rows of different subsets never share a group, even with
+        # byte-identical b; pre-flagged rows stay out of every group.
+        rng = np.random.default_rng(seed)
+        bs, cs = tie_heavy_rows(rng, 90)
+        groups = rng.integers(0, 5, size=90).astype(np.int16)
+        already = rng.random(90) < 0.2
+        together = already.copy()
+        flagged = screen(bs, cs, together, groups)
+        alone = already.copy()
+        per_subset = 0
+        for g in range(5):
+            rows = (groups == g).nonzero()[0]
+            out = alone[rows]
+            per_subset += screen(bs[rows], cs[rows], out)
+            alone[rows] = out
+        assert flagged == per_subset > 0
+        assert (together == alone).all()

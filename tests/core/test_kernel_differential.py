@@ -11,7 +11,9 @@ completed kernel run must equal the scalar run with ``==`` on the
 ranked ``(key, score)`` list, the depths and the bound, and a config
 with a dominance period must also equal the same config with dominance
 off: the pass only flags rows that can never carry a subset's bound, so
-it moves no answer, depth or bound.  A failure names the config's seed;
+it moves no answer, depth or bound.  A second draw of configs fixes
+n = 4 (15 subsets, sizes 0-3, where n = 3 reaches only sizes 0-2) with
+at most 16 rows per relation.  A failure names the config's seed;
 ``pytest tests/core/test_kernel_differential.py -k seed<N>`` reruns it
 alone.
 """
@@ -25,19 +27,21 @@ from repro.core import AccessKind, EuclideanLogScoring, Relation, make_algorithm
 
 CONFIGS = 120
 SEED_BASE = 30_000
+N4_CONFIGS = 30
+N4_SEED_BASE = 44_000
 SCORING = EuclideanLogScoring(1.0, 1.0, 1.0)
 
 
 def draw_config(seed):
     rnd = random.Random(seed)
-    n = rnd.choice((2, 3))
+    n = 4 if seed >= N4_SEED_BASE else rnd.choice((2, 3))
     return {
         "seed": seed,
         "n": n,
         "d": rnd.choice((1, 2, 3)),
         # The scalar reference solves one LP per dominance candidate, so
-        # n=3 relations stay small enough for the sweep's time budget.
-        "size": rnd.randint(8, 60 if n == 2 else 36),
+        # larger joins stay small enough for the sweep's time budget.
+        "size": rnd.randint(8, {2: 60, 3: 36, 4: 16}[n]),
         "k": rnd.randint(1, 6),
         "pull_block": rnd.choice((1, 2, 4, 8)),
         "bound_period": rnd.choice((1, 2, 3)),
@@ -92,7 +96,10 @@ def run(cfg, relations, query, batch_kernel, dominance_period):
 
 
 @pytest.mark.parametrize(
-    "seed", [SEED_BASE + i for i in range(CONFIGS)], ids=lambda s: f"seed{s}"
+    "seed",
+    [SEED_BASE + i for i in range(CONFIGS)]
+    + [N4_SEED_BASE + i for i in range(N4_CONFIGS)],
+    ids=lambda s: f"seed{s}",
 )
 def test_kernel_matches_scalar(seed):
     cfg = draw_config(seed)
