@@ -4,7 +4,7 @@ Not figures of the paper.  Each case times one building block, most of
 them beside the simpler alternative on the same input:
 
 * opening a head-sorted distance stream and reading a short prefix;
-* the batched bound QP vs the scalar active-set solver;
+* one masked bound-QP call vs a per-row loop of the enumeration;
 * the columnar combination scorer vs naive per-tuple scoring;
 * the witness pre-pass inside the dominance test vs LP-for-everyone;
 * the anchor-and-probe extension vs TBPA on the same clustered data,
@@ -20,7 +20,7 @@ from repro.core import AccessKind, EuclideanLogScoring, Relation, TopKBuffer, tb
 from repro.core.access import DistanceAccess, open_streams
 from repro.core.batchscore import QuadraticBatchScorer
 from repro.core.bounds.dominance import dominated_mask
-from repro.optim.qp import solve_bound_qp, solve_bound_qp_batch, spread_matrix
+from repro.optim.qp import solve_bound_qp_batch, solve_bound_qp_masked, spread_matrix
 
 RNG = np.random.default_rng(123)
 
@@ -51,37 +51,39 @@ class TestAccessPaths:
 
 class TestQPPaths:
     def _instances(self, count=256, n=3):
+        """``count`` bound QPs of one n=3 pattern (relation 0 seen, 1 and
+        2 bounded below), as the masked solver's ``(B, n)`` arrays."""
         h = spread_matrix(n, 1.0, 1.0)
-        fixed_vals = RNG.normal(size=(count, 1))
-        lower = {1: 0.7, 2: 1.4}
-        return h, fixed_vals, lower
+        fixed = np.zeros((count, n), dtype=bool)
+        fixed[:, 0] = True
+        vals = np.zeros((count, n))
+        vals[:, 0] = RNG.normal(size=count)
+        vals[:, 1:] = [0.7, 1.4]
+        return h, fixed, vals
 
-    def test_scalar_qp(self, benchmark):
-        h, fixed_vals, lower = self._instances()
+    def test_per_row_enumeration(self, benchmark):
+        h, fixed, vals = self._instances()
 
         def run():
             return [
-                solve_bound_qp(h, fixed={0: float(v[0])}, lower=lower).value
-                for v in fixed_vals
+                solve_bound_qp_batch(h, [0], row[None, :1], [1, 2], row[1:])[0][0]
+                for row in vals
             ]
 
         values = benchmark(run)
         assert len(values) == 256
 
-    def test_batch_qp(self, benchmark):
-        h, fixed_vals, lower = self._instances()
-        lower_idx = sorted(lower)
-        lower_vals = np.array([lower[j] for j in lower_idx])
+    def test_masked_qp(self, benchmark):
+        h, fixed, vals = self._instances()
 
         def run():
-            vals, _ = solve_bound_qp_batch(h, [0], fixed_vals, lower_idx, lower_vals)
-            return vals
+            return solve_bound_qp_masked(h, fixed, vals, ~fixed, vals)[0]
 
         values = benchmark(run)
         assert len(values) == 256
-        # Cross-check once against the scalar path.
-        ref = solve_bound_qp(h, fixed={0: float(fixed_vals[0, 0])}, lower=dict(zip(lower_idx, lower_vals)))
-        assert values[0] == pytest.approx(ref.value, abs=1e-9)
+        # Row for row the enumeration's answer.
+        ref, _ = solve_bound_qp_batch(h, [0], vals[:, :1], [1, 2], vals[0, 1:])
+        assert (values == ref).all()
 
 
 class TestCombinationScoring:

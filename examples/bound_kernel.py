@@ -1,16 +1,15 @@
-"""The batched bound kernel, the lazy dominance pass, and where TBPA's
-CPU time actually goes.
+"""The bound kernel, the lazy dominance pass, and where TBPA's CPU time
+actually goes.
 
 The tight bound solves one tiny QP per stale partial combination and one
 feasibility LP per dominance candidate.  The paper already warns that
 "solving the LP might be too costly".  The bound kernel stops solving
 the QPs one at a time: every subset's partial combinations live in one
 columnar store, and each refresh gathers every subset's stale QPs into a
-single masked batch call (the scalar reference makes one call per
-subset on the same rows).  The dominance pass, the same on both paths,
-is lazy: the tight bound is a max, and a dominated partial combination
-can never carry it, so a subset's pass tests only the candidates whose
-completion bound could set the subset's max — most subsets end after
+single masked batch call.  The dominance pass is lazy: the tight bound
+is a max, and a dominated partial combination can never carry it, so a
+subset's pass tests only the candidates whose completion bound could
+set the subset's max — most subsets end after
 certifying the top row at its cached witness or its own optimum,
 without an LP, and the few LPs left take one dense simplex call each.
 In front of that, an equal-slope screen flags a partial combination
@@ -18,18 +17,14 @@ whose ``b`` row repeats another's with a larger ``c``: it loses
 everywhere, no LP needed.  One sort screens every subset that gained
 rows since the last pass.
 
-This example runs the same dominance-heavy n=3 workload — quantised to a
+This example runs a dominance-heavy n=3 workload — quantised to a
 coarse grid so streams stall on ties and repeated member vectors occur,
-the regime the screen targets — through the scalar reference, the
-batched kernel and the batched kernel with dominance off, and prints
-the bound-time split (engine / bound / dominance / solver),
-demonstrating that
+the regime the screen targets — through the batched kernel with
+dominance on and off, and prints the bound-time split (engine / bound /
+dominance / solver), demonstrating that
 
 * the answers are *identical* — same ranked top-K, depths and bound bit
-  for bit on all three runs (the QP kernel is a row-stable replica of
-  the scalar solver, and flags never move the bound);
-* the batched-over-scalar ratio is the QP batching's alone: both paths
-  run the same dominance pass;
+  for bit on both runs (flags never move the bound);
 * the kernel solves almost no dominance LPs: the screen and cached
   witnesses answer the candidates the lazy pass looks at;
 * what dominance still costs next to the dominance-off run.
@@ -62,24 +57,22 @@ relations = tied
 scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
 
 STRATEGIES = (
-    ("scalar loops", False, 2),  # dominance pass every 2 accesses
-    ("batched kernel", True, 2),
-    ("dominance off", True, None),
+    ("batched kernel", 2),  # dominance pass every 2 accesses
+    ("dominance off", None),
 )
 results = {}
-for label, batch_kernel, period in STRATEGIES:
+for label, period in STRATEGIES:
     engine = make_algorithm(
         "TBPA", relations, scoring, query, 10,
         kind=AccessKind.DISTANCE,
         pull_block=8,
         dominance_period=period,
-        batch_kernel=batch_kernel,
     )
     results[label] = engine.run()
 
 print(f"{'path':<16}{'engine':>12}{'bound':>11}{'dominance':>12}"
       f"{'solver':>12}{'LPs':>7}{'QPs':>7}")
-for label, _, _ in STRATEGIES:
+for label, _ in STRATEGIES:
     r = results[label]
     print(f"{label:<16}"
           f"{r.total_seconds * 1e3:>10.1f}ms"
@@ -89,18 +82,13 @@ for label, _, _ in STRATEGIES:
           f"{r.counters['lp_solves']:>7.0f}"
           f"{r.counters['qp_solves']:>7.0f}")
 
-batched = results["batched kernel"]
-for other in ("scalar loops", "dominance off"):
-    r = results[other]
-    assert batched.depths == r.depths and batched.bound == r.bound
-    assert [(c.key, c.score) for c in batched.combinations] == [
-        (c.key, c.score) for c in r.combinations
-    ]
-scalar, off = results["scalar loops"], results["dominance off"]
+batched, off = results["batched kernel"], results["dominance off"]
+assert batched.depths == off.depths and batched.bound == off.bound
+assert [(c.key, c.score) for c in batched.combinations] == [
+    (c.key, c.score) for c in off.combinations
+]
 print(f"\nidentical top-{len(batched.combinations)}, depths and bound "
-      f"across all three runs; "
-      f"batched {scalar.total_seconds / batched.total_seconds:.1f}x "
-      f"faster than scalar; dominance on costs "
+      f"with dominance on and off; dominance on costs "
       f"{batched.total_seconds / off.total_seconds:.1f}x dominance off")
 c = batched.counters
 print("dominance:",

@@ -8,10 +8,8 @@ Bounding scheme x pulling strategy:
 * ``TBPA`` — tight bound + potential-adaptive (instance-optimal and
   never deeper than TBRR on any relation, Thm. 3.5 / Cor. 3.6)
 
-Each helper builds a ready-to-run :class:`~repro.core.template.ProxRJ`.
-The tight-bound helpers take ``dominance_period`` and ``batch_kernel``:
-the batched bound kernel is the one fast path, ``batch_kernel=False`` the
-scalar reference it is pinned against.
+Each helper builds a ready-to-run :class:`~repro.core.template.ProxRJ`;
+the tight-bound helpers also take ``dominance_period``.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ def _build(
     tight: bool,
     adaptive: bool,
     dominance_period: int | None,
-    batch_kernel: bool,
     bound_period: int,
     pull_block: int,
     vectorise: bool,
@@ -49,11 +46,7 @@ def _build(
     max_pulls: int | None,
     should_stop,
 ) -> ProxRJ:
-    bound = (
-        TightBound(dominance_period=dominance_period, batch_kernel=batch_kernel)
-        if tight
-        else CornerBound()
-    )
+    bound = TightBound(dominance_period) if tight else CornerBound()
     pull = PotentialAdaptive() if adaptive else RoundRobin()
     return ProxRJ(
         relations,
@@ -90,7 +83,7 @@ def cbrr(
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=False,
-        dominance_period=None, batch_kernel=True,
+        dominance_period=None,
         bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
@@ -115,7 +108,7 @@ def cbpa(
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=True,
-        dominance_period=None, batch_kernel=True,
+        dominance_period=None,
         bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
@@ -130,7 +123,6 @@ def tbrr(
     *,
     kind: AccessKind = AccessKind.DISTANCE,
     dominance_period: int | None = None,
-    batch_kernel: bool = True,
     bound_period: int = 1,
     pull_block: int = 1,
     vectorise: bool = True,
@@ -138,16 +130,11 @@ def tbrr(
     max_pulls: int | None = None,
     should_stop=None,
 ) -> ProxRJ:
-    """Tight bound + round-robin (instance-optimal).
-
-    ``batch_kernel=False`` pins the scalar per-subset/per-candidate bound
-    path — the reference the batched bound kernel is differenced against
-    (results are bit-identical either way).
-    """
+    """Tight bound + round-robin (instance-optimal)."""
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=False,
-        dominance_period=dominance_period, batch_kernel=batch_kernel,
+        dominance_period=dominance_period,
         bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
@@ -162,7 +149,6 @@ def tbpa(
     *,
     kind: AccessKind = AccessKind.DISTANCE,
     dominance_period: int | None = None,
-    batch_kernel: bool = True,
     bound_period: int = 1,
     pull_block: int = 1,
     vectorise: bool = True,
@@ -170,16 +156,11 @@ def tbpa(
     max_pulls: int | None = None,
     should_stop=None,
 ) -> ProxRJ:
-    """Tight bound + potential-adaptive (the paper's best algorithm).
-
-    ``batch_kernel=False`` pins the scalar per-subset/per-candidate bound
-    path — the reference the batched bound kernel is differenced against
-    (results are bit-identical either way).
-    """
+    """Tight bound + potential-adaptive (the paper's best algorithm)."""
     return _build(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=True,
-        dominance_period=dominance_period, batch_kernel=batch_kernel,
+        dominance_period=dominance_period,
         bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,

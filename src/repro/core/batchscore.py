@@ -145,28 +145,11 @@ class QuadraticBatchScorer:
     the bound streams' access positions.
     """
 
-    def __init__(
-        self,
-        scoring: QuadraticFormScoring,
-        query: np.ndarray,
-        *,
-        workspace=None,
-    ) -> None:
+    def __init__(self, scoring: QuadraticFormScoring, query: np.ndarray) -> None:
         self.scoring = scoring
         self.query = np.asarray(query, dtype=float)
-        #: Optional per-run BoundWorkspace (repro.core.bounds.workspace):
-        #: when the engine threads one through, the candidate sieve's
-        #: per-block temporaries come from its grow-only scratch slabs
-        #: instead of fresh allocations.
-        self.workspace = workspace
         self._streams: list | None = None
         self._slabs: list[_PrefixSlab] = []
-
-    def _scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A zeroed scratch array — workspace-backed when available."""
-        if self.workspace is not None:
-            return self.workspace.array(name, shape, zero=True)
-        return np.zeros(shape)
 
     def bind_streams(self, streams: list) -> None:
         """Attach one prefix slab per stream; ranges index these streams'
@@ -253,7 +236,7 @@ class QuadraticBatchScorer:
             idx = np.nonzero(flat_scalar >= kth - 2e-9 - spread_cap)[0]
             if idx.size:
                 coords = np.unravel_index(idx, shape)
-                norm_sum = self._scratch("sieve_norm_sum", (idx.size,))
+                norm_sum = np.zeros(idx.size)
                 for slab, (_, lo, _), c in zip(slabs, ranges, coords):
                     norm_sum += slab.norm[lo + c]
                 upper = flat_scalar[idx] + (w_mu / n) * norm_sum * norm_sum
@@ -261,7 +244,7 @@ class QuadraticBatchScorer:
                 idx = idx[alive]
                 coords = tuple(c[alive] for c in coords)
             if idx.size:
-                vsum = self._scratch("sieve_vsum", (idx.size, len(self.query)))
+                vsum = np.zeros((idx.size, len(self.query)))
                 for slab, (_, lo, _), c in zip(slabs, ranges, coords):
                     vsum += slab.centred[lo + c]
                 exact = flat_scalar[idx] + (w_mu / n) * np.einsum(

@@ -17,13 +17,11 @@ from repro.core.bounds.geometry import (
     unconstrained_optimum,
 )
 from repro.core.bounds.tight import TightBound
-from repro.core.bounds.workspace import BoundWorkspace
 
 __all__ = [
     "ApproxTightBound",
     "BoundCounters",
     "BoundingScheme",
-    "BoundWorkspace",
     "EngineState",
     "CornerBound",
     "TightBound",

@@ -11,14 +11,13 @@ pulling strategy of Section 3.3.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.access import AccessKind
 from repro.core.buffers import TopKBuffer
-from repro.core.bounds.workspace import BoundWorkspace
 from repro.core.relation import RankTuple
 from repro.core.scoring import Scoring
 
@@ -46,11 +45,6 @@ class EngineState:
     streams: list["AccessStream"]
     k: int
     output: TopKBuffer
-    #: Per-run scratch arena + memoisation shared by the bound stack
-    #: (see :mod:`repro.core.bounds.workspace`).  The engine creates one
-    #: per run; schemes driven without an engine fall back to a private
-    #: instance.
-    workspace: BoundWorkspace | None = None
 
     @property
     def n(self) -> int:

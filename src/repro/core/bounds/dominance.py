@@ -60,14 +60,13 @@ The building blocks are :func:`equal_slope_screen`,
 :func:`walk_by_bound` and :func:`pending_lps` (the capped competitor
 rows of the pending candidates, as a :class:`DominancePrep`); each
 pending LP is one dense :func:`~repro.optim.polyhedron_feasible_point`
-call.  The engine's pass (:class:`~repro.core.bounds.tight.TightBound`,
-both execution strategies) screens the subsets that gained rows in
-one call, then walks each subset's live rows straight from its
-columnar store, building a :class:`DominancePrep` only when an LP is
-pending.  :func:`prepare_dominance_pass` runs the same steps on one
-subset's rows; without ``t`` it runs the eager full pass, which the
-public :func:`dominated_mask` solves: the reference the soundness
-suites pin.
+call.  The engine's pass (:class:`~repro.core.bounds.tight.TightBound`)
+screens the subsets that gained rows in one call, then walks each
+subset's live rows straight from its columnar store, building a
+:class:`DominancePrep` only when an LP is pending.
+:func:`prepare_dominance_pass` runs the same steps on one subset's rows;
+without ``t`` it runs the eager full pass, which the public
+:func:`dominated_mask` solves: the reference the soundness suites pin.
 
 All directions preserve the invariant correctness depends on: a live
 partial combination is never flagged dominated.

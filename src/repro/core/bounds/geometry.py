@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.scoring import QuadraticFormScoring
-from repro.optim.qp import solve_bound_qp, solve_bound_qp_batch, spread_matrix
+from repro.optim.qp import solve_bound_qp_masked, spread_matrix
 
 __all__ = [
     "PartialGeometry",
@@ -200,23 +200,30 @@ def solve_completion(
         else np.zeros((0, len(query))),
         query,
     )
-    fixed = {i: geo.projections[k] for k, i in enumerate(sorted(seen))}
-    lower = dict(unseen_delta)
-
+    # One row for the QP solver: the members pinned at their projections,
+    # every other relation bounded below by its delta (each mask reads
+    # ``vals`` only where it is set).
+    fixed = np.zeros((1, n), dtype=bool)
+    fixed[0, sorted(seen)] = True
+    vals = np.zeros((1, n))
+    vals[0, sorted(seen)] = geo.projections
+    for j, delta in unseen_delta.items():
+        vals[0, j] = delta
     h = spread_matrix(n, scoring.w_q, scoring.w_mu)
-    qp = solve_bound_qp(h, fixed=fixed, lower=lower)
+    qp_vals, thetas, _ = solve_bound_qp_masked(h, fixed, vals, ~fixed, vals)
+    qp_value, theta = float(qp_vals[0]), thetas[0]
 
     score_term = scoring.w_s * (
         sum(scoring.score_utility(seen[i][0]) for i in seen)
         + sum(scoring.score_utility(unseen_sigma[j]) for j in unseen_sigma)
     )
-    value = score_term - qp.value - (scoring.w_q + scoring.w_mu) * geo.residual_sq
+    value = score_term - qp_value - (scoring.w_q + scoring.w_mu) * geo.residual_sq
 
     query = np.asarray(query, dtype=float)
     positions = {
-        j: query + qp.x[j] * geo.direction for j in unseen_delta
+        j: query + theta[j] * geo.direction for j in unseen_delta
     }
-    return CompletionResult(value=value, theta=qp.x, positions=positions)
+    return CompletionResult(value=value, theta=theta, positions=positions)
 
 
 def completion_terms(
@@ -322,13 +329,25 @@ def solve_completion_batch(
     unseen_utility = sum(
         scoring.score_utility(unseen_sigma[j]) for j in sorted(unseen_sigma)
     )
+    if sorted([*member_idx, *unseen_delta]) != list(range(n)):
+        raise ValueError(
+            "member_idx and unseen_delta must partition the n relations"
+        )
     proj, residual_sq, score_term, _, _ = completion_terms(
         scoring, n, query, scores, vectors, unseen_utility, dominance=False
     )
-    lower_idx = sorted(unseen_delta)
-    lower_vals = np.array([unseen_delta[j] for j in lower_idx])
+    num_entries = len(proj)
+    fixed = np.zeros((num_entries, n), dtype=bool)
+    fixed[:, member_idx] = True
+    fixed_vals = np.zeros((num_entries, n))
+    fixed_vals[:, member_idx] = proj
+    lower_vals = np.zeros(n)
+    for j, delta in unseen_delta.items():
+        lower_vals[j] = delta
     h = spread_matrix(n, scoring.w_q, scoring.w_mu)
-    qp_vals, thetas = solve_bound_qp_batch(h, member_idx, proj, lower_idx, lower_vals)
+    qp_vals, thetas, _ = solve_bound_qp_masked(
+        h, fixed, fixed_vals, ~fixed, np.broadcast_to(lower_vals, (num_entries, n))
+    )
     values = score_term - qp_vals - (scoring.w_q + scoring.w_mu) * residual_sq
     return values, thetas
 

@@ -26,21 +26,18 @@ access), with these engineering refinements:
   the cached optima to re-solve; one gather, one QP solve and one
   scatter refresh ``t``; one segmented max gives the subset maxima the
   bound and the potentials read.
-* **Batched bound kernel** (default, ``batch_kernel=True``): the gathered
-  completion problems of every subset go to a single
-  :func:`~repro.optim.solve_bound_qp_masked` call in the run's
-  :class:`~repro.core.bounds.workspace.BoundWorkspace` slabs (mixed
-  fixed/lower patterns, closed-form water-level rows; the
-  ``qp_enumerated`` counter reports the rows it hands to its active-set
-  enumeration).  ``batch_kernel=False`` differs only in that call: one
-  :func:`~repro.optim.solve_bound_qp_batch` per subset on the same
-  gathered rows, the reference the differential suite pins the kernel
-  against (the kernel's row-stable arithmetic makes completed runs
-  bit-identical).
-* Both execution strategies run one dominance pass, lazy: it screens the
-  subsets that gained rows since the last pass in one sort, then walks
-  each subset's live rows and tests only the candidates whose completion
-  bound could set ``t_M`` (see :mod:`repro.core.bounds.dominance`), so
+* **One QP call per refresh**: the stale completion problems of every
+  subset go to a single :func:`~repro.optim.solve_bound_qp_masked` call
+  on arrays gathered straight from the store (mixed fixed/lower
+  patterns, closed-form water-level rows; the ``qp_enumerated`` counter
+  reports the rows it hands to its active-set enumeration).  Every row
+  is bit-identical to :func:`~repro.optim.solve_bound_qp_batch`, the
+  per-pattern enumeration, on the same row; the test suites check that
+  on every call an engine run makes.
+* The dominance pass is lazy: it screens the subsets that gained rows
+  since the last pass in one sort, then walks each subset's live rows
+  and tests only the candidates whose completion bound could set
+  ``t_M`` (see :mod:`repro.core.bounds.dominance`), so
   flags never move the bound and most subsets end after one certified
   row, without an LP.  The few LPs left are solved one dense
   :func:`~repro.optim.polyhedron_feasible_point` call each.
@@ -56,12 +53,12 @@ access), with these engineering refinements:
   not re-solved at all — results are cached incrementally across blocks.
 * Subsets missing an exhausted relation are dead — no continuation can
   complete them — and their rows leave the store (their ``t_M = -inf``).
-* Per-relation potentials are memoised per bound version in the
-  workspace: ``pot_i`` reads only the subsets' cached maxima, which
-  change exactly when :meth:`update` runs, so the potential-adaptive
-  strategy's once-per-block consultation costs a cached-list copy unless
-  the bound actually moved (``potential_consults`` vs.
-  ``potential_evals`` in the counters).
+* Per-relation potentials are memoised per bound version: ``pot_i``
+  reads only the subsets' cached maxima, which change exactly when
+  :meth:`update` runs, so the potential-adaptive strategy's
+  once-per-block consultation costs a cached-list copy unless the bound
+  actually moved (``potential_consults`` vs. ``potential_evals`` in the
+  counters).
 * Score access keeps a single best entry per subset (Algorithm 3): the
   paper shows relative order within ``PC(M)`` never changes under score
   access, so everything else is immediately dominated.
@@ -85,14 +82,9 @@ from repro.core.bounds.geometry import (
     score_access_completion,
     score_access_completion_batch,
 )
-from repro.core.bounds.workspace import BoundWorkspace
 from repro.core.relation import RankTuple
 from repro.core.scoring import QuadraticFormScoring
-from repro.optim.qp import (
-    solve_bound_qp_batch,
-    solve_bound_qp_masked,
-    spread_matrix,
-)
+from repro.optim.qp import solve_bound_qp_masked, spread_matrix
 
 __all__ = ["TightBound"]
 
@@ -221,28 +213,13 @@ class TightBound(BoundingScheme):
         dominance (the paper's "period = infinity").  Ignored under
         score access, where Algorithm 3's best-entry rule plays the same
         role for free.
-    batch_kernel:
-        ``True`` (default) routes each refresh's bound QPs through the
-        batched kernel: one gathered
-        :func:`~repro.optim.solve_bound_qp_masked` call for every stale
-        subset.  ``False`` solves the same gathered rows with one
-        :func:`~repro.optim.solve_bound_qp_batch` call per subset — the
-        reference the differential suite pins the kernel against
-        (completed runs are bit-identical either way).  Everything else,
-        the dominance pass included, is shared.
     """
 
-    def __init__(
-        self,
-        dominance_period: int | None = None,
-        *,
-        batch_kernel: bool = True,
-    ) -> None:
+    def __init__(self, dominance_period: int | None = None) -> None:
         super().__init__()
         if dominance_period is not None and dominance_period < 1:
             raise ValueError("dominance_period must be >= 1 (or None)")
         self.dominance_period = dominance_period
-        self.batch_kernel = batch_kernel
         self._store: _Store | None = None
         #: Score access: each subset's incumbent ``(scores, vectors)``.
         self._incumbents: list[tuple[np.ndarray, np.ndarray] | None] = []
@@ -252,21 +229,17 @@ class TightBound(BoundingScheme):
         self._seen_scores = np.empty((0, 0))
         self._synced: list[int] = []
         self._accesses = 0
+        #: Bumped by every :meth:`update`; the potentials memo is valid
+        #: for the version it was computed at.
         self._version = 0
-        self._own_workspace: BoundWorkspace | None = None
+        self._pots: list[float] = []
+        self._pots_version = -1
 
     @property
     def is_tight(self) -> bool:
         return True
 
     # -- shared plumbing ---------------------------------------------------
-
-    def _workspace(self, state: EngineState) -> BoundWorkspace:
-        if state.workspace is not None:
-            return state.workspace
-        if self._own_workspace is None:
-            self._own_workspace = BoundWorkspace()
-        return self._own_workspace
 
     def _init_store(self, state: EngineState) -> _Store:
         if self._store is None:
@@ -325,16 +298,13 @@ class TightBound(BoundingScheme):
 
     def potentials(self, state: EngineState) -> list[float]:
         self.counters.potential_consults += 1
-        ws = self._workspace(state)
-        cached = ws.potentials_if_fresh(self._version)
-        if cached is not None:
-            return list(cached)
-        store = self._init_store(state)
-        self.counters.potential_evals += 1
-        pots = np.where(store.others, store.t_max[:, None], NEG_INFINITY)
-        pots = pots.max(axis=0).tolist()
-        ws.cache_potentials(self._version, pots)
-        return list(pots)
+        if self._pots_version != self._version:
+            store = self._init_store(state)
+            self.counters.potential_evals += 1
+            pots = np.where(store.others, store.t_max[:, None], NEG_INFINITY)
+            self._pots = pots.max(axis=0).tolist()
+            self._pots_version = self._version
+        return list(self._pots)
 
     def _mark_dead(self, state: EngineState, store: _Store) -> None:
         exhausted = np.array([s.exhausted for s in state.streams])
@@ -505,37 +475,21 @@ class TightBound(BoundingScheme):
         self, state: EngineState, store: _Store, rows: np.ndarray, deltas: np.ndarray
     ) -> None:
         """Solve the completion problems of ``rows`` from their cached
-        geometry and scatter ``t`` and ``theta`` back; ``solver_seconds``
-        times the QP calls alone."""
+        geometry in one QP call and scatter ``t`` and ``theta`` back;
+        ``solver_seconds`` times the QP call alone."""
         if not rows.size:
             return
         scoring = state.scoring
         sids = store.sid[rows]
-        if self.batch_kernel:
-            fixed_mask, fixed_vals, lower_mask, lower_vals = self._workspace(
-                state
-            ).qp_slabs(rows.size, state.n)
-            fixed_mask[...] = store.members[sids]
-            fixed_vals[...] = store.proj[rows]
-            lower_mask[...] = store.others[sids]
-            lower_vals[...] = deltas
-            started = time.perf_counter()
-            qp_vals, thetas, enumerated = solve_bound_qp_masked(
-                store.h, fixed_mask, fixed_vals, lower_mask, lower_vals
-            )
-            self.counters.solver_seconds += time.perf_counter() - started
-            self.counters.qp_enumerated += int(enumerated.sum())
-        else:
-            qp_vals, thetas = np.empty(rows.size), np.empty((rows.size, state.n))
-            for s in np.unique(sids).tolist():
-                at = (sids == s).nonzero()[0]
-                members, others = store.member_idx[s], store.other_idx[s]
-                started = time.perf_counter()
-                qp_vals[at], thetas[at] = solve_bound_qp_batch(
-                    store.h, members, store.proj[rows[at]][:, members],
-                    others, deltas[others],
-                )
-                self.counters.solver_seconds += time.perf_counter() - started
+        fixed_mask, fixed_vals = store.members[sids], store.proj[rows]
+        lower_mask = store.others[sids]
+        lower_vals = np.broadcast_to(deltas, (rows.size, state.n))
+        started = time.perf_counter()
+        qp_vals, thetas, enumerated = solve_bound_qp_masked(
+            store.h, fixed_mask, fixed_vals, lower_mask, lower_vals
+        )
+        self.counters.solver_seconds += time.perf_counter() - started
+        self.counters.qp_enumerated += int(enumerated.sum())
         store.t[rows] = (
             store.score_term[rows]
             - qp_vals

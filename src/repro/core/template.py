@@ -50,7 +50,6 @@ import numpy as np
 from repro.core.access import AccessKind, StreamInterrupted, open_streams
 from repro.core.batchscore import CandidatePruner, QuadraticBatchScorer
 from repro.core.bounds.base import INFINITY, BoundingScheme, EngineState
-from repro.core.bounds.workspace import BoundWorkspace
 from repro.core.buffers import TopKBuffer
 from repro.core.pulling import PullingStrategy
 from repro.core.relation import Combination, Relation
@@ -253,10 +252,6 @@ class ProxRJ:
                         )
         else:
             streams = open_streams(self.relations, self.kind, self.query)
-        # One scratch arena per run, shared by the bound stack (gathered
-        # batch-kernel slabs, potentials memo) and the batch scorer's
-        # candidate sieve; see repro.core.bounds.workspace.
-        workspace = BoundWorkspace()
         state = EngineState(
             scoring=self.scoring,
             kind=self.kind,
@@ -264,11 +259,10 @@ class ProxRJ:
             streams=streams,
             k=self.k,
             output=TopKBuffer(self.k),
-            workspace=workspace,
         )
         self.pull.reset()
         batch_scorer = (
-            QuadraticBatchScorer(self.scoring, self.query, workspace=workspace)
+            QuadraticBatchScorer(self.scoring, self.query)
             if self.vectorise and isinstance(self.scoring, QuadraticFormScoring)
             else None
         )

@@ -1,16 +1,15 @@
-"""Numerical optimisation substrate: dense active-set QP and simplex LP,
+"""Numerical optimisation substrate: the bound QP and the simplex LP,
 the two solvers the paper's tight bound and dominance test rely on
 ("off-the-shelf solvers" in the paper; implemented here).
 
-The QP family ships a batched kernel (:func:`solve_bound_qp_masked`)
-that stacks many tiny problems into one vectorised call, with every
-entry bit-identical to a loop over its scalar counterpart (see
-:mod:`repro.optim.qp` for the row-stability contract).  The dominance
-LPs are few enough to solve one at a time."""
+One bound-QP solver (:func:`solve_bound_qp_masked`) stacks many tiny
+problems into one vectorised call, with every entry bit-identical to the
+per-pattern active-set enumeration (:func:`solve_bound_qp_batch`) on the
+same row (see :mod:`repro.optim.qp` for the row-stability contract).
+The dominance LPs are few enough to solve one at a time."""
 
 from repro.optim.qp import (
     QPResult,
-    solve_bound_qp,
     solve_bound_qp_batch,
     solve_bound_qp_masked,
     solve_qp,
@@ -25,7 +24,6 @@ from repro.optim.simplex import (
 
 __all__ = [
     "QPResult",
-    "solve_bound_qp",
     "solve_bound_qp_batch",
     "solve_bound_qp_masked",
     "solve_qp",

@@ -9,43 +9,38 @@ QP (14)/(30):
 
 with ``H = w_q I + w_mu (I - 11'/n)' (I - 11'/n)`` positive semidefinite
 (positive definite whenever ``w_q > 0``).  The dimension equals the number
-of joined relations (tiny), so a dense primal active-set method is exact,
-allocation-free in spirit, and dependency-free.
+of joined relations (tiny), so enumerating the active sets is exact and
+dependency-free.
 
 Entry points:
 
-* :func:`solve_bound_qp` — the specialised fixed-plus-lower-bound QP used
-  by the bounding scheme (scalar reference path).
-* :func:`solve_bound_qp_batch` — many entries of *one* fixed/lower
-  pattern (one subset ``M``) in a single vectorised call.
-* :func:`solve_bound_qp_masked` — the batched bound kernel: entries of
+* :func:`solve_bound_qp_masked` — the bound-QP solver: entries of
   *arbitrary mixed* fixed/lower patterns (every subset ``M`` of a bound
   refresh) stacked into one call.  For the spread Hessian of eq. (31)
   each row is solved in closed form — one water level for the inactive
   coordinates — all patterns in one pass; rows near a degenerate active
   set, and every row of any other Hessian, go through the vectorised
   per-pattern active-set enumeration.
+* :func:`solve_bound_qp_batch` — that enumeration over many entries of
+  *one* fixed/lower pattern (one subset ``M``): the reference every
+  differential suite checks the solver against.
 * :func:`solve_qp` — a generic small convex QP with linear inequality
-  constraints ``A theta <= b``, used by tests to cross-check and by the
-  cosine extension.
+  constraints ``A theta <= b``, an independent oracle for the tests.
 
-Bit-identity contract (the batched bound kernel's acceptance bar): every
-batch entry must be bit-identical to a scalar :func:`solve_bound_qp` call
-on the same data.  BLAS-backed primitives (``np.linalg.solve``, ``@``,
-``einsum``) do **not** satisfy this — their reassociation depends on how
-many rows/right-hand sides share the call — so the scalar and batched
-solvers both route their linear algebra through the same *row-stable*
-helpers (:func:`_gauss_solve`, :func:`_accum_cols`, :func:`_row_matvec`,
-:func:`_quad_values`): only elementwise numpy operations touch the batch
-axes, making each entry's arithmetic independent of its batch-mates.
-The closed-form rows use the same helpers on the same operands as the
-enumeration, so they are bit-identical to it.  (The exceptions: a
-singular free block, ``w_q = 0`` patterns, where both fall back to least
-squares and only the optimal *value* is pinned; and a bound within the
-KKT tolerance of the optimum's water level, where several active sets
-pass the KKT test and the enumeration and :func:`solve_bound_qp` may
-settle on different ones — the masked kernel reproduces the
-enumeration there, the solver the engine's scalar path runs.)
+Bit-identity contract: every row of :func:`solve_bound_qp_masked` is
+bit-identical to :func:`solve_bound_qp_batch` on the same row, whatever
+the batch around it.  BLAS-backed primitives (``np.linalg.solve``,
+``@``, ``einsum``) do **not** satisfy this — their reassociation depends
+on how many rows/right-hand sides share the call — so both paths route
+their linear algebra through the same *row-stable* helpers
+(:func:`_gauss_solve`, :func:`_accum_cols`, :func:`_quad_values`): only
+elementwise numpy operations touch the batch axes, making each entry's
+arithmetic independent of its batch-mates.  The closed-form rows use the
+same helpers on the same operands as the enumeration, and a row whose
+active set is ambiguous (a lower bound within the KKT tolerance of the
+water level) goes to the enumeration.  The one exception is a singular
+free block (``w_q = 0``), where the enumeration falls back to least
+squares on the whole pattern group and only the optimal *value* is pinned.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ import numpy as np
 
 __all__ = [
     "QPResult",
-    "solve_bound_qp",
     "solve_bound_qp_batch",
     "solve_bound_qp_masked",
     "solve_qp",
@@ -70,14 +64,14 @@ _EPS_MACH = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QPResult:
-    """Solution of a QP.
+    """Solution of a :func:`solve_qp` problem.
 
     Attributes
     ----------
     x:
         Optimal point.
     value:
-        Objective value at ``x`` (including any constant term passed in).
+        Objective value at ``x``.
     active:
         Indices of inequality constraints active at the optimum.
     iterations:
@@ -113,7 +107,7 @@ def _solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # -- row-stable linear algebra ---------------------------------------------
 #
-# Shared by the scalar and the batched bound solvers; ``rhs``/``vals`` may
+# Shared by the closed form and the enumeration; ``rhs``/``vals`` may
 # carry leading batch dimensions, and only elementwise operations touch
 # them, so per-entry results are independent of the batch size.
 
@@ -154,180 +148,21 @@ def _gauss_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 def _accum_cols(mat: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """``sum_k mat[:, k] * vals[..., k]`` accumulated strictly in ``k``
-    order (the row-stable replacement for ``vals @ mat.T``)."""
+    order (the row-stable replacement for ``vals @ mat.T``; with a
+    symmetric ``mat``, the matvec ``mat @ vals``)."""
     out = np.zeros(vals.shape[:-1] + (mat.shape[0],))
     for k in range(mat.shape[1]):
         out = out + vals[..., k, None] * mat[:, k]
     return out
 
 
-def _row_matvec(q: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``out[..., j] = sum_k q[j, k] z[..., k]`` accumulated in ``k``
-    order for symmetric ``q`` (row-stable replacement for ``z @ q.T``)."""
-    out = np.zeros(z.shape[:-1] + (q.shape[0],))
-    for k in range(q.shape[1]):
-        out = out + z[..., k, None] * q[:, k]
-    return out
-
-
 def _quad_values(h: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """``theta' H theta`` per entry, accumulated in fixed index order."""
-    ht = _row_matvec(h, thetas)
+    ht = _accum_cols(h, thetas)
     out = np.zeros(thetas.shape[:-1])
     for j in range(h.shape[0]):
         out = out + thetas[..., j] * ht[..., j]
     return out
-
-
-def solve_bound_qp(
-    h: np.ndarray,
-    fixed: dict[int, float],
-    lower: dict[int, float],
-    *,
-    linear: np.ndarray | None = None,
-    constant: float = 0.0,
-    max_iter: int = 64,
-) -> QPResult:
-    """Minimise ``theta' H theta + linear' theta + constant`` subject to
-    ``theta_i = fixed[i]`` and ``theta_j >= lower[j]``.
-
-    Parameters
-    ----------
-    h:
-        Symmetric PSD matrix of shape ``(n, n)``.
-    fixed:
-        Equality-pinned coordinates (the projections of seen tuples).
-    lower:
-        Lower-bounded coordinates (distance constraints of unseen tuples).
-        ``fixed`` and ``lower`` must partition disjoint index sets; any
-        coordinate in neither set is unconstrained.
-    linear, constant:
-        Optional linear and constant terms of the objective.
-
-    Returns
-    -------
-    QPResult
-        With ``active`` indexing into the *sorted list of lower-bound
-        keys* (which lower bounds are tight at the optimum).
-
-    Notes
-    -----
-    Primal active-set method on the free coordinates.  Because the
-    objective is convex and the constraints are simple bounds, each
-    iteration either moves to the constrained minimiser of the current
-    working set or adds a newly-hit bound; a bound is removed when its
-    KKT multiplier is negative.  With ``f`` free coordinates the loop
-    terminates in at most ``2^f`` iterations; in this library ``f`` is the
-    number of relations minus the partial-combination size (<= 4).
-
-    This is the scalar reference of the batched bound kernel: all linear
-    algebra runs through the module's row-stable helpers, so
-    :func:`solve_bound_qp_masked` reproduces it bit for bit (see the
-    module docstring for the contract and its singular-Hessian caveat).
-    """
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError("h must be square")
-    if set(fixed) & set(lower):
-        raise ValueError("fixed and lower index sets must be disjoint")
-    for idx in (*fixed, *lower):
-        if not 0 <= idx < n:
-            raise ValueError(f"index {idx} out of range for n={n}")
-    lin = np.zeros(n) if linear is None else np.asarray(linear, dtype=float)
-
-    free = sorted(set(range(n)) - set(fixed))
-    theta = np.zeros(n)
-    for i, v in fixed.items():
-        theta[i] = v
-
-    def objective(t: np.ndarray) -> float:
-        return float(_quad_values(h, t) + float(lin @ t) + constant)
-
-    if not free:
-        return QPResult(x=theta, value=objective(theta), active=(), iterations=0)
-
-    lower_keys = sorted(lower)
-    # Objective restricted to the free block:
-    #   z' Q z + 2 r' z + const',  Q = H[free,free],
-    #   r = H[free,fixed] @ theta_fixed + lin[free]/2
-    q = h[np.ix_(free, free)]
-    fixed_idx = sorted(fixed)
-    if fixed_idx:
-        r = _accum_cols(
-            h[np.ix_(free, fixed_idx)], np.array([fixed[i] for i in fixed_idx])
-        )
-    else:
-        r = np.zeros(len(free))
-    r = r + lin[free] / 2.0
-    lb = np.full(len(free), -np.inf)
-    pos_of = {g: k for k, g in enumerate(free)}
-    for g, v in lower.items():
-        lb[pos_of[g]] = v
-
-    bounded = [k for k in range(len(free)) if np.isfinite(lb[k])]
-    # Start from the fully clamped point (feasible by construction).
-    z = np.where(np.isfinite(lb), lb, 0.0)
-    active = set(bounded)
-
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        inactive = [k for k in range(len(free)) if k not in active]
-        z_new = z.copy()
-        if inactive:
-            # Minimise over inactive coords with active ones clamped.
-            qi = q[np.ix_(inactive, inactive)]
-            rhs = -(r[inactive])
-            if active:
-                act = sorted(active)
-                rhs = rhs - _accum_cols(q[np.ix_(inactive, act)], z[act])
-            sol = _gauss_solve(qi, rhs)
-            if sol is None:
-                sol = np.linalg.lstsq(qi, rhs, rcond=None)[0]
-            z_new[inactive] = sol
-
-        # Step from z towards z_new, stopping at the first violated bound.
-        step = 1.0
-        blocker = -1
-        for k in bounded:
-            if k in active:
-                continue
-            delta = z_new[k] - z[k]
-            if delta < -_TOL and z_new[k] < lb[k] - _TOL:
-                alpha = (lb[k] - z[k]) / delta
-                if alpha < step:
-                    step = alpha
-                    blocker = k
-        if blocker >= 0:
-            z = z + step * (z_new - z)
-            z[blocker] = lb[blocker]
-            active.add(blocker)
-            continue
-        # Full step: adopt the solve's result exactly (``z + 1.0 * (z_new
-        # - z)`` would round differently and break the batch/scalar
-        # bit-identity contract).
-        z = z_new
-
-        # Full step taken: check KKT multipliers of active bounds.
-        # Gradient of the free-block objective: 2 Q z + 2 r ; multiplier of
-        # z_k >= l_k is grad_k (must be >= 0 at a minimum).
-        grad = 2.0 * (_row_matvec(q, z) + r)
-        worst = None
-        worst_val = -_TOL
-        for k in sorted(active):
-            if grad[k] < worst_val:
-                worst_val = grad[k]
-                worst = k
-        if worst is None:
-            break
-        active.remove(worst)
-    theta[free] = z
-    active_out = tuple(
-        j for j, g in enumerate(lower_keys) if pos_of[g] in active
-    )
-    return QPResult(
-        x=theta, value=objective(theta), active=active_out, iterations=iterations
-    )
 
 
 def _solve_pattern(
@@ -351,9 +186,10 @@ def _solve_pattern(
     primal and dual feasible (KKT), tracked by a per-entry resolution
     mask.  ``f`` equals the number of unseen relations, so ``2^f <= 16``
     for any join this library targets.  All arithmetic is row-stable
-    (module docstring), so each entry reproduces the scalar
-    :func:`solve_bound_qp` bit for bit (but see the module docstring's
-    caveat for bounds within the KKT tolerance of the optimum).
+    (module docstring), so an entry's result does not depend on the
+    other entries of the group.  When several active sets pass the KKT
+    test (a bound within the tolerance of the optimum), the first in
+    mask order wins.
 
     Returns ``(values, thetas)``.
     """
@@ -408,7 +244,7 @@ def _solve_pattern(
             inact = [bounded[k] for k in inact_cols]
             ok &= (z[:, inact] >= lower_vals[:, inact_cols] - _TOL).all(axis=1)
         if active:
-            grad = 2.0 * (_row_matvec(q, z) + r)
+            grad = 2.0 * (_accum_cols(q, z) + r)
             ok &= (grad[:, active] >= -_TOL).all(axis=1)
         if ok.any():
             best_z[ok] = z[ok]
@@ -426,17 +262,21 @@ def solve_bound_qp_batch(
     lower_idx: list[int],
     lower_vals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`solve_bound_qp` over many entries at once.
+    """The bound QP of many entries of one pattern, by active-set
+    enumeration: the reference :func:`solve_bound_qp_masked` is checked
+    against.
 
     All entries share the Hessian ``h``, the equality-pinned coordinate
     *positions* ``fixed_idx`` and the lower-bounded coordinates
-    ``(lower_idx, lower_vals)``; only the pinned *values* differ per entry
-    (rows of ``fixed_vals``, shape ``(E, len(fixed_idx))``).  This is
-    exactly the structure of the tight bound within one subset ``M``: the
-    spread matrix, the member relations and the distance constraints are
-    per-subset, the seen-tuple projections are per-partial-combination.
-    For mixed patterns (entries of *different* subsets) see
-    :func:`solve_bound_qp_masked`.
+    ``lower_idx``, which together partition ``range(n)``; the pinned
+    *values* differ per entry (rows of ``fixed_vals``, shape
+    ``(E, len(fixed_idx))``), and the bounds ``lower_vals`` are shared
+    (shape ``(len(lower_idx),)``) or per entry (``(E, len(lower_idx))``).
+    This is exactly the structure of the tight bound within one subset
+    ``M``: the spread matrix, the member relations and the distance
+    constraints are per-subset, the seen-tuple projections are
+    per-partial-combination.  For mixed patterns (entries of *different*
+    subsets) see :func:`solve_bound_qp_masked`.
 
     Returns
     -------
@@ -522,8 +362,8 @@ def _solve_water_level(
     row-stable helpers on exactly the operands :func:`_solve_pattern`
     builds for that active set (the ``k x k`` block of a spread ``h``
     depends only on ``k``), so an accepted row is bit-identical to the
-    enumeration — and to :func:`solve_bound_qp` — whenever ``A`` is the
-    only active set passing the KKT test.
+    enumeration whenever ``A`` is the only active set passing the KKT
+    test.
 
     A row is accepted (``ok``) only if it passes :func:`_solve_pattern`'s
     KKT test and no lower bound lies within ``guard`` of ``c``:
@@ -601,7 +441,7 @@ def _solve_water_level(
     thetas = np.where(fixed_mask, fv, z)
 
     # _solve_pattern's KKT test, on the same floats.
-    grad = 2.0 * (_row_matvec(h, np.where(free, thetas, 0.0)) + r[:, None])
+    grad = 2.0 * (_accum_cols(h, np.where(free, thetas, 0.0)) + r[:, None])
     primal = ~(lower_mask & ~act) | (thetas >= lo - _TOL)
     dual = ~act | (grad >= -_TOL)
     ok &= primal.all(axis=1) & dual.all(axis=1)
@@ -615,13 +455,13 @@ def solve_bound_qp_masked(
     lower_mask: np.ndarray,
     lower_vals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batched bound kernel: stacked bound QPs of *mixed* patterns.
+    """The bound-QP solver: stacked bound QPs of *mixed* patterns.
 
-    One call solves ``B`` instances of the :func:`solve_bound_qp` problem
-    family, each with its own equality/lower-bound pattern — the shape of
-    a whole tight-bound refresh, where every subset ``M`` contributes its
-    stale partial combinations with ``M``'s fixed pattern and the unseen
-    relations' distance bounds.
+    One call solves ``B`` instances of the bound QP (module docstring),
+    each with its own equality/lower-bound pattern — the shape of a whole
+    tight-bound refresh, where every subset ``M`` contributes its stale
+    partial combinations with ``M``'s fixed pattern and the unseen
+    relations' distance bounds, and of a single completion (``B = 1``).
 
     Parameters
     ----------
@@ -716,7 +556,7 @@ def solve_qp(
     """Minimise ``1/2 x' Q x + c' x`` subject to ``A x <= b``.
 
     A generic dense primal active-set method for small convex QPs.  Used
-    for cross-checking :func:`solve_bound_qp` and by extension scorings.
+    by the tests as an oracle independent of the bound-QP solvers.
     ``x0`` must be feasible; if omitted, an unconstrained minimiser is
     tried and, failing feasibility, a simple phase-1 push is applied.
     """

@@ -1,26 +1,38 @@
-"""The bound-kernel acceptance suite: engine-level differential tests of
-the batched bound kernel against the scalar reference path, the
-workspace's slab reuse, and the potentials memo.
+"""Engine-level tests of the tight bound's QP path: every kernel call
+against the enumeration, the masks it is handed, the geometry cache, the
+solver-time split and the potentials memo.
 
-* Completed TBPA/TBRR runs with ``batch_kernel=True`` must return the
-  *identical* ranked top-K, depths and bound as ``batch_kernel=False``
-  (the pre-refactor per-subset / per-candidate path) — bit for bit,
-  dominance on and off, per-tuple and block-pull.
-* Both execution strategies compute each entry's completion geometry
-  once, at append, in one call per subset size, and gather it from the
-  store on every later solve; the geometry of a row does not depend on
-  the batch it was computed in.
+* Every bound-QP call a TBPA/TBRR run makes returns values and thetas
+  ``==`` the per-pattern enumeration on the same rows (the
+  ``kernel_spy`` fixture of ``conftest.py``), dominance on and off,
+  per-tuple and block-pull, capped and completed runs, and every QP the
+  counters report goes through a checked call.
+* Each kernel row fixes its subset's members and lower-bounds the other
+  relations, gathered afresh from the store on every call.
+* The bound computes each entry's completion geometry once, at append,
+  in one call per subset size, and gathers it from the store on every
+  later solve; the geometry of a row does not depend on the batch it was
+  computed in.
 * ``PotentialAdaptive`` consults the bound once per block; the memo must
   collapse repeat consultations of an unchanged bound version into cache
   hits (``potential_evals`` vs ``potential_consults``) without touching
-  the run's outcome.
+  the run's outcome, and hand every caller its own copy.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import AccessKind, EuclideanLogScoring, make_algorithm
-from repro.core.bounds import BoundWorkspace, completion_terms
+import repro.core.bounds.tight as tight
+from repro.core import (
+    AccessKind,
+    EuclideanLogScoring,
+    TightBound,
+    TopKBuffer,
+    make_algorithm,
+)
+from repro.core.access import open_streams
+from repro.core.bounds import completion_terms
+from repro.core.bounds.base import EngineState
 from repro.data import SyntheticConfig, generate_problem
 
 
@@ -33,20 +45,20 @@ def problem(seed, n_relations=3, n_tuples=70):
     )
 
 
-def run(algo, relations, query, *, batch_kernel, **kwargs):
+def run(algo, relations, query, **kwargs):
     scoring = EuclideanLogScoring(1.0, 1.0, 1.0)
     engine = make_algorithm(
         algo, relations, scoring, query, 10,
-        kind=kwargs.pop("kind", AccessKind.DISTANCE),
-        batch_kernel=batch_kernel, **kwargs,
+        kind=kwargs.pop("kind", AccessKind.DISTANCE), **kwargs,
     )
     return engine.run()
 
 
-def ranked_key(result):
-    return [
-        (c.score, tuple(t.tid for t in c.tuples)) for c in result.combinations
-    ]
+def assert_every_qp_checked(spy, result):
+    """The run reached the kernel, and every QP its counters report went
+    through a checked call."""
+    assert spy.calls > 0
+    assert spy.rows == result.counters["qp_solves"]
 
 
 class TestEngineBitIdentity:
@@ -54,62 +66,83 @@ class TestEngineBitIdentity:
     @pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
     @pytest.mark.parametrize("period", [4, None])
     @pytest.mark.parametrize("pull_block", [1, 8])
-    def test_distance_access(self, seed, algo, period, pull_block):
-        # max_pulls keeps the dominance-heavy scalar reference cheap; the
-        # identity claim is pull-for-pull, so a capped prefix pins it as
+    def test_distance_access(self, kernel_spy, seed, algo, period, pull_block):
+        # The check is call by call, so a capped prefix pins it as
         # strictly as a completed run (which test_completed_run covers).
         relations, query = problem(seed)
-        a = run(relations=relations, query=query, algo=algo,
-                batch_kernel=True, dominance_period=period,
-                pull_block=pull_block, max_pulls=48)
-        b = run(relations=relations, query=query, algo=algo,
-                batch_kernel=False, dominance_period=period,
-                pull_block=pull_block, max_pulls=48)
-        assert a.completed == b.completed
-        assert a.depths == b.depths
-        assert a.bound == b.bound  # bitwise
-        assert ranked_key(a) == ranked_key(b)
-        # Same logical work: entry creation/revalidation and QP counts
-        # are execution-strategy-independent.
-        for key in ("qp_solves", "entries_created", "entries_revalidated",
-                    "entries_dominated"):
-            assert a.counters[key] == b.counters[key], key
+        result = run(relations=relations, query=query, algo=algo,
+                     dominance_period=period, pull_block=pull_block,
+                     max_pulls=48)
+        assert_every_qp_checked(kernel_spy, result)
 
-    def test_completed_run(self):
+    def test_completed_run(self, kernel_spy):
         relations, query = problem(0, n_tuples=40)
-        a = run(relations=relations, query=query, algo="TBPA",
-                batch_kernel=True, dominance_period=4, pull_block=8)
-        b = run(relations=relations, query=query, algo="TBPA",
-                batch_kernel=False, dominance_period=4, pull_block=8)
-        assert a.completed and b.completed
-        assert a.depths == b.depths and a.bound == b.bound
-        assert ranked_key(a) == ranked_key(b)
+        result = run(relations=relations, query=query, algo="TBPA",
+                     dominance_period=4, pull_block=8)
+        assert result.completed
+        assert_every_qp_checked(kernel_spy, result)
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_score_access(self, seed):
+    def test_score_access(self, kernel_spy, seed):
+        # Algorithm 3's closed form needs no QP: a score-access run never
+        # reaches the kernel, and certifies the distance-access run's
+        # ranked scores.
         relations, query = problem(seed)
-        a = run(relations=relations, query=query, algo="TBPA",
-                batch_kernel=True, kind=AccessKind.SCORE, pull_block=4)
-        b = run(relations=relations, query=query, algo="TBPA",
-                batch_kernel=False, kind=AccessKind.SCORE, pull_block=4)
-        assert a.depths == b.depths and a.bound == b.bound
-        assert ranked_key(a) == ranked_key(b)
+        score = run(relations=relations, query=query, algo="TBPA",
+                    kind=AccessKind.SCORE, pull_block=4)
+        assert kernel_spy.calls == 0 and score.counters["qp_solves"] == 0
+        distance = run(relations=relations, query=query, algo="TBPA",
+                       pull_block=4)
+        assert score.completed and distance.completed
+        assert [c.score for c in score.combinations] == [
+            c.score for c in distance.combinations
+        ]
 
-    def test_n2_and_bound_period(self):
+    def test_n2_and_bound_period(self, kernel_spy):
         relations, query = problem(1, n_relations=2, n_tuples=100)
-        a = run(relations=relations, query=query, algo="TBPA",
-                batch_kernel=True, dominance_period=1, bound_period=5)
-        b = run(relations=relations, query=query, algo="TBPA",
-                batch_kernel=False, dominance_period=1, bound_period=5)
-        assert a.depths == b.depths and a.bound == b.bound
-        assert ranked_key(a) == ranked_key(b)
+        result = run(relations=relations, query=query, algo="TBPA",
+                     dominance_period=1, bound_period=5)
+        assert result.completed
+        assert_every_qp_checked(kernel_spy, result)
+
+
+class TestKernelInputs:
+    def test_masks_partition_relations(self, monkeypatch):
+        # Every row handed to the kernel fixes its subset's members and
+        # lower-bounds exactly the other relations at the refresh's
+        # per-relation thresholds: the masks are gathered from the store
+        # on every call, so no call inherits an earlier call's pattern.
+        calls = []
+        real = tight.solve_bound_qp_masked
+
+        def record(h, fixed_mask, fixed_vals, lower_mask, lower_vals):
+            calls.append((fixed_mask.copy(), lower_mask.copy(),
+                          np.array(lower_vals)))
+            return real(h, fixed_mask, fixed_vals, lower_mask, lower_vals)
+
+        monkeypatch.setattr(tight, "solve_bound_qp_masked", record)
+        relations, query = problem(1)
+        result = run(relations=relations, query=query, algo="TBRR",
+                     dominance_period=4, pull_block=4)
+        assert result.completed
+        assert sum(len(fixed) for fixed, _, _ in calls) == (
+            result.counters["qp_solves"]
+        )
+        patterns = set()
+        for fixed, lower, lower_vals in calls:
+            assert (fixed ^ lower).all()
+            assert (lower_vals == lower_vals[0]).all()
+            assert (lower_vals >= 0.0).all()
+            patterns.update(map(bytes, np.packbits(fixed, axis=1)))
+        # The seed row M = {} and every proper subset of the 3 relations.
+        assert len(patterns) == 7
 
 
 class TestSolverSecondsSplit:
     def test_solver_share_reported(self):
         relations, query = problem(0)
         result = run(relations=relations, query=query, algo="TBPA",
-                     batch_kernel=True, dominance_period=2, pull_block=8)
+                     dominance_period=2, pull_block=8)
         assert result.solver_seconds > 0.0
         assert result.counters["solver_seconds"] == result.solver_seconds
         # The solver share lives inside the bound + dominance shares
@@ -134,28 +167,17 @@ class TestGeometryCache:
 
         monkeypatch.setattr(tight, "completion_terms", spy)
 
-    def geometry_rows(self, monkeypatch, batch_kernel):
+    def test_geometry_computed_once_per_entry(self, monkeypatch):
+        # The bound computes an entry's completion geometry at append
+        # (the M = {} seed row included) and gathers it from the store on
+        # every later solve, so revalidations add no geometry rows.
         rows = []
         self.spy_terms(monkeypatch, lambda m, e: rows.append(e))
         relations, query = problem(1)
         result = run(relations=relations, query=query, algo="TBPA",
-                     batch_kernel=batch_kernel, dominance_period=4,
-                     pull_block=4)
+                     dominance_period=4, pull_block=4)
         assert result.counters["entries_revalidated"] > 1
-        return sum(rows), result.counters["entries_created"]
-
-    def test_geometry_computed_once_per_entry(self, monkeypatch):
-        # The kernel computes an entry's completion geometry at append
-        # (the M = {} seed row included) and gathers it from the store on
-        # every later solve, so revalidations add no geometry rows.
-        rows, created = self.geometry_rows(monkeypatch, batch_kernel=True)
-        assert rows == created + 1
-
-    def test_scalar_path_reads_cached_geometry(self, monkeypatch):
-        # The scalar reference differs only in its QP call: it gathers
-        # the same cached geometry instead of recomputing it.
-        rows, created = self.geometry_rows(monkeypatch, batch_kernel=False)
-        assert rows == created + 1
+        assert sum(rows) == result.counters["entries_created"] + 1
 
     def test_one_geometry_call_per_subset_size(self, monkeypatch):
         # n = 4 has subset sizes 0-3; a refresh computes the geometry of
@@ -174,7 +196,7 @@ class TestGeometryCache:
         monkeypatch.setattr(tight.TightBound, "update", update)
         relations, query = problem(3, n_relations=4, n_tuples=16)
         result = run(relations=relations, query=query, algo="TBRR",
-                     batch_kernel=True, dominance_period=4, pull_block=4)
+                     dominance_period=4, pull_block=4)
         assert result.completed
         for sizes in per_refresh:
             assert len(sizes) == len(set(sizes)), sizes
@@ -221,7 +243,7 @@ class TestPotentialsMemo:
         # bound_period > pull_block means several strategy consultations
         # share one bound version; the memo must collapse them.
         result = run(relations=relations, query=query, algo="TBPA",
-                     batch_kernel=True, bound_period=12, pull_block=3)
+                     bound_period=12, pull_block=3)
         consults = result.counters["potential_consults"]
         evals = result.counters["potential_evals"]
         updates = result.counters["updates"]
@@ -233,14 +255,39 @@ class TestPotentialsMemo:
     def test_memo_does_not_change_outcome(self):
         relations, query = problem(2)
         a = run(relations=relations, query=query, algo="TBPA",
-                batch_kernel=True, bound_period=12, pull_block=3)
+                bound_period=12, pull_block=3)
         b = run(relations=relations, query=query, algo="TBRR",
-                batch_kernel=True, bound_period=12, pull_block=3)
+                bound_period=12, pull_block=3)
         # Both certified the same ranked answer set (strategies differ
         # only in pull schedule).
         assert [c.score for c in a.combinations] == [
             c.score for c in b.combinations
         ]
+
+    def test_potentials_memo_api(self):
+        # One evaluation per bound version, handed out as a copy: a
+        # caller that edits its list cannot change the next read.  Every
+        # proper subset misses some relation, so the largest potential is
+        # the bound itself.
+        relations, query = problem(0)
+        state = EngineState(
+            scoring=EuclideanLogScoring(1.0, 1.0, 1.0),
+            kind=AccessKind.DISTANCE, query=query,
+            streams=open_streams(relations, AccessKind.DISTANCE, query),
+            k=10, output=TopKBuffer(10),
+        )
+        bound = TightBound()
+        for i in (0, 1):
+            t = bound.update(state, i, state.streams[i].next())
+            evals = bound.counters.potential_evals
+            pots = bound.potentials(state)
+            assert bound.counters.potential_evals == evals + 1
+            assert max(pots) == t
+            pots[0] = float("inf")
+            again = bound.potentials(state)
+            assert bound.counters.potential_evals == evals + 1
+            assert bound.counters.potential_consults == 2 * (i + 1)
+            assert max(again) == t and again[0] != pots[0]
 
     def test_corner_bound_unaffected(self):
         relations, query = problem(0)
@@ -250,31 +297,3 @@ class TestPotentialsMemo:
             kind=AccessKind.DISTANCE, pull_block=4,
         ).run()
         assert result.completed
-
-
-class TestWorkspaceSlabs:
-    def test_grow_only_reuse(self):
-        ws = BoundWorkspace()
-        a = ws.array("x", (4, 3), zero=True)
-        assert a.shape == (4, 3) and (a == 0).all()
-        a[:] = 7.0
-        b = ws.array("x", (2, 3))
-        # Same backing memory, no reallocation for smaller requests.
-        assert b.base is a.base
-        c = ws.array("x", (64, 9))
-        assert c.shape == (64, 9)
-
-    def test_qp_slab_masks_zeroed(self):
-        ws = BoundWorkspace()
-        fm, fv, lm, lv = ws.qp_slabs(5, 3)
-        fm[:] = True
-        lm[:] = True
-        fm2, _, lm2, _ = ws.qp_slabs(5, 3)
-        assert not fm2.any() and not lm2.any()
-
-    def test_potentials_memo_api(self):
-        ws = BoundWorkspace()
-        assert ws.potentials_if_fresh(0) is None
-        ws.cache_potentials(3, [1.0, 2.0])
-        assert ws.potentials_if_fresh(3) == [1.0, 2.0]
-        assert ws.potentials_if_fresh(4) is None

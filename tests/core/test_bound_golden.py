@@ -1,17 +1,16 @@
 """Golden pins of the tight bound's answers and work counters.
 
 Each config below is a small seeded join: n in {2, 3, 4}, d in {1, 2, 3},
-both access kinds, TBPA and TBRR, dominance period None / 1 / 8, both
-``batch_kernel`` execution strategies, uniform and tie-heavy data.  For
-every config the test pins, as literals:
+both access kinds, TBPA and TBRR, dominance period None / 1 / 8, uniform
+and tie-heavy data.  For every config the test pins, as literals:
 
 * the ranked combination keys and the depths;
 * ``float.hex`` of the final bound and of every ranked score;
 * the bound counters that measure the scheme's logical work
   (:data:`COUNTERS`).
 
-The differential suites compare the kernel with the scalar path inside
-one commit; these literals compare the bound with the commit that
+The differential suites compare every kernel call with the enumeration
+inside one commit; these literals compare the bound with the commit that
 recorded them.  They were generated at commit 20c4d99 (the per-subset
 bound store) by running this module as a script::
 
@@ -19,7 +18,10 @@ bound store) by running this module as a script::
 
 which prints the ``GOLDEN`` table.  A change that moves a literal
 changes the bound's answers or work: make it deliberately, regenerate
-the table, and record which literals moved and why in CHANGES.md.
+the table, and record which literals moved and why in CHANGES.md.  One
+regeneration since: the ``qp_enumerated`` of the five ``scalar`` configs
+whose kernel enumerates rows, which the deleted per-subset QP path
+never counted (read 0).
 """
 
 import random
@@ -45,33 +47,35 @@ COUNTERS = (
 
 D, S = AccessKind.DISTANCE, AccessKind.SCORE
 
-#: (name, n, d, size, k, kind, algorithm, dominance_period, batch_kernel,
-#: ties, pull_block, bound_period, seed)
+#: (name, n, d, size, k, kind, algorithm, dominance_period, ties,
+#: pull_block, bound_period, seed).  The ``kernel``/``scalar`` in the
+#: names records which of two QP paths the config ran when the table
+#: was first recorded; both now run the one kernel.
 CONFIGS = [
-    ("n2-d1-pa-dom1-kernel-uniform", 2, 1, 40, 4, D, "TBPA", 1, True, False, 1, 1, 1),
-    ("n2-d2-rr-dom8-scalar-ties", 2, 2, 36, 5, D, "TBRR", 8, False, True, 4, 1, 2),
-    ("n2-d3-pa-off-kernel-ties", 2, 3, 40, 3, D, "TBPA", None, True, True, 8, 2, 3),
-    ("n2-d2-pa-dom1-scalar-uniform", 2, 2, 30, 6, D, "TBPA", 1, False, False, 2, 1, 4),
-    ("n2-d1-rr-score-kernel-ties", 2, 1, 40, 4, S, "TBRR", None, True, True, 4, 1, 5),
-    ("n2-d3-pa-score-scalar-uniform", 2, 3, 32, 3, S, "TBPA", 8, False, False, 1, 2, 6),
-    ("n2-d2-rr-dom8-kernel-uniform", 2, 2, 6, 2, D, "TBRR", 8, True, False, 8, 1, 7),
-    ("n2-d1-pa-off-scalar-ties", 2, 1, 36, 5, D, "TBPA", None, False, True, 1, 1, 8),
-    ("n3-d2-pa-dom8-kernel-ties", 3, 2, 28, 4, D, "TBPA", 8, True, True, 8, 1, 11),
-    ("n3-d1-rr-dom1-scalar-uniform", 3, 1, 20, 3, D, "TBRR", 1, False, False, 2, 1, 12),
-    ("n3-d3-pa-off-kernel-uniform", 3, 3, 24, 5, D, "TBPA", None, True, False, 4, 2, 13),
-    ("n3-d2-rr-dom8-scalar-ties", 3, 2, 24, 2, D, "TBRR", 8, False, True, 8, 1, 14),
-    ("n3-d1-pa-dom1-kernel-ties", 3, 1, 10, 6, D, "TBPA", 1, True, True, 1, 1, 15),
-    ("n3-d3-rr-score-scalar-ties", 3, 3, 24, 3, S, "TBRR", 1, False, True, 4, 1, 16),
-    ("n3-d2-pa-score-kernel-uniform", 3, 2, 26, 4, S, "TBPA", None, True, False, 2, 2, 17),
-    ("n3-d2-pa-dom1-scalar-uniform", 3, 2, 5, 5, D, "TBPA", 1, False, False, 4, 1, 18),
-    ("n4-d2-pa-dom8-kernel-ties", 4, 2, 14, 3, D, "TBPA", 8, True, True, 8, 1, 21),
-    ("n4-d1-rr-off-scalar-uniform", 4, 1, 12, 2, D, "TBRR", None, False, False, 2, 1, 22),
-    ("n4-d3-pa-dom1-kernel-uniform", 4, 3, 12, 4, D, "TBPA", 1, True, False, 4, 1, 23),
-    ("n4-d2-rr-dom1-scalar-ties", 4, 2, 12, 2, D, "TBRR", 1, False, True, 4, 2, 24),
-    ("n4-d1-pa-dom8-scalar-ties", 4, 1, 8, 5, D, "TBPA", 8, False, True, 8, 1, 25),
-    ("n4-d3-rr-off-kernel-ties", 4, 3, 12, 3, D, "TBRR", None, True, True, 1, 1, 26),
-    ("n4-d2-pa-score-kernel-ties", 4, 2, 14, 3, S, "TBPA", 8, True, True, 4, 1, 27),
-    ("n4-d1-rr-score-scalar-uniform", 4, 1, 12, 2, S, "TBRR", None, False, False, 2, 1, 28),
+    ("n2-d1-pa-dom1-kernel-uniform", 2, 1, 40, 4, D, "TBPA", 1, False, 1, 1, 1),
+    ("n2-d2-rr-dom8-scalar-ties", 2, 2, 36, 5, D, "TBRR", 8, True, 4, 1, 2),
+    ("n2-d3-pa-off-kernel-ties", 2, 3, 40, 3, D, "TBPA", None, True, 8, 2, 3),
+    ("n2-d2-pa-dom1-scalar-uniform", 2, 2, 30, 6, D, "TBPA", 1, False, 2, 1, 4),
+    ("n2-d1-rr-score-kernel-ties", 2, 1, 40, 4, S, "TBRR", None, True, 4, 1, 5),
+    ("n2-d3-pa-score-scalar-uniform", 2, 3, 32, 3, S, "TBPA", 8, False, 1, 2, 6),
+    ("n2-d2-rr-dom8-kernel-uniform", 2, 2, 6, 2, D, "TBRR", 8, False, 8, 1, 7),
+    ("n2-d1-pa-off-scalar-ties", 2, 1, 36, 5, D, "TBPA", None, True, 1, 1, 8),
+    ("n3-d2-pa-dom8-kernel-ties", 3, 2, 28, 4, D, "TBPA", 8, True, 8, 1, 11),
+    ("n3-d1-rr-dom1-scalar-uniform", 3, 1, 20, 3, D, "TBRR", 1, False, 2, 1, 12),
+    ("n3-d3-pa-off-kernel-uniform", 3, 3, 24, 5, D, "TBPA", None, False, 4, 2, 13),
+    ("n3-d2-rr-dom8-scalar-ties", 3, 2, 24, 2, D, "TBRR", 8, True, 8, 1, 14),
+    ("n3-d1-pa-dom1-kernel-ties", 3, 1, 10, 6, D, "TBPA", 1, True, 1, 1, 15),
+    ("n3-d3-rr-score-scalar-ties", 3, 3, 24, 3, S, "TBRR", 1, True, 4, 1, 16),
+    ("n3-d2-pa-score-kernel-uniform", 3, 2, 26, 4, S, "TBPA", None, False, 2, 2, 17),
+    ("n3-d2-pa-dom1-scalar-uniform", 3, 2, 5, 5, D, "TBPA", 1, False, 4, 1, 18),
+    ("n4-d2-pa-dom8-kernel-ties", 4, 2, 14, 3, D, "TBPA", 8, True, 8, 1, 21),
+    ("n4-d1-rr-off-scalar-uniform", 4, 1, 12, 2, D, "TBRR", None, False, 2, 1, 22),
+    ("n4-d3-pa-dom1-kernel-uniform", 4, 3, 12, 4, D, "TBPA", 1, False, 4, 1, 23),
+    ("n4-d2-rr-dom1-scalar-ties", 4, 2, 12, 2, D, "TBRR", 1, True, 4, 2, 24),
+    ("n4-d1-pa-dom8-scalar-ties", 4, 1, 8, 5, D, "TBPA", 8, True, 8, 1, 25),
+    ("n4-d3-rr-off-kernel-ties", 4, 3, 12, 3, D, "TBRR", None, True, 1, 1, 26),
+    ("n4-d2-pa-score-kernel-ties", 4, 2, 14, 3, S, "TBPA", 8, True, 4, 1, 27),
+    ("n4-d1-rr-score-scalar-uniform", 4, 1, 12, 2, S, "TBRR", None, False, 2, 1, 28),
 ]
 
 
@@ -101,13 +105,13 @@ def make_problem(n, d, size, ties, seed):
 
 def record(config):
     """One config's run as the literal this module pins."""
-    (_, n, d, size, k, kind, algorithm, period, batch_kernel, ties,
-     pull_block, bound_period, seed) = config
+    (_, n, d, size, k, kind, algorithm, period, ties, pull_block,
+     bound_period, seed) = config
     relations, query = make_problem(n, d, size, ties, seed)
     result = make_algorithm(
         algorithm, relations, SCORING, query, k, kind=kind,
         pull_block=pull_block, bound_period=bound_period,
-        dominance_period=period, batch_kernel=batch_kernel,
+        dominance_period=period,
     ).run()
     assert result.completed
     return {
@@ -150,7 +154,7 @@ GOLDEN = {
                      'entries_dominated': 8,
                      'dominance_screened': 8,
                      'dominance_witness_hits': 1,
-                     'qp_enumerated': 0},
+                     'qp_enumerated': 12},
     },
     'n2-d3-pa-off-kernel-ties': {
         'keys': [[32, 1], [32, 21], [32, 23]],
@@ -244,7 +248,7 @@ GOLDEN = {
                      'entries_dominated': 0,
                      'dominance_screened': 0,
                      'dominance_witness_hits': 0,
-                     'qp_enumerated': 0},
+                     'qp_enumerated': 23},
     },
     'n3-d2-pa-dom8-kernel-ties': {
         'keys': [[10, 15, 0], [10, 15, 23], [26, 15, 0], [26, 15, 23]],
@@ -308,7 +312,7 @@ GOLDEN = {
                      'entries_dominated': 157,
                      'dominance_screened': 157,
                      'dominance_witness_hits': 3,
-                     'qp_enumerated': 0},
+                     'qp_enumerated': 16},
     },
     'n3-d1-pa-dom1-kernel-ties': {
         'keys': [[2, 1, 9], [2, 5, 9], [2, 6, 9], [2, 8, 9], [9, 1, 9],
@@ -437,7 +441,7 @@ GOLDEN = {
                      'entries_dominated': 2897,
                      'dominance_screened': 2897,
                      'dominance_witness_hits': 74,
-                     'qp_enumerated': 0},
+                     'qp_enumerated': 12},
     },
     'n4-d1-pa-dom8-scalar-ties': {
         'keys': [[3, 0, 1, 4], [1, 0, 1, 4], [3, 0, 4, 4], [4, 0, 1, 4],
@@ -455,7 +459,7 @@ GOLDEN = {
                      'entries_dominated': 544,
                      'dominance_screened': 544,
                      'dominance_witness_hits': 0,
-                     'qp_enumerated': 0},
+                     'qp_enumerated': 140},
     },
     'n4-d3-rr-off-kernel-ties': {
         'keys': [[2, 0, 7, 3], [2, 0, 7, 9], [6, 8, 7, 3]],

@@ -15,6 +15,7 @@ from repro.core import (
     TightBound,
     TopKBuffer,
     tbpa,
+    tbrr,
 )
 from repro.core.access import open_streams
 from repro.core.bounds.base import EngineState
@@ -223,7 +224,7 @@ class TestDominanceIntegration:
         with pytest.raises(ValueError):
             TightBound(dominance_period=0)
 
-    @pytest.mark.parametrize("batch_kernel", [True, False])
+    @pytest.mark.parametrize("strategy", [tbpa, tbrr], ids=["TBPA", "TBRR"])
     @pytest.mark.parametrize(
         "size,k,pull_block,bound_period,period",
         [
@@ -237,18 +238,18 @@ class TestDominanceIntegration:
         ],
     )
     def test_period_counts_accesses_across_refreshes(
-        self, batch_kernel, size, k, pull_block, bound_period, period
+        self, strategy, size, k, pull_block, bound_period, period
     ):
         """A refresh runs one dominance pass iff the access count crossed
         a multiple of the period since the previous refresh, so block
         pulls, short blocks and ``bound_period`` keep the cadence instead
-        of firing only every lcm(period, step) accesses."""
+        of firing only every lcm(period, step) accesses, under either
+        pulling strategy."""
         relations, query = random_relations(7, n=2, size=size)
-        engine = tbpa(
+        engine = strategy(
             relations, EuclideanLogScoring(1.0, 1.0, 1.0), query, k,
             kind=AccessKind.DISTANCE, pull_block=pull_block,
             bound_period=bound_period, dominance_period=period,
-            batch_kernel=batch_kernel,
         )
         bound = engine.bound
         passes = []

@@ -11,12 +11,13 @@ Properties pinned, layer by layer:
   untested.
 * **Stale witnesses never shield a candidate** — a cached witness is
   re-checked against the current competitor field.
-* **Engine-level identity** — on tie-heavy workloads the batched kernel
-  returns the same ranked answer, depths and bound as the scalar
-  reference and as the dominance-off run, flags the same rows, solves
-  almost no LPs, and the screen and cached witnesses actually fire.
-* **No scipy on the dominance path** — both execution strategies solve
-  their dominance LPs without importing scipy.
+* **Engine-level identity** — on tie-heavy workloads every bound-QP
+  call returns the per-pattern enumeration's values and thetas (the
+  ``kernel_spy`` fixture), the run returns the same ranked answer,
+  depths and bound as the dominance-off run, solves almost no LPs, and
+  the screen and cached witnesses actually fire.
+* **No scipy on the dominance path** — the engine solves its dominance
+  LPs without importing scipy.
 * **No silent QP fallback** — ``qp_enumerated`` counts the bound-QP rows
   the closed form handed to the enumeration: none on the tie-heavy
   workload, every row when ``w_q = 0`` leaves no closed form.
@@ -132,12 +133,12 @@ def tie_heavy_problem(n_relations=3, n_tuples=90, dims=2, levels=4, seed=0):
     return relations, np.zeros(dims)
 
 
-def _run(relations, query, *, algo, batch_kernel, w_q=1.0, dominance_period=2):
+def _run(relations, query, *, algo, w_q=1.0, dominance_period=2):
     scoring = EuclideanLogScoring(1.0, w_q, 1.0)
     return make_algorithm(
         algo, relations, scoring, query, 5,
         kind=AccessKind.DISTANCE, pull_block=4,
-        dominance_period=dominance_period, batch_kernel=batch_kernel,
+        dominance_period=dominance_period,
     ).run()
 
 
@@ -152,59 +153,44 @@ def _same_answer(a, b):
 
 @pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_engine_three_way_identity(algo, seed):
-    """Batched kernel == scalar reference, on the tie-heavy workload, for
-    both pulling strategies."""
+def test_engine_kernel_matches_enumeration(algo, seed, kernel_spy):
+    """Every kernel call == the enumeration, on the tie-heavy workload,
+    for both pulling strategies."""
     relations, query = tie_heavy_problem(seed=seed)
-    kernel = _run(relations, query, algo=algo, batch_kernel=True)
-    scalar = _run(relations, query, algo=algo, batch_kernel=False)
-    assert kernel.completed and scalar.completed
-    assert _same_answer(kernel, scalar)
+    kernel = _run(relations, query, algo=algo)
+    assert kernel.completed
+    assert kernel_spy.calls > 0
+    assert kernel_spy.rows == kernel.counters["qp_solves"]
 
 
 @pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
-def test_engine_lazy_pass(algo):
+def test_engine_lazy_pass(algo, kernel_spy):
     """The lazy pass on the tie-heavy workload at period 2: the screen
-    flags rows and cached witnesses answer candidates on both execution
-    strategies, both flag the same rows, the kernel solves at most
-    MAX_LAZY_LPS LPs, and the answer equals the dominance-off run's."""
+    flags rows and cached witnesses answer candidates, every kernel call
+    == the enumeration, the run solves at most MAX_LAZY_LPS LPs, and the
+    answer equals the dominance-off run's."""
     relations, query = tie_heavy_problem()
-    kernel = _run(relations, query, algo=algo, batch_kernel=True)
-    scalar = _run(relations, query, algo=algo, batch_kernel=False)
-    off = _run(
-        relations, query, algo=algo, batch_kernel=True, dominance_period=None
-    )
-    for run in (kernel, scalar):
-        assert run.counters["dominance_screened"] > 0
-        assert run.counters["dominance_witness_hits"] > 0
-    assert (
-        kernel.counters["entries_dominated"]
-        == scalar.counters["entries_dominated"]
-    )
+    kernel = _run(relations, query, algo=algo)
+    off = _run(relations, query, algo=algo, dominance_period=None)
+    assert kernel.counters["dominance_screened"] > 0
+    assert kernel.counters["dominance_witness_hits"] > 0
+    assert kernel_spy.calls > 0
     assert kernel.counters["lp_solves"] <= MAX_LAZY_LPS
     assert kernel.completed and off.completed
     assert _same_answer(kernel, off)
 
 
 @pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
-def test_engine_screen_matches_scalar_and_dominance_off(algo):
-    """The equal-slope screen runs in the shared front end: it flags the
-    same number of rows on the kernel and scalar paths, and the answer
-    equals the dominance-off run's."""
+def test_engine_screen_matches_dominance_off(algo, kernel_spy):
+    """The equal-slope screen flags rows, every kernel call == the
+    enumeration, and the answer equals the dominance-off run's."""
     relations, query = tie_heavy_problem(n_tuples=120, seed=2)
-    kernel = _run(relations, query, algo=algo, batch_kernel=True)
-    scalar = _run(relations, query, algo=algo, batch_kernel=False)
-    off = _run(
-        relations, query, algo=algo, batch_kernel=True, dominance_period=None
-    )
-    assert kernel.completed and scalar.completed and off.completed
+    kernel = _run(relations, query, algo=algo)
+    off = _run(relations, query, algo=algo, dominance_period=None)
+    assert kernel.completed and off.completed
     assert kernel.counters["dominance_screened"] > 0
-    assert (
-        kernel.counters["dominance_screened"]
-        == scalar.counters["dominance_screened"]
-    )
     assert off.counters["dominance_screened"] == 0
-    assert _same_answer(kernel, scalar)
+    assert kernel_spy.calls > 0
     assert _same_answer(kernel, off)
 
 
@@ -215,18 +201,16 @@ LP_PROBLEM = {"levels": 5, "seed": 1}
 
 @pytest.mark.parametrize("algo", ["TBPA", "TBRR"])
 def test_dominance_path_never_imports_scipy(algo):
-    """Both execution strategies solve their dominance LPs in a fresh
-    interpreter without importing scipy: the dense simplex is the only
-    LP solver, so no import lands inside the engine's timed region."""
+    """The engine solves its dominance LPs in a fresh interpreter without
+    importing scipy: the dense simplex is the only LP solver, so no
+    import lands inside the engine's timed region."""
     script = textwrap.dedent(f"""
         import sys
         from test_dominance_incremental import _run, tie_heavy_problem
         relations, query = tie_heavy_problem(**{LP_PROBLEM!r})
-        for batch_kernel in (True, False):
-            run = _run(relations, query, algo={algo!r}, batch_kernel=batch_kernel)
-            assert run.completed
-            print({algo!r}, batch_kernel, int(run.counters["lp_solves"]),
-                  "scipy" in sys.modules)
+        run = _run(relations, query, algo={algo!r})
+        assert run.completed
+        print({algo!r}, int(run.counters["lp_solves"]), "scipy" in sys.modules)
     """)
     here = Path(__file__).resolve().parent
     path = [str(here.parents[1] / "src"), str(here), os.environ.get("PYTHONPATH", "")]
@@ -237,23 +221,22 @@ def test_dominance_path_never_imports_scipy(algo):
     )
     assert done.returncode == 0, done.stderr
     legs = [line.split() for line in done.stdout.splitlines()]
-    assert len(legs) == 2
-    for _, batch_kernel, lps, scipy_loaded in legs:
-        assert int(lps) > 0, batch_kernel
-        assert scipy_loaded == "False", batch_kernel
+    assert len(legs) == 1
+    _, lps, scipy_loaded = legs[0]
+    assert int(lps) > 0
+    assert scipy_loaded == "False"
 
 
-def test_qp_enumerated_counts_fallback_rows():
+def test_qp_enumerated_counts_fallback_rows(kernel_spy):
     """The tie-heavy run with dominance solves every bound QP in closed
     form; with ``w_q = 0`` (singular Hessian) every row is enumerated,
-    and both kernels still agree."""
+    and every kernel call still equals the enumeration."""
     relations, query = tie_heavy_problem(seed=1)
-    kernel = _run(relations, query, algo="TBPA", batch_kernel=True)
+    kernel = _run(relations, query, algo="TBPA")
     assert kernel.counters["qp_solves"] > 0
     assert kernel.counters["qp_enumerated"] == 0
 
-    singular = _run(relations, query, algo="TBPA", batch_kernel=True, w_q=0.0)
-    scalar = _run(relations, query, algo="TBPA", batch_kernel=False, w_q=0.0)
+    calls = kernel_spy.calls
+    singular = _run(relations, query, algo="TBPA", w_q=0.0)
     assert singular.counters["qp_enumerated"] == singular.counters["qp_solves"] > 0
-    assert scalar.counters["qp_enumerated"] == 0  # the scalar path never counts
-    assert _same_answer(singular, scalar)
+    assert kernel_spy.calls > calls

@@ -1,21 +1,21 @@
 """Seeded bound-kernel differential sweep.
 
-The tight bound has one batched kernel (``batch_kernel=True``: gathered
-masked QPs, cached completion geometry) and one scalar reference
-(``batch_kernel=False``: one QP per subset); both run the same lazy
-dominance pass, one LP per pending candidate.  This sweep draws random
+The tight bound solves each refresh's QPs in one masked-kernel call
+(gathered rows, cached completion geometry) and runs a lazy dominance
+pass, one LP per pending candidate.  This sweep draws random
 configurations with stdlib ``random`` — relation count, dimension, k,
 block size, bound period, access kind, algorithm (TBPA/TBRR), dominance
-period and uniform or tie-heavy data — and runs each one on both.  A
-completed kernel run must equal the scalar run with ``==`` on the
-ranked ``(key, score)`` list, the depths and the bound, and a config
-with a dominance period must also equal the same config with dominance
-off: the pass only flags rows that can never carry a subset's bound, so
-it moves no answer, depth or bound.  A second draw of configs fixes
-n = 4 (15 subsets, sizes 0-3, where n = 3 reaches only sizes 0-2) with
-at most 16 rows per relation.  A failure names the config's seed;
-``pytest tests/core/test_kernel_differential.py -k seed<N>`` reruns it
-alone.
+period and uniform or tie-heavy data — and runs each one under the
+``kernel_spy`` fixture (``conftest.py``), which checks that every kernel
+call returns values and thetas ``==`` the per-pattern enumeration on the
+same rows.  A config with a dominance period must also equal the same
+config with dominance off with ``==`` on the ranked ``(key, score)``
+list, the depths and the bound: the pass only flags rows that can never
+carry a subset's bound, so it moves no answer, depth or bound.  A second
+draw of configs fixes n = 4 (15 subsets, sizes 0-3, where n = 3 reaches
+only sizes 0-2) with at most 16 rows per relation.  A failure names
+the config's seed; ``pytest tests/core/test_kernel_differential.py -k
+seed<N>`` reruns it alone.
 """
 
 import random
@@ -39,8 +39,8 @@ def draw_config(seed):
         "seed": seed,
         "n": n,
         "d": rnd.choice((1, 2, 3)),
-        # The scalar reference solves one LP per dominance candidate, so
-        # larger joins stay small enough for the sweep's time budget.
+        # Larger joins get fewer rows, keeping the sweep in its time
+        # budget.
         "size": rnd.randint(8, {2: 60, 3: 36, 4: 16}[n]),
         "k": rnd.randint(1, 6),
         "pull_block": rnd.choice((1, 2, 4, 8)),
@@ -86,12 +86,12 @@ def ranked(result):
     )
 
 
-def run(cfg, relations, query, batch_kernel, dominance_period):
+def run(cfg, relations, query, dominance_period):
     return make_algorithm(
         cfg["algorithm"], relations, SCORING, query, cfg["k"],
         kind=cfg["kind"], pull_block=cfg["pull_block"],
         bound_period=cfg["bound_period"],
-        dominance_period=dominance_period, batch_kernel=batch_kernel,
+        dominance_period=dominance_period,
     ).run()
 
 
@@ -101,7 +101,7 @@ def run(cfg, relations, query, batch_kernel, dominance_period):
     + [N4_SEED_BASE + i for i in range(N4_CONFIGS)],
     ids=lambda s: f"seed{s}",
 )
-def test_kernel_matches_scalar(seed):
+def test_kernel_matches_enumeration(seed, kernel_spy):
     cfg = draw_config(seed)
     repro = (
         f"repro: pytest tests/core/test_kernel_differential.py -k seed{seed} "
@@ -111,11 +111,11 @@ def test_kernel_matches_scalar(seed):
     print(repro)
     relations, query = make_problem(cfg)
     period = cfg["dominance_period"]
-    scalar = run(cfg, relations, query, False, period)
-    kernel = run(cfg, relations, query, True, period)
-    assert scalar.completed, repro
+    kernel = run(cfg, relations, query, period)
     assert kernel.completed, repro
-    assert ranked(kernel) == ranked(scalar), repro
+    # Distance access reaches the kernel; score access solves no QP.
+    reached = cfg["kind"] is AccessKind.DISTANCE
+    assert (kernel_spy.calls > 0) == reached, repro
     if period is not None:
-        off = run(cfg, relations, query, True, None)
+        off = run(cfg, relations, query, None)
         assert ranked(kernel) == ranked(off), repro

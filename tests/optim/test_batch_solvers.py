@@ -1,30 +1,23 @@
-"""Differential suite for the batched bound-QP kernels.
+"""Differential suite for the bound-QP solver against its one reference.
 
-Pins the acceptance bar of the bound-kernel refactor: every batch API is
-bit-identical, entry for entry, to a loop over its scalar counterpart
-:func:`repro.optim.solve_bound_qp`.  Degenerate and tie cases included;
-the singular-Hessian family (``w_q = 0``) pins optimal *values* only,
-per the documented contract (both sides fall back to least squares
-there).
+Every row of :func:`repro.optim.solve_bound_qp_masked` must be
+bit-identical to the per-pattern active-set enumeration
+(:func:`repro.optim.solve_bound_qp_batch`, ``_solve_pattern``) run on
+that row alone.  Degenerate and tie cases included; the singular-Hessian
+family (``w_q = 0``) pins optimal *values* only, per the documented
+contract (the enumeration falls back to least squares there).
 
-The masked QP kernel solves spread-Hessian rows in closed form and hands
-the rest to its active-set enumeration.  Rows whose lower bound sits
-within the KKT tolerance of the water level have more than one
-KKT-passing active set; there the enumeration (the per-pattern reference
-the engine's scalar path runs) and the primal active-set
-:func:`solve_bound_qp` may pick different ones, so the degenerate family
-pins every row to the enumeration and every closed-form row to both.
+The masked solver solves spread-Hessian rows in closed form and hands
+the rest to the enumeration.  Rows whose lower bound sits within the KKT
+tolerance of the water level have more than one KKT-passing active set;
+the degenerate family pins that the closed form leaves every such row to
+the enumeration.
 """
 
 import numpy as np
 import pytest
 
-from repro.optim import (
-    solve_bound_qp,
-    solve_bound_qp_batch,
-    solve_bound_qp_masked,
-    spread_matrix,
-)
+from repro.optim import solve_bound_qp_batch, solve_bound_qp_masked, spread_matrix
 from repro.optim.qp import _solve_pattern
 
 
@@ -41,17 +34,6 @@ def random_patterns(rng, n, num_entries):
         fv[b, fm[b]] = rng.normal(size=int(fm[b].sum()))
         lv[b, lm[b]] = np.abs(rng.normal(size=int(lm[b].sum())))
     return fm, fv, lm, lv
-
-
-def scalar_qp_loop(h, fm, fv, lm, lv):
-    xs, vals = [], []
-    for b in range(len(fm)):
-        fixed = {int(i): float(fv[b, i]) for i in np.flatnonzero(fm[b])}
-        lower = {int(i): float(lv[b, i]) for i in np.flatnonzero(lm[b])}
-        res = solve_bound_qp(h, fixed=fixed, lower=lower)
-        xs.append(res.x)
-        vals.append(res.value)
-    return np.array(vals), np.array(xs)
 
 
 def enumeration_loop(h, fm, fv, lm, lv):
@@ -76,10 +58,10 @@ LEVEL_OFFSETS = [0.0] + [
 
 def level_rows(rng, h, count, with_free):
     """Rows with one lower bound at the water level ``c`` plus an offset
-    from ``LEVEL_OFFSETS`` (cycled).  ``c`` is read off the scalar optimum
-    of the same row with that coordinate unconstrained: an inactive
-    coordinate sits at the level, which a bound at or below it leaves in
-    place."""
+    from ``LEVEL_OFFSETS`` (cycled).  ``c`` is read off the enumeration's
+    optimum of the same row with that coordinate unconstrained: an
+    inactive coordinate sits at the level, which a bound at or below it
+    leaves in place."""
     n = h.shape[0]
     fm = np.zeros((count, n), dtype=bool)
     lm = np.zeros((count, n), dtype=bool)
@@ -93,24 +75,22 @@ def level_rows(rng, h, count, with_free):
         fv[b, fm[b]] = rng.normal(size=int(fm[b].sum()))
         lv[b, lm[b]] = rng.normal(size=int(lm[b].sum()))
         j = int(rng.choice(np.flatnonzero(lm[b])))
-        fixed = {int(i): float(fv[b, i]) for i in np.flatnonzero(fm[b])}
-        lower = {
-            int(i): float(lv[b, i]) for i in np.flatnonzero(lm[b]) if i != j
-        }
-        level = solve_bound_qp(h, fixed=fixed, lower=lower).x[j]
-        lv[b, j] = level + LEVEL_OFFSETS[b % len(LEVEL_OFFSETS)]
+        free_j = lm[b : b + 1].copy()
+        free_j[0, j] = False
+        _, x = enumeration_loop(h, fm[b : b + 1], fv[b : b + 1], free_j, lv[b : b + 1])
+        lv[b, j] = x[0, j] + LEVEL_OFFSETS[b % len(LEVEL_OFFSETS)]
     return fm, fv, lm, lv
 
 
 class TestMaskedQPKernel:
     @pytest.mark.parametrize("seed", range(8))
-    def test_bit_identical_to_scalar_loop(self, seed):
+    def test_bit_identical_to_enumeration_loop(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         h = spread_matrix(n, float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)))
         fm, fv, lm, lv = random_patterns(rng, n, int(rng.integers(1, 40)))
         vals, thetas, _ = solve_bound_qp_masked(h, fm, fv, lm, lv)
-        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = enumeration_loop(h, fm, fv, lm, lv)
         # Bitwise: == on floats, no tolerance.
         assert (vals == ref_vals).all()
         assert (thetas == ref_xs).all()
@@ -125,7 +105,7 @@ class TestMaskedQPKernel:
         lv = np.zeros((4, 3))
         lv[2:, 1:] = 1.0  # clamped away from the unconstrained optimum
         vals, thetas, _ = solve_bound_qp_masked(h, fm, fv, lm, lv)
-        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = enumeration_loop(h, fm, fv, lm, lv)
         assert (vals == ref_vals).all()
         assert (thetas == ref_xs).all()
         # Duplicates resolve identically.
@@ -138,8 +118,7 @@ class TestMaskedQPKernel:
         # Rows with a bound at c and c +- {1e-12 .. 1e-8}, mixed into one
         # batch with ordinary rows.  Every row equals the enumeration bit
         # for bit (the closed form never takes a row whose active set is
-        # ambiguous), every closed-form row equals the scalar solver too,
-        # and the ordinary rows take the closed form.
+        # ambiguous), and the ordinary rows take the closed form.
         rng = np.random.default_rng(700 + 10 * n + with_free)
         h = spread_matrix(n, float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)))
         dm, dv, dl, dlv = level_rows(rng, h, 4 * len(LEVEL_OFFSETS), with_free)
@@ -154,11 +133,6 @@ class TestMaskedQPKernel:
         enum_vals, enum_xs = enumeration_loop(h, fm, fv, lm, lv)
         assert (vals == enum_vals).all()
         assert (thetas == enum_xs).all()
-        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
-        closed = ~enumerated
-        assert (vals[closed] == ref_vals[closed]).all()
-        assert (thetas[closed] == ref_xs[closed]).all()
-        np.testing.assert_allclose(vals, ref_vals, rtol=1e-7, atol=1e-7)
         assert not enumerated[ordinary].any()
         # A bound exactly at the level is always degenerate.
         at_level = ~ordinary & (order % len(LEVEL_OFFSETS) == 0)
@@ -175,7 +149,7 @@ class TestMaskedQPKernel:
         lv = np.where(lm, rng.normal(size=(rows, n)), np.nan)
         h = spread_matrix(n, 0.7, 1.3)
         vals, thetas, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
-        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = enumeration_loop(h, fm, fv, lm, lv)
         assert (vals == ref_vals).all()
         assert (thetas == ref_xs).all()
         assert not enumerated.any()
@@ -189,7 +163,7 @@ class TestMaskedQPKernel:
         h = spread_matrix(1, 0.8, 1.7)
         fm, fv, lm, lv = random_patterns(rng, 1, 12)
         vals, thetas, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
-        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = enumeration_loop(h, fm, fv, lm, lv)
         assert (vals == ref_vals).all()
         assert (thetas == ref_xs).all()
         assert enumerated.all()
@@ -206,7 +180,7 @@ class TestMaskedQPKernel:
         fv = rng.normal(size=(40, n))
         lv = rng.normal(size=(40, n))
         vals, thetas, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
-        ref_vals, ref_xs = scalar_qp_loop(h, fm, fv, lm, lv)
+        ref_vals, ref_xs = enumeration_loop(h, fm, fv, lm, lv)
         assert (vals == ref_vals).all()
         assert (thetas == ref_xs).all()
         assert enumerated.all()
@@ -220,7 +194,7 @@ class TestMaskedQPKernel:
         h = spread_matrix(n, 0.0, float(rng.uniform(0.5, 3)))
         fm, fv, lm, lv = random_patterns(rng, n, 12)
         vals, _, enumerated = solve_bound_qp_masked(h, fm, fv, lm, lv)
-        ref_vals, _ = scalar_qp_loop(h, fm, fv, lm, lv)
+        ref_vals, _ = enumeration_loop(h, fm, fv, lm, lv)
         np.testing.assert_allclose(vals, ref_vals, atol=1e-8)
         # No closed form without a positive-definite Hessian.
         assert enumerated.all()
@@ -259,7 +233,9 @@ class TestMaskedQPKernel:
 
 class TestSubsetQPBatch:
     @pytest.mark.parametrize("seed", range(6))
-    def test_bit_identical_to_scalar_loop(self, seed):
+    def test_bit_identical_to_enumeration_loop(self, seed):
+        # One pattern's entries in one call equal each entry alone, and
+        # equal the masked solver on the same rows.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         m = int(rng.integers(0, n))
@@ -270,11 +246,26 @@ class TestSubsetQPBatch:
         fvals = rng.normal(size=(num_entries, m))
         lvals = np.abs(rng.normal(size=len(lower_idx)))
         vals, thetas = solve_bound_qp_batch(h, fixed_idx, fvals, lower_idx, lvals)
-        for e in range(num_entries):
-            res = solve_bound_qp(
-                h,
-                fixed={i: float(fvals[e, k]) for k, i in enumerate(fixed_idx)},
-                lower={j: float(lvals[k]) for k, j in enumerate(lower_idx)},
-            )
-            assert (res.x == thetas[e]).all()
-            assert res.value == vals[e]
+        fm = np.zeros((num_entries, n), dtype=bool)
+        fm[:, fixed_idx] = True
+        fv = np.zeros((num_entries, n))
+        fv[:, fixed_idx] = fvals
+        lv = np.zeros((num_entries, n))
+        lv[:, lower_idx] = lvals
+        ref_vals, ref_xs = enumeration_loop(h, fm, fv, ~fm, lv)
+        assert (vals == ref_vals).all()
+        assert (thetas == ref_xs).all()
+        kernel_vals, kernel_thetas, _ = solve_bound_qp_masked(h, fm, fv, ~fm, lv)
+        assert (kernel_vals == vals).all()
+        assert (kernel_thetas == thetas).all()
+
+    def test_per_entry_bounds(self):
+        # ``lower_vals`` may carry one row of bounds per entry.
+        rng = np.random.default_rng(9)
+        h = spread_matrix(3, 0.7, 1.3)
+        fvals = rng.normal(size=(5, 1))
+        lvals = np.abs(rng.normal(size=(5, 2)))
+        vals, thetas = solve_bound_qp_batch(h, [0], fvals, [1, 2], lvals)
+        for e in range(5):
+            v, x = solve_bound_qp_batch(h, [0], fvals[e : e + 1], [1, 2], lvals[e])
+            assert v[0] == vals[e] and (x[0] == thetas[e]).all()
