@@ -41,7 +41,6 @@ def _build(
     dominance_period: int | None,
     bound_period: int,
     pull_block: int,
-    vectorise: bool,
     stream_factory,
     max_pulls: int | None,
     should_stop,
@@ -58,7 +57,6 @@ def _build(
         k=k,
         bound_period=bound_period,
         pull_block=pull_block,
-        vectorise=vectorise,
         stream_factory=stream_factory,
         max_pulls=max_pulls,
         should_stop=should_stop,
@@ -74,7 +72,6 @@ def cbrr(
     kind: AccessKind = AccessKind.DISTANCE,
     bound_period: int = 1,
     pull_block: int = 1,
-    vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
     should_stop=None,
@@ -84,7 +81,7 @@ def cbrr(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=False,
         dominance_period=None,
-        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )
@@ -99,7 +96,6 @@ def cbpa(
     kind: AccessKind = AccessKind.DISTANCE,
     bound_period: int = 1,
     pull_block: int = 1,
-    vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
     should_stop=None,
@@ -109,7 +105,7 @@ def cbpa(
         relations, scoring, query, k,
         kind=kind, tight=False, adaptive=True,
         dominance_period=None,
-        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )
@@ -125,7 +121,6 @@ def tbrr(
     dominance_period: int | None = None,
     bound_period: int = 1,
     pull_block: int = 1,
-    vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
     should_stop=None,
@@ -135,7 +130,7 @@ def tbrr(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=False,
         dominance_period=dominance_period,
-        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )
@@ -151,7 +146,6 @@ def tbpa(
     dominance_period: int | None = None,
     bound_period: int = 1,
     pull_block: int = 1,
-    vectorise: bool = True,
     stream_factory=None,
     max_pulls: int | None = None,
     should_stop=None,
@@ -161,7 +155,7 @@ def tbpa(
         relations, scoring, query, k,
         kind=kind, tight=True, adaptive=True,
         dominance_period=dominance_period,
-        bound_period=bound_period, pull_block=pull_block, vectorise=vectorise,
+        bound_period=bound_period, pull_block=pull_block,
         stream_factory=stream_factory, max_pulls=max_pulls,
         should_stop=should_stop,
     )

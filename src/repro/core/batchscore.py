@@ -29,11 +29,13 @@ everything downstream indexes by **access position**:
   product in O(1) per full prefix by reading the running maxima, which
   makes :meth:`CandidatePruner.admit_ranges` an O(1)-per-block admission
   test;
-* :meth:`QuadraticBatchScorer.add_cross_ranges` materialises only the
-  handful of candidates that can possibly enter the top-K buffer (their
-  scores recomputed by the canonical scalar path, so downstream ordering
-  is bit-identical to the object-per-tuple engine) and admits them via
-  :meth:`~repro.core.buffers.TopKBuffer.add_many`.
+* :meth:`QuadraticBatchScorer.add_cross_ranges` sieves with the
+  separated form and materialises only the handful of candidates that
+  can possibly enter the top-K buffer, scoring them in one
+  :meth:`~repro.core.scoring.QuadraticFormScoring.score_rows` call (the
+  row-stable kernel the brute-force oracle's ``make_combination`` also
+  runs, so retained scores are ``==`` the oracle's) and admitting them
+  via :meth:`~repro.core.buffers.TopKBuffer.add_many`.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.buffers import TopKBuffer
+from repro.core.relation import Combination
 from repro.core.scoring import QuadraticFormScoring
 
 __all__ = ["QuadraticBatchScorer", "CandidatePruner"]
 
 #: Extra candidates materialised beyond K to absorb float-associativity
-#: reordering between the batched and the canonical score evaluation.
+#: reordering between the sieve's separated form and the scoring kernel.
 _SLACK = 8
 
 #: One range of one stream's prefix, by access position: (stream index,
@@ -115,7 +118,7 @@ class _PrefixSlab:
         scoring = self.scoring
         centred = vecs - self.query
         sq = np.einsum("ij,ij->i", centred, centred)
-        scalar = scoring.w_s * scoring.score_utility_array(scores) - (
+        scalar = scoring.w_s * scoring.score_utility(scores) - (
             scoring.w_q + scoring.w_mu
         ) * sq
         self.centred[lo:depth] = centred
@@ -196,14 +199,15 @@ class QuadraticBatchScorer:
            alone sinks it;
         2. per-survivor norm-sum cap (gathered, sparse): tightens the
            spread bound per combination;
-        3. exact spread for the remaining handful.
+        3. separated-form spread for the remaining handful.
 
         Each stage's cap dominates the true score up to float rounding,
         and the sieve keeps a strict superset of everything within
         ``1e-9`` of the K-th score (2e-9 thresholds absorb the rounding),
         so the surviving cohort — and hence the buffer's retained set,
-        which is decided by canonically recomputed scores — is identical
-        to dense scoring's.
+        which is decided by the cohort's kernel scores — is identical
+        to dense scoring's.  The separated form only filters: no float
+        it computes reaches the buffer.
         """
         if any(hi <= lo for _, lo, hi in ranges):
             return 0
@@ -270,21 +274,25 @@ class QuadraticBatchScorer:
             exact = exact[sel]
         order = np.argsort(-exact, kind="stable")
         final = np.unravel_index(idx[order], shape)
+        # The cohort's floats come from the scoring kernel, the one
+        # arithmetic the oracle's ``make_combination`` also runs.
+        rows = [lo + c for (_, lo, _), c in zip(ranges, final)]
+        centred = np.stack(
+            [slab.centred[r] for slab, r in zip(slabs, rows)], axis=1
+        )
+        scores = np.stack(
+            [
+                self._streams[j].prefix.arrays(0, hi)[1][r]
+                for (j, _, hi), r in zip(ranges, rows)
+            ],
+            axis=1,
+        )
+        values = self.scoring.score_rows(scores, centred).tolist()
         seens = [self._streams[j].seen for j, _, _ in ranges]
-        offsets = [lo for _, lo, _ in ranges]
-        scoring = self.scoring
-        query = self.query
-        combos = [
-            scoring.make_combination(
-                tuple(
-                    seen[off + int(c)]
-                    for seen, off, c in zip(seens, offsets, pos)
-                ),
-                query,
-            )
-            for pos in zip(*final)
-        ]
-        output.add_many(combos)
+        output.add_many(
+            Combination(tuple(seen[p] for seen, p in zip(seens, pos)), value)
+            for pos, value in zip(zip(*(r.tolist() for r in rows)), values)
+        )
         return total
 
     def ranges_upper_bound(self, ranges: list[Range]) -> float:

@@ -23,7 +23,9 @@ The module exposes:
 
 * :func:`solve_completion` — distance-based bound ``t(tau)`` + optimum.
 * :func:`score_access_completion` — score-based bound (Appendix C.2,
-  closed form 41, no constraints).
+  closed form 41, no constraints) with its maximiser; the tolerance
+  reference for :func:`score_access_completion_batch`, which computes
+  every value the tight bound compares.
 * :func:`unconstrained_optimum` — closed form (11)/(29).
 * :func:`dominance_coefficients` — the ``(b, c)`` of Section 3.2.2 whose
   half-spaces define dominance regions.
@@ -261,7 +263,7 @@ def completion_terms(
     if m > 0:
         # The reductions are spelled out as the ufunc calls that
         # ``mean`` and ``np.linalg.norm`` make (same floats, fewer calls).
-        utility = np.add.reduce(scoring.score_utility_array(scores), axis=1)
+        utility = np.add.reduce(scoring.score_utility(scores), axis=1)
         nu = np.add.reduce(xs, axis=1) / m  # (E, d)
         norms = np.sqrt(np.add.reduce(nu * nu, axis=1))
         good = norms > _EPS
@@ -424,10 +426,13 @@ def score_access_completion_batch(
     bulk (Algorithm 3 keeps a single incumbent per subset), so the
     maximiser geometry of :class:`CompletionResult` is not materialised.
 
-    Arithmetic mirrors the scalar path operation for operation — centroid
-    mean before query-centring, norms taken then squared, weighted terms
-    accumulated in relation order — so values match the per-entry
-    evaluation to float-associativity noise.
+    The arithmetic follows the scalar path's steps (centroid mean before
+    query-centring, norms taken then squared, weighted terms accumulated
+    in relation order) but reduces over axes where the scalar path takes
+    1-D norms, so the two can differ in the last bits: the scalar
+    function is a tolerance reference only.  The tight bound evaluates
+    every score-access value here, incumbents as batches of one, so the
+    values it compares share one arithmetic.
     """
     if vectors.ndim != 3:
         raise ValueError(f"vectors must be (E, m, d), got shape {vectors.shape}")
@@ -450,7 +455,7 @@ def score_access_completion_batch(
 
     values = np.zeros(num_entries)
     if m:
-        u_seen = scoring.score_utility_array(scores)  # (E, m)
+        u_seen = scoring.score_utility(scores)  # (E, m)
         for r in range(m):
             dq = np.linalg.norm(vectors[:, r] - query, axis=1)
             dmu = np.linalg.norm(vectors[:, r] - mu, axis=1)

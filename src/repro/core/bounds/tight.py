@@ -79,7 +79,6 @@ from repro.core.bounds.dominance import (
 )
 from repro.core.bounds.geometry import (
     completion_terms,
-    score_access_completion,
     score_access_completion_batch,
 )
 from repro.core.relation import RankTuple
@@ -564,13 +563,11 @@ class TightBound(BoundingScheme):
             if incumbent is None or not any(grown[j] for j in others):
                 continue
             scores, vecs = incumbent
-            result = score_access_completion(
-                scoring, n, state.query,
-                {j: (float(scores[r]), vecs[r])
-                 for r, j in enumerate(store.member_idx[s])},
+            values = score_access_completion_batch(
+                scoring, n, state.query, scores[None], vecs[None],
                 {j: last_scores[j] for j in others},
             )
-            store.t_max[s] = result.value
+            store.t_max[s] = float(values[0])
             self.counters.closed_form_evals += 1
 
         # Challenge the incumbents with every new partial combination in

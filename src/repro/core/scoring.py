@@ -12,14 +12,20 @@ centroid ``mu(tau)`` minimises the summed distance to the members.
 
 for which the tight bound has the closed-form/QP structure of Sec. 3.2.1.
 :class:`LinearScoring` replaces ``ln`` with identity (used in Appendix C.2
-and convenient when scores may be 0).  :class:`CosineProximityScoring`
+and convenient when scores may be 0).
+
+Every combination of the quadratic family is scored by one kernel,
+:meth:`QuadraticFormScoring.score_rows`: the engine's batch scorer calls it
+on its admitted cohort and :meth:`~Scoring.make_combination` (and hence the
+brute-force oracle) on a batch of one.  Its arithmetic is *row-stable*
+(see the method), so a row's float is the same alone or in any batch, and
+engine and oracle agree with ``==``.  :class:`CosineProximityScoring`
 implements the cosine-similarity variant the paper lists as future work;
 it is supported by the numeric fallback bound.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -94,7 +100,8 @@ class QuadraticFormScoring(Scoring):
     completion has the closed form (11)/(41), and dominance regions are
     half-spaces.
 
-    Subclasses fix ``u`` via :meth:`score_utility`.
+    Subclasses fix ``u`` via :meth:`score_utility`; every combination
+    is scored by :meth:`score_rows`.
     """
 
     #: Flag the tight-bound machinery keys on to use the QP fast path.
@@ -108,19 +115,63 @@ class QuadraticFormScoring(Scoring):
         self.w_mu = float(w_mu)
 
     @abstractmethod
-    def score_utility(self, score: float) -> float:
-        """The transform ``u`` applied to raw scores (monotone)."""
+    def score_utility(self, scores: float | np.ndarray) -> np.ndarray:
+        """The transform ``u`` applied to raw scores (monotone).
 
-    def score_utility_array(self, scores: np.ndarray) -> np.ndarray:
-        """Vectorised ``u`` over a score column (columnar hot path).
-
-        The default loops over :meth:`score_utility`; subclasses with a
-        numpy-native transform override it.  Shape-preserving.
+        Elementwise over a scalar or an array of any shape; one numpy
+        ufunc, so an element's value does not depend on its neighbours.
         """
-        arr = np.asarray(scores, dtype=float)
-        return np.array(
-            [self.score_utility(float(s)) for s in arr.ravel()], dtype=float
-        ).reshape(arr.shape)
+
+    def score_rows(self, scores: np.ndarray, centred: np.ndarray) -> np.ndarray:
+        """Eq. (2) for ``B`` combinations: ``scores (B, n)`` holds the
+        members' raw scores and ``centred (B, n, d)`` their query-centred
+        vectors ``c_i = x_i - q``, both in relation order.
+
+        The score is evaluated directly, not in the batch scorer's
+        separated form (which cancels ``-w_mu sum ||c_i||^2`` against
+        ``(w_mu/n) ||sum c_i||^2``):
+
+        * ``cbar = (sum_i c_i) / n``, summed in relation order;
+        * ``||c_i||^2`` and ``||c_i - cbar||^2``, each summed over the
+          coordinates in index order (no square root taken and squared
+          again);
+        * ``w_s u(sigma_i) - w_q ||c_i||^2 - w_mu ||c_i - cbar||^2``
+          per member, summed in relation order.
+
+        Only elementwise numpy operations run, each correctly rounded
+        per element, and every sum is an explicit loop over one axis:
+        no BLAS, ``einsum`` or norm reduction whose association could
+        depend on the batch's shape.  So a row's float is the same alone,
+        in any batch and at any position in it.  Returns ``(B,)``.
+        """
+        n, d = centred.shape[1], centred.shape[2]
+        cbar = centred[:, 0]
+        for i in range(1, n):
+            cbar = cbar + centred[:, i]
+        cbar = cbar / n
+        sq = centred * centred
+        dev = centred - cbar[:, None, :]
+        dev = dev * dev
+        near = sq[..., 0]
+        spread = dev[..., 0]
+        for k in range(1, d):
+            near = near + sq[..., k]
+            spread = spread + dev[..., k]
+        terms = (
+            self.w_s * self.score_utility(scores)
+            - self.w_q * near
+            - self.w_mu * spread
+        )
+        total = terms[:, 0]
+        for i in range(1, n):
+            total = total + terms[:, i]
+        return total
+
+    def score_combination(self, tuples: Sequence[RankTuple], query: np.ndarray) -> float:
+        """``S(tau)``: :meth:`score_rows` on a batch of one."""
+        scores = np.array([[t.score for t in tuples]], dtype=float)
+        vectors = np.array([[t.vector for t in tuples]], dtype=float)
+        return float(self.score_rows(scores, vectors - query)[0])
 
     def aggregate(self, weighted_scores: Sequence[float]) -> float:
         return float(sum(weighted_scores))
@@ -150,14 +201,7 @@ class QuadraticFormScoring(Scoring):
 class EuclideanLogScoring(QuadraticFormScoring):
     """Paper eq. (2): ``u(sigma) = ln(sigma)`` — requires positive scores."""
 
-    def score_utility(self, score: float) -> float:
-        if score <= 0.0:
-            raise ValueError(
-                f"EuclideanLogScoring needs strictly positive scores, got {score}"
-            )
-        return math.log(score)
-
-    def score_utility_array(self, scores: np.ndarray) -> np.ndarray:
+    def score_utility(self, scores: float | np.ndarray) -> np.ndarray:
         scores = np.asarray(scores, dtype=float)
         if scores.size and float(scores.min()) <= 0.0:
             raise ValueError(
@@ -170,10 +214,7 @@ class EuclideanLogScoring(QuadraticFormScoring):
 class LinearScoring(QuadraticFormScoring):
     """``u(sigma) = sigma`` — the variant used in Appendix C.2."""
 
-    def score_utility(self, score: float) -> float:
-        return float(score)
-
-    def score_utility_array(self, scores: np.ndarray) -> np.ndarray:
+    def score_utility(self, scores: float | np.ndarray) -> np.ndarray:
         return np.asarray(scores, dtype=float)
 
 

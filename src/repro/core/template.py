@@ -27,10 +27,12 @@ For quadratic scorings both modes run **columnar**: every stream keeps
 its seen prefix as a columnar prefix, and the loop hands the batch
 scorer (stream, start, stop) access-position ranges, so scoring is
 broadcasting over cached prefix slabs and block admission reads running
-prefix maxima in O(1) — see :mod:`repro.core.batchscore`.
-``vectorise=False`` forces the object-per-tuple reference path (used by
-the differential suite to pit the two implementations against each
-other).
+prefix maxima in O(1) — see :mod:`repro.core.batchscore`.  The
+combinations that can enter the buffer are scored by the scoring's
+row-stable kernel (:meth:`~repro.core.scoring.QuadraticFormScoring.
+score_rows`), the arithmetic the brute-force oracle runs too.  Other
+scorings (the cosine extension) score every combination of the cross
+product through :meth:`~repro.core.scoring.Scoring.make_combination`.
 
 Correctness requires only that the bound is a correct upper bound;
 strategies *should* return unexhausted relations, but the engine
@@ -41,6 +43,7 @@ Optimality additionally needs a tight bound (Theorems 3.2/3.3).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -160,11 +163,6 @@ class ProxRJ:
         return the same ranked top-K regardless of the block size; I/O
         (``sum_depths``) may grow by up to ``pull_block - 1`` per
         relation versus per-tuple pulling.
-    vectorise:
-        Use the columnar batch scorer when the scoring supports it
-        (default).  ``False`` forces the scalar object-per-tuple path —
-        the reference implementation the differential tests compare
-        against; completed runs are bit-identical either way.
     stream_factory:
         Optional callable returning one access stream per relation (e.g.
         :func:`repro.service.make_service_streams` partial); overrides
@@ -198,7 +196,6 @@ class ProxRJ:
         k: int,
         bound_period: int = 1,
         pull_block: int = 1,
-        vectorise: bool = True,
         stream_factory=None,
         max_pulls: int | None = None,
         should_stop: Callable[[], bool] | None = None,
@@ -228,7 +225,6 @@ class ProxRJ:
         self.k = k
         self.bound_period = bound_period
         self.pull_block = pull_block
-        self.vectorise = vectorise
         self.stream_factory = stream_factory
         self.max_pulls = max_pulls
         self.should_stop = should_stop
@@ -263,7 +259,7 @@ class ProxRJ:
         self.pull.reset()
         batch_scorer = (
             QuadraticBatchScorer(self.scoring, self.query)
-            if self.vectorise and isinstance(self.scoring, QuadraticFormScoring)
+            if isinstance(self.scoring, QuadraticFormScoring)
             else None
         )
         if batch_scorer is not None:
@@ -349,7 +345,11 @@ class ProxRJ:
                 pools = [
                     block if j == i else streams[j].seen for j in range(state.n)
                 ]
-                combos_formed += self._form_combinations(state, pools)
+                for tuples in itertools.product(*pools):
+                    state.output.add(
+                        self.scoring.make_combination(tuples, self.query)
+                    )
+                    combos_formed += 1
 
             # Line 9: refresh the bound, once per block at most.  With
             # bound_period > 1 (or blocks) the stale t is reused between
@@ -380,30 +380,3 @@ class ProxRJ:
             completed=completed,
             solver_seconds=counters.solver_seconds,
         )
-
-    def _form_combinations(self, state: EngineState, pools: list[list]) -> int:
-        """Materialise and score the cross product of ``pools``."""
-        if any(not pool for pool in pools):
-            return 0
-        scoring = self.scoring
-        query = self.query
-        output = state.output
-        count = 0
-        # Iterative odometer over the pools (cheaper than itertools.product
-        # plus per-item function calls for the hot n=2/3 cases).
-        idx = [0] * len(pools)
-        sizes = [len(p) for p in pools]
-        while True:
-            tuples = tuple(pools[j][idx[j]] for j in range(len(pools)))
-            output.add(scoring.make_combination(tuples, query))
-            count += 1
-            j = len(pools) - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < sizes[j]:
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                break
-        return count

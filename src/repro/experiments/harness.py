@@ -106,7 +106,6 @@ def run_cell(
     kind: AccessKind = AccessKind.DISTANCE,
     dominance_period: int | None = None,
     pull_block: int = 1,
-    vectorise: bool = True,
     algorithms: tuple[str, ...] | None = None,
     remote_latency: float = 0.0,
     remote_jitter: float = 0.0,
@@ -116,8 +115,7 @@ def run_cell(
 
     ``pull_block > 1`` runs every algorithm in the engine's block-pull
     mode (same ranked top-K on completed runs; amortised bound updates
-    and vectorised block scoring).  ``vectorise=False`` pins the scalar
-    object-per-tuple path, the ablation baseline for the columnar engine.
+    and vectorised block scoring).
 
     ``remote_latency > 0`` serves every stream through the simulated
     remote endpoints (:func:`repro.service.make_service_streams`) with
@@ -140,7 +138,6 @@ def run_cell(
                 "kind": kind,
                 "max_pulls": settings.max_pulls,
                 "pull_block": pull_block,
-                "vectorise": vectorise,
             }
             if algo.upper().startswith("TB"):
                 kwargs["dominance_period"] = dominance_period
@@ -200,7 +197,6 @@ def run_synthetic_cell(
     kind: AccessKind = AccessKind.DISTANCE,
     dominance_period: int | None = None,
     pull_block: int = 1,
-    vectorise: bool = True,
     algorithms: tuple[str, ...] | None = None,
     shards: int = 1,
     partition: str = "hash",
@@ -246,7 +242,6 @@ def run_synthetic_cell(
         kind=kind,
         dominance_period=dominance_period,
         pull_block=pull_block,
-        vectorise=vectorise,
         algorithms=algorithms,
         remote_latency=remote_latency,
         remote_jitter=remote_jitter,

@@ -33,6 +33,9 @@ the dominant cost is I/O round-trips, not compute.  Three layers:
 
 Engines themselves run unchanged (and synchronously) on a small thread
 pool; what the event loop owns is admission and the remote windows.
+Engines never leave the process here: solver-bound batches go to
+:class:`~repro.service.procpool.ProcPoolRankJoinService`, the process-pool
+front-end.
 Completed async runs are bit-identical to the in-memory sharded path —
 same ranked top-K, depths and bounds — because the endpoints serve the
 very same per-shard ``(rank, tid)``-sorted orders the local
@@ -372,22 +375,6 @@ class AsyncRankJoinService(RankJoinService):
         first page as the query's streams open.
     engine_workers:
         Threads running engine loops; defaults to ``max_inflight``.
-    executor:
-        ``"thread"`` (default) runs engines on the thread pool over the
-        simulated remote endpoints.  ``"process"`` offloads each
-        admitted query to a :class:`~repro.service.procpool.
-        ProcPoolRankJoinService` — real cores instead of GIL-sharing
-        threads; the event-loop thread pool then only *waits* on worker
-        pipes (GIL released).  Process mode serves the relations
-        directly (no simulated network latency), and a dispatched query
-        runs to completion in its worker: deadlines are still enforced
-        while queued and at dispatch time, but cannot interrupt a run
-        mid-flight across the process boundary.
-    proc_workers:
-        Worker-process count for ``executor="process"`` (default 4).
-    proc_options:
-        Extra :class:`ProcPoolRankJoinService` keyword arguments
-        (``max_tasks_per_worker``, ``mp_context``, ``store_path``, ...).
     """
 
     #: The base constructor instantiates this, so the one live stats
@@ -407,13 +394,8 @@ class AsyncRankJoinService(RankJoinService):
         admission: str = "wait",
         pipelined: bool = True,
         engine_workers: int | None = None,
-        executor: str = "thread",
-        proc_workers: int | None = None,
-        proc_options: dict | None = None,
         **kwargs,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         if page_size < 1:
             raise ValueError("page_size must be >= 1")
         if max_inflight < 1:
@@ -442,28 +424,6 @@ class AsyncRankJoinService(RankJoinService):
             max_workers=engine_workers or max_inflight,
             thread_name_prefix="async-rankjoin",
         )
-        self.executor = executor
-        self._procpool = None
-        if executor == "process":
-            from repro.service.procpool import ProcPoolRankJoinService
-
-            options = dict(proc_options or {})
-            options.setdefault("workers", proc_workers or 4)
-            # The async front-end owns the shared result cache; caching
-            # again inside the child pool would just shadow it.
-            options.setdefault("result_cache_size", 0)
-            self._procpool = ProcPoolRankJoinService(
-                relations,
-                scoring,
-                kind=self.kind,
-                algorithm=self.algorithm,
-                k=self.k,
-                pull_block=self.pull_block,
-                bound_period=self.bound_period,
-                bucket_decimals=self.bucket_decimals,
-                max_pulls=self.max_pulls,
-                **options,
-            )
         self._endpoints = _LRU(kwargs["cache_size"])
         self._remote_meter = _RemoteMeter()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -488,8 +448,6 @@ class AsyncRankJoinService(RankJoinService):
             ctx.cancel.set()
             ctx.close()
         self._engine_pool.shutdown(wait=True)
-        if self._procpool is not None:
-            self._procpool.close()
         super().close()
 
     async def __aenter__(self) -> "AsyncRankJoinService":
@@ -619,14 +577,11 @@ class AsyncRankJoinService(RankJoinService):
     def _run(
         self, canonical: np.ndarray, bucket: bytes, k: int, ctx: _QueryContext
     ) -> RunResult:
-        """Engine-thread body: one query end to end — over remote
-        streams, or handed to the process pool under
-        ``executor="process"`` (blocking, GIL released in the pipe read,
-        until its worker answers)."""
+        """Engine-thread body: one query end to end over remote
+        streams."""
         if ctx.should_stop():
             # Expired (or cancelled) while queued: don't pay for stream
-            # setup or a process round-trip — an empty certified partial
-            # is the honest answer.
+            # setup — an empty certified partial is the honest answer.
             from repro.core.bounds.base import INFINITY
 
             return RunResult(
@@ -639,8 +594,6 @@ class AsyncRankJoinService(RankJoinService):
                 combinations_formed=0,
                 completed=False,
             )
-        if self._procpool is not None:
-            return self._procpool.submit(canonical, k)
         engine = make_algorithm(
             self.algorithm,
             self.relations,
@@ -655,11 +608,6 @@ class AsyncRankJoinService(RankJoinService):
             should_stop=ctx.should_stop,
         )
         return engine.run()
-
-    @property
-    def proc_stats(self):
-        """The process pool's own stats (None under thread executor)."""
-        return None if self._procpool is None else self._procpool.stats
 
     # -- submission ---------------------------------------------------------
 

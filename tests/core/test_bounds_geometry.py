@@ -12,6 +12,7 @@ from repro.core.bounds.geometry import (
     dominance_coefficients,
     partial_geometry,
     score_access_completion,
+    score_access_completion_batch,
     solve_completion,
     solve_completion_batch,
     unconstrained_optimum,
@@ -226,6 +227,40 @@ class TestBatchConsistency:
             ref = solve_completion(scoring, n, query, seen, unseen_delta, unseen_sigma)
             assert values[e] == pytest.approx(ref.value, abs=1e-7)
             np.testing.assert_allclose(thetas[e], ref.theta, atol=1e-7)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.randoms(use_true_random=False),
+    )
+    def test_score_access_batch_is_row_stable(self, n, m, d, entries, rnd):
+        """The tight bound refreshes a score-access incumbent as a batch
+        of one and compares it with challengers evaluated in a batch, so
+        a row's value must not depend on its batch.  The scalar
+        ``score_access_completion`` is the tolerance reference."""
+        m = min(m, n - 1)
+        rng = np.random.default_rng(rnd.randint(0, 2**32 - 1))
+        scoring = EuclideanLogScoring(0.8, 1.2, 0.6)
+        query = rng.normal(size=d)
+        unseen_sigma = {j: float(rng.uniform(0.2, 1.0)) for j in range(m, n)}
+        scores = rng.uniform(0.1, 1.0, size=(entries, m))
+        vectors = rng.normal(size=(entries, m, d))
+
+        values = score_access_completion_batch(
+            scoring, n, query, scores, vectors, unseen_sigma
+        )
+        for e in range(entries):
+            alone = score_access_completion_batch(
+                scoring, n, query, scores[e : e + 1], vectors[e : e + 1],
+                unseen_sigma,
+            )
+            assert alone[0] == values[e]
+            seen = {j: (float(scores[e, j]), vectors[e, j]) for j in range(m)}
+            ref = score_access_completion(scoring, n, query, seen, unseen_sigma)
+            assert values[e] == pytest.approx(ref.value, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -33,11 +33,7 @@ from repro.core import (
 )
 from repro.core.durable import ShardCatalog, persist_relation
 from repro.data import SyntheticConfig, generate_problem
-from repro.service import (
-    AsyncRankJoinService,
-    ProcPoolRankJoinService,
-    RankJoinService,
-)
+from repro.service import ProcPoolRankJoinService, RankJoinService
 
 SCORING = EuclideanLogScoring(1.0, 1.0, 1.0)
 
@@ -261,28 +257,6 @@ def test_spool_dir_removed_on_close():
 
     assert not os.path.exists(spool)
     pool.close()  # idempotent
-
-
-def test_async_process_executor_bit_identical():
-    relations, _ = make_problem()
-    queries = query_batch(2, 5)
-    with RankJoinService(relations, SCORING, k=5) as ref:
-        want = [result_sig(ref.submit(q)) for q in queries]
-    svc = AsyncRankJoinService(
-        relations, SCORING, k=5, executor="process", proc_workers=2
-    )
-    try:
-        got = [result_sig(r) for r in svc.serve(queries)]
-        assert got == want
-        assert svc.proc_stats.snapshot()["worker_queries"] == len(queries)
-    finally:
-        svc.close()
-
-
-def test_async_executor_validation():
-    relations, _ = make_problem()
-    with pytest.raises(ValueError):
-        AsyncRankJoinService(relations, SCORING, executor="fiber")
 
 
 def test_submit_many_pool_is_persistent():
